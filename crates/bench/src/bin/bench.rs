@@ -12,7 +12,8 @@
 //! (`sim_cycles_total`, `sim_energy_uj_total` over the distinct design
 //! points — CI gates on these exactly), batch wall-clock, engine
 //! memoization counters, per-experiment job counts, and the per-job
-//! simulation wall-clock (descending), all under the metrics
+//! simulation wall-clock (descending, one entry per simulation executed,
+//! labelled with its timing point), all under the metrics
 //! `schema_version`.
 
 use std::path::PathBuf;
@@ -24,15 +25,19 @@ use std::collections::HashSet;
 use ule_bench::{ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_obs::json::JsonBuf;
 
-/// `sim_wall_ms_total` of the frozen pre-fast-tier sweep
-/// (`BENCH_baseline_prefast.json`, looked up next to the output path),
-/// or `None` when the baseline is absent or malformed — a fresh
+/// `sim_wall_ms_total` and `simulations` of the frozen pre-fast-tier
+/// sweep (`BENCH_baseline_prefast.json`, looked up next to the output
+/// path), or `None` when the baseline is absent or malformed — a fresh
 /// checkout without the baseline still benches fine.
-fn prefast_sim_wall_ms(out: &std::path::Path) -> Option<f64> {
+fn prefast_base(out: &std::path::Path) -> Option<(f64, u64)> {
     let path = out.with_file_name("BENCH_baseline_prefast.json");
     let text = std::fs::read_to_string(path).ok()?;
     let doc = ule_obs::json::parse(&text)?;
-    doc.get("sim_wall_ms_total")?.as_f64().filter(|v| *v > 0.0)
+    let ms = doc
+        .get("sim_wall_ms_total")?
+        .as_f64()
+        .filter(|v| *v > 0.0)?;
+    Some((ms, doc.get("simulations")?.as_u64()?))
 }
 
 fn main() {
@@ -161,16 +166,23 @@ fn main() {
     h.key("threads").value_u64(engine.threads() as u64);
     h.key("design_points").value_u64(seen.len() as u64);
     h.key("sim_cycles_total").value_u64(sim_cycles_total);
+    h.key("simulations").value_u64(stats.simulations);
     h.key("sim_wall_ms_total").value_f64(sim_wall_ms_total);
     h.key("batch_wall_ms")
         .value_f64(batch_wall.as_secs_f64() * 1e3);
     // The pre-fast baseline is a full sweep, so the ratio is only
-    // apples-to-apples when this run covered every experiment.
+    // apples-to-apples when this run covered every experiment. Its base
+    // is recorded beside it: the baseline simulated every design point,
+    // while this engine prices energy-only siblings from a shared
+    // simulation, so part of the ratio is fewer simulations rather than
+    // faster ones.
     let full_sweep = selected.len() == ExperimentId::ALL.len();
-    match prefast_sim_wall_ms(&out) {
-        Some(baseline_ms) if full_sweep && sim_wall_ms_total > 0.0 => {
+    match prefast_base(&out) {
+        Some((baseline_ms, baseline_sims)) if full_sweep && sim_wall_ms_total > 0.0 => {
             h.key("speedup_vs_prefast")
                 .value_f64(baseline_ms / sim_wall_ms_total);
+            h.key("prefast_sim_wall_ms_total").value_f64(baseline_ms);
+            h.key("prefast_simulations").value_u64(baseline_sims);
         }
         _ => {
             h.key("speedup_vs_prefast").value_null();

@@ -1634,7 +1634,7 @@ fn main() {
 }
 
 /// Writes the harness timeline into `buf` as process 0: one thread per
-/// sweep worker, a complete event per cold simulation job (from the
+/// sweep worker, a complete event per simulation executed (from the
 /// engine's [`job spans`](SweepEngine::job_spans)), with the `sys.sim`
 /// and `sweep.batch` spans recovered from the flight recorder's ring
 /// nested on the same tracks. Loading the merged file in Perfetto shows

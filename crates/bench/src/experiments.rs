@@ -596,7 +596,8 @@ pub fn s7_8(r: &SweepEngine) -> String {
         (MultVariant::OperandScan, "operand-scan multi-cycle"),
         (MultVariant::Parallel, "parallel pipelined"),
     ] {
-        let rep = r.sv_mult_variant(CurveId::P192, v);
+        let cfg = SystemConfig::new(CurveId::P192, Arch::Baseline).with_mult_variant(v);
+        let rep = r.run(cfg, Workload::SignVerify);
         let (d, s) = rep.energy.power_mw();
         let _ = writeln!(
             out,
@@ -914,8 +915,9 @@ impl ExperimentId {
     /// to [`SweepEngine::run_batch`] before rendering any text, so the
     /// whole selection simulates in parallel. An experiment that misses
     /// a point here still renders correctly (the point just simulates
-    /// serially at render time); the `experiment_jobs_cover_*` tests
-    /// pin the lists that matter.
+    /// serially at render time, or is priced from a listed energy-only
+    /// sibling's simulation); the `experiment_jobs_cover_*` tests pin
+    /// the lists that matter.
     pub fn jobs(self) -> Vec<Job> {
         let sv = |c: CurveId, a: Arch| (SystemConfig::new(c, a), Workload::SignVerify);
         let sv_cached = |c: CurveId, a: Arch, cache: CacheConfig| {
@@ -1069,6 +1071,10 @@ impl ExperimentId {
                     })
                     .collect()
             }
+            // The renderer's OperandScan/Parallel points are energy-only
+            // siblings of this one: the engine prices them from its
+            // simulation. Listing them here would add two design points
+            // to every `bench all` total without adding a simulation.
             ExperimentId::S7_8 => vec![sv(CurveId::P192, Arch::Baseline)],
             ExperimentId::S8Gating => {
                 use ule_energy::report::Gating;

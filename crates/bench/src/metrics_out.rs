@@ -50,7 +50,8 @@ pub fn metrics_registry(
 }
 
 /// The `engine_summary` record: request/memoization counters and the
-/// wall-clock of every cold simulation.
+/// wall-clock of every simulation executed, labelled with its timing
+/// point.
 pub fn engine_summary_record(engine: &SweepEngine) -> Record {
     // Exhaustive: a new engine counter must be exported.
     let EngineStats {

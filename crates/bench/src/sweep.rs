@@ -1,5 +1,5 @@
-//! The thread-safe sweep engine: every (configuration, workload) pair
-//! is simulated at most once per engine, concurrently callable from any
+//! The thread-safe sweep engine: every (timing point, workload) pair is
+//! simulated at most once per engine, concurrently callable from any
 //! number of threads, with a scoped-thread fan-out for batch sweeps.
 //!
 //! This replaced the old single-threaded `Rc`-based `Runner` (since
@@ -7,15 +7,23 @@
 //! design-space evaluation is an embarrassingly parallel batch workload
 //! — 6 configurations × 10 curves × icache/digit/front-end ablations,
 //! every point independent of every other — so the memo cache is a
-//! sharded `Mutex<HashMap<ConfigKey, _>>` holding `Arc<RunReport>`s,
-//! with per-key *in-flight de-duplication*: two threads asking for the
-//! same point never simulate it twice; the second blocks until the
-//! first publishes.
+//! sharded `Mutex<HashMap<ConfigKey, _>>` keyed by
+//! `(SystemConfig::timing(), Workload)`, with per-key *in-flight
+//! de-duplication*: two threads asking for the same timing point never
+//! simulate it twice; the second blocks until the first publishes.
+//!
+//! **Simulate once, price per sibling.** Configurations that differ only
+//! in an energy-only knob (gating, Billie's SRAM register file, the §7.8
+//! multiplier variant) share one key. The first request simulates; every
+//! sibling, then or later, is priced from the stored
+//! [`ule_core::Simulation`] with one energy-model call and memoized, so
+//! identical full configurations still return the same `Arc<RunReport>`.
 //!
 //! Determinism: a simulation is a pure function of its
-//! `(SystemConfig, Workload)` key, so every energy/cycle number is
-//! independent of thread count and submission order — parallel sweeps
-//! are bit-for-bit equal to serial ones.
+//! `(timing, workload)` key and a report of its full configuration, so
+//! every energy/cycle number is independent of thread count and
+//! submission order — parallel sweeps are bit-for-bit equal to serial
+//! ones, and equal to a fresh [`System::run_with`] on every point.
 //!
 //! ```no_run
 //! use ule_bench::SweepEngine;
@@ -38,7 +46,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use ule_core::{MultVariant, RunOptions, RunReport, System, SystemConfig, Workload};
+use ule_core::{MultVariant, RunOptions, RunReport, Simulation, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
 use ule_monte::MonteConfig;
 use ule_pete::icache::CacheConfig;
@@ -47,15 +55,19 @@ use ule_swlib::builder::Arch;
 /// One design point plus the workload to run on it — a batch job.
 pub type Job = (SystemConfig, Workload);
 
-/// Typed memo-cache key: one (configuration, workload) pair.
+/// Typed key of one (configuration, workload) pair.
 ///
 /// `Hash`/`Eq` are derived straight from [`SystemConfig`] and
 /// [`Workload`], so every knob (curve, arch, icache tuple, Monte
 /// front-end, Billie digit, multiplier variant, gating, SRAM register
-/// file) participates — two keys are equal exactly when the simulated
+/// file) participates — two keys are equal exactly when the design
 /// points are identical. This replaces both the old stringly
 /// `format!`-based system key and the hand-maintained ad-hoc `Key`
 /// struct, which silently dropped any knob nobody remembered to add.
+///
+/// The engine's memo uses keys whose config is a
+/// [`SystemConfig::timing`] value: equal such keys mean identical
+/// simulations, and its [`JobSpan`]s carry them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey {
     /// The design point.
@@ -134,7 +146,8 @@ struct InFlight {
 
 enum FlightState {
     Running,
-    Ready(Arc<RunReport>),
+    /// The simulation is in the memo map as a [`Slot::Done`].
+    Ready,
     /// The computing thread panicked (e.g. a simulated signature failed
     /// host verification). Waiters propagate the panic instead of
     /// hanging forever.
@@ -149,12 +162,12 @@ impl InFlight {
         })
     }
 
-    fn wait(&self) -> Arc<RunReport> {
+    fn wait(&self) {
         let mut st = lock(&self.state);
         loop {
             match &*st {
                 FlightState::Running => st = self.done.wait(st).unwrap_or_else(|e| e.into_inner()),
-                FlightState::Ready(r) => return r.clone(),
+                FlightState::Ready => return,
                 FlightState::Poisoned => {
                     panic!("simulation of this design point panicked in another thread")
                 }
@@ -170,7 +183,26 @@ impl InFlight {
 
 enum Slot {
     InFlight(Arc<InFlight>),
-    Done(Arc<RunReport>),
+    Done(Box<Priced>),
+}
+
+/// A finished simulation and the reports priced from it so far, one per
+/// full configuration asked for (at most a few energy-only siblings).
+struct Priced {
+    sim: Simulation,
+    reports: Vec<(SystemConfig, Arc<RunReport>)>,
+}
+
+impl Priced {
+    /// The memoized report for `config`, priced on first request.
+    fn report(&mut self, config: SystemConfig) -> Arc<RunReport> {
+        if let Some((_, r)) = self.reports.iter().find(|(c, _)| *c == config) {
+            return r.clone();
+        }
+        let r = Arc::new(self.sim.report(&config));
+        self.reports.push((config, r.clone()));
+        r
+    }
 }
 
 /// Locks a mutex, ignoring poisoning: shard maps stay structurally
@@ -187,11 +219,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// from a scope). See the [module docs](self) for the caching and
 /// determinism contract.
 pub struct SweepEngine {
-    /// Sharded report memo — `SHARDS` independent locks so unrelated
-    /// points never contend.
+    /// Sharded simulation memo, keyed by timing point — `SHARDS`
+    /// independent locks so unrelated points never contend.
     shards: Vec<Mutex<HashMap<ConfigKey, Slot>>>,
-    /// Built systems, shared across the workloads of one configuration
-    /// (`System::run` takes `&self`, so concurrent runs share one
+    /// Built systems, shared across the workloads of one timing point
+    /// (`System::simulate` takes `&self`, so concurrent runs share one
     /// program image).
     systems: Mutex<HashMap<SystemConfig, Arc<System>>>,
     threads: usize,
@@ -201,16 +233,17 @@ pub struct SweepEngine {
     inflight_waits: AtomicU64,
     /// Engine construction time — the zero point of job-span starts.
     epoch: Instant,
-    /// One span per cold simulation, in cold-run completion order
-    /// (memo hits don't append).
+    /// One span per simulation executed, in completion order (memo hits
+    /// and priced siblings don't append).
     spans: Mutex<Vec<JobSpan>>,
 }
 
-/// Wall-clock span of one cold simulation, relative to the engine's
+/// Wall-clock span of one simulation executed, relative to the engine's
 /// construction — the harness-level track of the merged trace export.
 #[derive(Clone, Debug)]
 pub struct JobSpan {
-    /// The simulated point.
+    /// The simulated timing point (its config is a
+    /// [`SystemConfig::timing`] value, whichever sibling asked first).
     pub key: ConfigKey,
     /// Start offset from engine construction.
     pub start: Duration,
@@ -226,11 +259,13 @@ pub struct JobSpan {
 pub struct EngineStats {
     /// Total `run` calls (batch jobs included).
     pub requests: u64,
-    /// Requests answered from the finished-report memo.
+    /// Requests answered from a finished simulation: the memoized
+    /// report, or a report priced from a sibling's simulation.
     pub memo_hits: u64,
     /// Requests that blocked on another thread's in-flight simulation.
     pub inflight_waits: u64,
-    /// Cold simulations actually executed.
+    /// Simulations actually executed (one per distinct timing point
+    /// and workload).
     pub simulations: u64,
 }
 
@@ -290,9 +325,9 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Number of cold simulations executed so far (memo misses). Memo
-    /// and in-flight hits don't count — the difference between this and
-    /// the number of requests is what the cache saved.
+    /// Number of simulations executed so far (memo misses). Memo hits,
+    /// priced siblings and in-flight waits don't count — the difference
+    /// between this and the number of requests is what the cache saved.
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
     }
@@ -307,21 +342,22 @@ impl SweepEngine {
         }
     }
 
-    /// Wall-clock of every cold simulation so far, `(key, duration)`,
-    /// in cold-run completion order. Memo/in-flight hits don't appear —
-    /// a key occurs at most once.
+    /// Wall-clock of every simulation executed so far, `(key,
+    /// duration)`, in completion order. The key is the simulated timing
+    /// point; memo hits, priced siblings and in-flight waits don't
+    /// appear, so a key occurs at most once.
     pub fn job_timings(&self) -> Vec<(ConfigKey, Duration)> {
         lock(&self.spans).iter().map(|s| (s.key, s.wall)).collect()
     }
 
-    /// Full spans of every cold simulation so far (start offset from
-    /// engine construction, duration, worker thread), in cold-run
-    /// completion order — the harness track of the merged trace export.
+    /// Full spans of every simulation executed so far (start offset from
+    /// engine construction, duration, worker thread), in completion
+    /// order — the harness track of the merged trace export.
     pub fn job_spans(&self) -> Vec<JobSpan> {
         lock(&self.spans).clone()
     }
 
-    /// The shared built system for one configuration.
+    /// The shared built system for one timing point.
     fn system(&self, config: SystemConfig) -> Arc<System> {
         if let Some(s) = lock(&self.systems).get(&config) {
             return s.clone();
@@ -336,37 +372,45 @@ impl SweepEngine {
     /// Runs (or recalls) one workload on one configuration.
     ///
     /// Concurrent calls with the same key return the *same*
-    /// `Arc<RunReport>`; at most one of them simulates.
+    /// `Arc<RunReport>`; at most one call per timing point simulates,
+    /// and the rest are priced from its [`Simulation`].
     pub fn run(&self, config: SystemConfig, workload: Workload) -> Arc<RunReport> {
-        let key = ConfigKey::new(config, workload);
+        let key = ConfigKey::new(config.timing(), workload);
         self.requests.fetch_add(1, Ordering::Relaxed);
+        let label = ConfigKey::new(config, workload).label();
         // Progress hooks are process-global no-ops unless the CLI
         // started a reporter; token 0 makes `job_done` a no-op too.
-        let progress = ule_obs::progress::job_started(&key.label());
+        let progress = ule_obs::progress::job_started(&label);
         let shard = &self.shards[key.shard()];
-        let flight = {
+        let mut waited = false;
+        let flight = loop {
             let mut map = lock(shard);
-            match map.get(&key) {
-                Some(Slot::Done(r)) => {
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    ule_obs::obs_event!("sweep.memo_hit", job = key.label());
-                    ule_obs::progress::memo_hit();
+            match map.get_mut(&key) {
+                Some(Slot::Done(priced)) => {
+                    let report = priced.report(config);
+                    drop(map);
+                    if !waited {
+                        self.memo_hits.fetch_add(1, Ordering::Relaxed);
+                        ule_obs::obs_event!("sweep.memo_hit", job = label.as_str());
+                        ule_obs::progress::memo_hit();
+                    }
                     ule_obs::progress::job_done(progress);
-                    return r.clone();
+                    return report;
                 }
                 Some(Slot::InFlight(f)) => {
                     let f = f.clone();
                     drop(map);
                     self.inflight_waits.fetch_add(1, Ordering::Relaxed);
-                    ule_obs::obs_event!("sweep.inflight_wait", job = key.label());
-                    let report = f.wait();
-                    ule_obs::progress::job_done(progress);
-                    return report;
+                    ule_obs::obs_event!("sweep.inflight_wait", job = label.as_str());
+                    // Panics if the simulation did; on success the slot
+                    // is `Done` and the next lookup prices from it.
+                    f.wait();
+                    waited = true;
                 }
                 None => {
                     let f = InFlight::new();
                     map.insert(key, Slot::InFlight(f.clone()));
-                    f
+                    break f;
                 }
             }
         };
@@ -380,9 +424,9 @@ impl SweepEngine {
             armed: true,
         };
         let started = Instant::now();
-        let sys = self.system(config);
-        let report = Arc::new(sys.run_with(RunOptions::new(workload)));
+        let sim = self.system(key.config).simulate(RunOptions::new(workload));
         let wall = started.elapsed();
+        let report = Arc::new(sim.report(&config));
         self.simulations.fetch_add(1, Ordering::Relaxed);
         lock(&self.spans).push(JobSpan {
             key,
@@ -400,8 +444,12 @@ impl SweepEngine {
             cycles = report.cycles,
         );
         guard.armed = false; // infallible from here on
-        lock(shard).insert(key, Slot::Done(report.clone()));
-        flight.publish(FlightState::Ready(report.clone()));
+        let priced = Priced {
+            sim,
+            reports: vec![(config, report.clone())],
+        };
+        lock(shard).insert(key, Slot::Done(Box::new(priced)));
+        flight.publish(FlightState::Ready);
         ule_obs::progress::job_done(progress);
         report
     }
@@ -526,23 +574,6 @@ impl SweepEngine {
             SystemConfig::new(curve, Arch::Billie).with_billie_digit(digit),
             Workload::ScalarMul,
         )
-    }
-
-    /// Baseline with a §7.8 multiplier power variant (timing identical).
-    pub fn sv_mult_variant(&self, curve: CurveId, variant: MultVariant) -> RunReport {
-        // Variants share cycles; recompute energy with the variant's
-        // factor (single source: `MultVariant::factor`).
-        let base = self.sv(curve, Arch::Baseline);
-        let mut activity = base.activity;
-        activity.mult_variant_factor = variant.factor();
-        RunReport {
-            cycles: base.cycles,
-            counters: base.counters,
-            raw: base.raw,
-            activity,
-            energy: ule_energy::report::energy(&activity),
-            profile: base.profile.clone(),
-        }
     }
 }
 

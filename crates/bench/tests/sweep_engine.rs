@@ -5,11 +5,12 @@
 //! typed-key semantics) do not depend on workload size.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use ule_bench::{ConfigKey, ExperimentId, Job, SweepEngine};
-use ule_core::{MultVariant, RunReport, SystemConfig, Workload};
+use ule_core::{MultVariant, RunOptions, RunReport, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
 use ule_energy::report::Gating;
 use ule_monte::MonteConfig;
@@ -251,20 +252,25 @@ fn experiment_jobs_cover_the_rendered_points() {
 
 #[test]
 fn mult_variant_factor_is_single_sourced() {
-    // The §7.8 scaling used by the sweep API must be the enum's own
-    // `factor()`: Karatsuba (factor 1.0) reproduces the baseline report
-    // exactly, and the costlier variants scale monotonically with it.
+    // §7.8 variants go through `run` like any other knob: one
+    // simulation prices all three, Karatsuba (factor 1.0) is the
+    // baseline report itself, and the costlier variants scale
+    // monotonically with `MultVariant::factor`.
     let engine = SweepEngine::new();
+    let at = |v| {
+        let cfg = SystemConfig::new(CurveId::P192, Arch::Baseline).with_mult_variant(v);
+        engine.run(cfg, Workload::SignVerify)
+    };
     let base = engine.sv(CurveId::P192, Arch::Baseline);
-    let kara = engine.sv_mult_variant(CurveId::P192, MultVariant::Karatsuba);
-    assert_eq!(kara.cycles, base.cycles);
-    assert_eq!(kara.energy.total_uj(), base.energy.total_uj());
+    let kara = at(MultVariant::Karatsuba);
+    assert!(Arc::ptr_eq(&kara, &base), "Karatsuba is the default point");
 
     let mut last = base.energy.total_uj();
     let mut last_factor = MultVariant::Karatsuba.factor();
     for v in [MultVariant::OperandScan, MultVariant::Parallel] {
-        let r = engine.sv_mult_variant(CurveId::P192, v);
+        let r = at(v);
         assert_eq!(r.cycles, base.cycles, "§7.8 variants are timing-neutral");
+        assert_eq!(r.activity.mult_variant_factor, v.factor());
         assert!(v.factor() > last_factor, "{v:?}: factor must increase");
         assert!(
             r.energy.total_uj() > last,
@@ -273,4 +279,186 @@ fn mult_variant_factor_is_single_sourced() {
         last = r.energy.total_uj();
         last_factor = v.factor();
     }
+    assert_eq!(
+        engine.simulations(),
+        1,
+        "the three variants share one simulation"
+    );
+}
+
+/// Every energy-only sibling of a few cheap timing points.
+fn sibling_jobs() -> Vec<Job> {
+    let classes = [
+        (CurveId::P192, Arch::Baseline, Workload::FieldMul),
+        (CurveId::P192, Arch::IsaExt, Workload::FieldMul),
+        (CurveId::P192, Arch::Monte, Workload::FieldMul),
+        (CurveId::K163, Arch::Billie, Workload::FieldMul),
+        // Non-zero coprocessor stats, so gating and the SRAM register
+        // file change the price.
+        (CurveId::K163, Arch::Billie, Workload::ScalarMul),
+    ];
+    let mut jobs = Vec::new();
+    for (curve, arch, workload) in classes {
+        for gating in [Gating::None, Gating::Clock, Gating::Power] {
+            for sram in [false, true] {
+                for variant in [
+                    MultVariant::Karatsuba,
+                    MultVariant::OperandScan,
+                    MultVariant::Parallel,
+                ] {
+                    let cfg = SystemConfig::new(curve, arch)
+                        .with_gating(gating)
+                        .with_billie_sram_rf(sram)
+                        .with_mult_variant(variant);
+                    jobs.push((cfg, workload));
+                }
+            }
+        }
+    }
+    jobs
+}
+
+#[test]
+fn priced_siblings_match_a_fresh_simulation() {
+    let jobs = sibling_jobs();
+    let engine = SweepEngine::new().with_threads(1);
+    for &(cfg, w) in &jobs {
+        let fresh = System::new(cfg).run_with(RunOptions::new(w));
+        assert_eq!(
+            *engine.run(cfg, w),
+            fresh,
+            "{}: priced report differs from its own simulation",
+            ConfigKey::new(cfg, w).label()
+        );
+    }
+    let timing: HashSet<ConfigKey> = jobs
+        .iter()
+        .map(|&(c, w)| ConfigKey::new(c.timing(), w))
+        .collect();
+    assert_eq!(engine.simulations(), timing.len() as u64);
+    let billie_sv = engine.run(jobs[jobs.len() - 1].0, Workload::ScalarMul);
+    assert!(billie_sv.raw.cop.busy_cycles > 0);
+    let st = engine.stats();
+    assert_eq!(
+        st.requests,
+        st.memo_hits + st.inflight_waits + st.simulations
+    );
+}
+
+#[test]
+fn racing_siblings_share_one_simulation() {
+    // Eight threads each ask for every gating/SRAM sibling of one point,
+    // starting at different siblings: one simulation, and each full
+    // configuration comes back as one allocation.
+    let base = SystemConfig::new(CurveId::K163, Arch::Billie);
+    let siblings: Vec<SystemConfig> = [Gating::None, Gating::Clock, Gating::Power]
+        .into_iter()
+        .flat_map(|g| [false, true].map(|sram| base.with_gating(g).with_billie_sram_rf(sram)))
+        .collect();
+    let engine = SweepEngine::new();
+    let barrier = Barrier::new(8);
+    let reports: Vec<Vec<Arc<RunReport>>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                let (engine, siblings, barrier) = (&engine, &siblings, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    let n = siblings.len();
+                    let mut out = vec![None; n];
+                    for i in 0..n {
+                        let j = (t + i) % n;
+                        out[j] = Some(engine.run(siblings[j], Workload::FieldMul));
+                    }
+                    out.into_iter().map(Option::unwrap).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(engine.simulations(), 1);
+    for per_thread in &reports {
+        for (a, b) in per_thread.iter().zip(&reports[0]) {
+            assert!(Arc::ptr_eq(a, b), "identical keys share one Arc");
+        }
+    }
+    for (cfg, r) in siblings.iter().zip(&reports[0]) {
+        assert_eq!(
+            **r,
+            System::new(*cfg).run_with(RunOptions::new(Workload::FieldMul))
+        );
+    }
+    let st = engine.stats();
+    assert_eq!(st.requests, 8 * siblings.len() as u64);
+    assert_eq!(
+        st.requests,
+        st.memo_hits + st.inflight_waits + st.simulations
+    );
+}
+
+#[test]
+fn job_spans_are_keyed_by_the_simulated_timing_point() {
+    // Whichever sibling comes first, the one span names the timing
+    // point that ran; priced siblings add none.
+    let engine = SweepEngine::new().with_threads(1);
+    let base = SystemConfig::new(CurveId::K163, Arch::Billie);
+    engine.run(base.with_gating(Gating::Power), Workload::FieldMul);
+    engine.run(base.with_billie_sram_rf(true), Workload::FieldMul);
+    engine.run(base, Workload::FieldMul);
+    let timings = engine.job_timings();
+    assert_eq!(timings.len(), 1, "priced siblings add no span");
+    assert_eq!(timings[0].0, ConfigKey::new(base, Workload::FieldMul));
+}
+
+fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
+    p.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn a_failed_shared_simulation_poisons_its_siblings_and_retries() {
+    // An ECDSA workload on a ladder curve panics inside the simulation
+    // (after the system build, so racing siblings find it in flight).
+    // Every sibling fails — waiters with the poison message instead of
+    // hanging — and a later call simulates again.
+    let base = SystemConfig::new(CurveId::X448, Arch::Monte);
+    let engine = SweepEngine::new();
+    let barrier = Barrier::new(8);
+    let messages: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|t| {
+                let (engine, barrier) = (&engine, &barrier);
+                let gating = [Gating::None, Gating::Clock, Gating::Power][t % 3];
+                s.spawn(move || {
+                    barrier.wait();
+                    let run = || engine.run(base.with_gating(gating), Workload::Sign);
+                    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                        .expect_err("an invalid point must fail");
+                    panic_message(err)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let poisoned = messages
+        .iter()
+        .filter(|m| m.contains("panicked in another thread"))
+        .count();
+    let owned = messages
+        .iter()
+        .filter(|m| m.contains("RFC 7748 ladder curve"))
+        .count();
+    assert_eq!(poisoned + owned, 8, "{messages:?}");
+    assert!(owned >= 1);
+    let st = engine.stats();
+    assert_eq!(st.inflight_waits, poisoned as u64);
+    assert_eq!(st.simulations, 0);
+    assert_eq!(st.memo_hits, 0);
+
+    let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.run(base.with_gating(Gating::Power), Workload::Sign)
+    }))
+    .expect_err("the retry simulates and fails again");
+    assert!(panic_message(retry).contains("RFC 7748 ladder curve"));
 }

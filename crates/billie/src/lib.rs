@@ -31,6 +31,7 @@
 use std::collections::VecDeque;
 use ule_isa::instr::Instr;
 use ule_mpmath::f2m::BinaryField;
+use ule_mpmath::mp::{self, Limb};
 use ule_mpmath::nist::NistBinary;
 use ule_pete::cop::{CopStats, Coprocessor};
 use ule_pete::mem::Ram;
@@ -40,6 +41,14 @@ pub const NUM_REGS: usize = 16;
 
 /// Depth of the instruction queue (§5.5.2).
 pub const QUEUE_DEPTH: usize = 4;
+
+/// Limbs of the widest register: GF(2^571), the largest field Billie is
+/// built for. Every register is stored at this width; a narrower field
+/// uses the low `k` limbs.
+const MAX_LIMBS: usize = 571usize.div_ceil(32);
+
+/// One register of the file.
+type Register = [Limb; MAX_LIMBS];
 
 /// Billie build-time parameters.
 #[derive(Clone, Copy, Debug)]
@@ -59,7 +68,7 @@ impl Default for BillieConfig {
 pub struct Billie {
     field: BinaryField,
     config: BillieConfig,
-    regs: Vec<Vec<u32>>,
+    regs: [Register; NUM_REGS],
     reg_ready: [u64; NUM_REGS],
     mul_free: u64,
     sqr_free: u64,
@@ -85,11 +94,11 @@ impl Billie {
     pub fn with_config(field: NistBinary, config: BillieConfig) -> Self {
         assert!(config.digit >= 1 && config.digit <= 16);
         let f = BinaryField::nist(field);
-        let k = f.k();
+        assert!(f.k() <= MAX_LIMBS);
         Billie {
             field: f,
             config,
-            regs: vec![vec![0; k]; NUM_REGS],
+            regs: [[0; MAX_LIMBS]; NUM_REGS],
             reg_ready: [0; NUM_REGS],
             mul_free: 0,
             sqr_free: 0,
@@ -151,8 +160,26 @@ impl Billie {
         granted
     }
 
-    fn el(&self, r: u8) -> ule_mpmath::f2m::F2mElement {
-        self.field.from_limbs(&self.regs[r as usize])
+    /// A copy of register `r` as a field operand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register holds a coefficient at position `>= m`
+    /// (a load of an unreduced value) — the field's element invariant.
+    fn operand(&self, r: u8) -> Register {
+        let v = self.regs[r as usize];
+        assert!(
+            mp::bit_len(&v[..self.field.k()]) <= self.field.m(),
+            "element not reduced"
+        );
+        v
+    }
+
+    /// Reduces the `2k`-limb product in `wide` into register `fd`.
+    fn write_reduced(&mut self, fd: u8, wide: &mut [Limb]) {
+        let k = self.field.k();
+        self.field.reduce_in_place(wide);
+        self.regs[fd as usize][..k].copy_from_slice(&wide[..k]);
     }
 }
 
@@ -172,8 +199,9 @@ impl Coprocessor for Billie {
                 self.stats.ram_reads += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                let words = ram.peek_words(rt_value, k);
-                self.regs[fs as usize] = words;
+                for (i, w) in self.regs[fs as usize][..k].iter_mut().enumerate() {
+                    *w = ram.peek(rt_value + 4 * i as u32);
+                }
                 self.reg_ready[fs as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -185,8 +213,7 @@ impl Coprocessor for Billie {
                 self.stats.ram_writes += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                let words = self.regs[fs as usize].clone();
-                ram.poke_words(rt_value, &words);
+                ram.poke_words(rt_value, &self.regs[fs as usize][..k]);
                 self.inflight.push_back(done);
             }
             Instr::BilMul { fd, fs, ft } => {
@@ -200,8 +227,10 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += self.mul_latency();
                 self.stats.mul_ops += 1;
-                let r = self.field.mul(&self.el(fs), &self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                let (a, b) = (self.operand(fs), self.operand(ft));
+                let mut wide = [0; 2 * MAX_LIMBS];
+                self.field.clmul_wide(&a, &b, &mut wide[..2 * k]);
+                self.write_reduced(fd, &mut wide[..2 * k]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -212,8 +241,10 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += 1;
                 self.stats.mul_ops += 1;
-                let r = self.field.sqr(&self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                let a = self.operand(ft);
+                let mut wide = [0; 2 * MAX_LIMBS];
+                self.field.sqr_wide(&a, &mut wide[..2 * k]);
+                self.write_reduced(fd, &mut wide[..2 * k]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -227,8 +258,10 @@ impl Coprocessor for Billie {
                 self.add_free = done;
                 let wb = Self::claim_port(&mut self.port_b_busy, done);
                 self.stats.busy_cycles += 1;
-                let r = self.field.add(&self.el(fs), &self.el(ft));
-                self.regs[fd as usize] = r.limbs().to_vec();
+                let (a, b) = (self.operand(fs), self.operand(ft));
+                for (i, w) in self.regs[fd as usize][..k].iter_mut().enumerate() {
+                    *w = a[i] ^ b[i];
+                }
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }

@@ -22,6 +22,12 @@
 //! the `ule-curves` host reference before any number is reported (a run
 //! that computes the wrong signature panics rather than producing a
 //! plausible-looking energy figure).
+//!
+//! A run is two steps: [`System::simulate`] produces a [`Simulation`]
+//! (counters and raw stats, host-checked), and [`Simulation::report`]
+//! prices it. The energy-only knobs ([`SystemConfig::timing`] lists
+//! them) are read only by the second step, so one simulation prices
+//! every configuration that shares its timing point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -166,6 +172,24 @@ impl SystemConfig {
     pub fn with_billie_sram_rf(mut self, sram: bool) -> Self {
         self.billie_sram_rf = sram;
         self
+    }
+
+    /// The timing point of this configuration: the energy-only knobs
+    /// pinned to their [`SystemConfig::new`] defaults.
+    ///
+    /// This is the one place that lists those knobs — the §7.8
+    /// multiplier variant, idle-accelerator gating and Billie's SRAM
+    /// register file. They change power, never a cycle or a counter, so
+    /// two configurations with equal `timing()` simulate identically and
+    /// differ only in [`Simulation::report`].
+    pub fn timing(self) -> Self {
+        let d = SystemConfig::new(self.curve, self.arch);
+        SystemConfig {
+            mult_variant: d.mult_variant,
+            gating: d.gating,
+            billie_sram_rf: d.billie_sram_rf,
+            ..self
+        }
     }
 }
 
@@ -321,10 +345,12 @@ pub enum ProfileMode {
 /// Everything that varies per [`System::run_with`] call: the workload,
 /// the profiling choice, and the execution-engine tier.
 ///
-/// A [`RunReport`] is the same — bit for bit — whatever the profiling
+/// A [`Simulation`] is the same — bit for bit — whatever the profiling
 /// mode and tier (profiling is observational; the fast engine is
-/// bit-exact), so reports remain valid memo-cache values keyed only by
-/// `(SystemConfig, Workload)` (see `ule-bench`'s `SweepEngine`).
+/// bit-exact), so simulations remain valid memo-cache values keyed only
+/// by `(SystemConfig::timing(), Workload)`, and every report priced from
+/// one is a pure function of its full `SystemConfig` (see `ule-bench`'s
+/// `SweepEngine`).
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// The simulated ECDSA workload.
@@ -534,15 +560,30 @@ impl System {
     }
 
     /// Runs one workload with the given options, verifying functional
-    /// outputs against the host.
+    /// outputs against the host: [`System::simulate`] priced at this
+    /// system's configuration.
     ///
     /// # Panics
     ///
-    /// Panics if the simulated outputs disagree with the host reference —
-    /// a wrong-but-fast simulation must never produce a data point. Also
+    /// As [`System::simulate`].
+    pub fn run_with(&self, opts: RunOptions) -> RunReport {
+        self.simulate(opts).report(&self.config)
+    }
+
+    /// Simulates one workload on this system's timing point and checks
+    /// every functional output against the host reference. The result
+    /// carries counters and raw stats but no energy: price it with
+    /// [`Simulation::report`] at this configuration or at any other that
+    /// shares its [`SystemConfig::timing`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid `(curve, arch, workload)` triple, and if the
+    /// simulated outputs disagree with the host reference — a
+    /// wrong-but-fast simulation must never produce a data point. Also
     /// panics when the options force both profiling and the fast engine
     /// tier (the fast engine carries no attribution plumbing).
-    pub fn run_with(&self, opts: RunOptions) -> RunReport {
+    pub fn simulate(&self, opts: RunOptions) -> Simulation {
         let profile = match opts.profile {
             // The global flag is read once per run so a report is
             // internally consistent even if the flag changes
@@ -554,14 +595,11 @@ impl System {
                 ProfileKind::Sampled(opts.sample_stride.unwrap_or_else(sample_stride))
             }
         };
-        self.run_inner(opts.workload, profile, opts.tier)
-    }
-
-    fn run_inner(&self, workload: Workload, profile: ProfileKind, tier: EngineTier) -> RunReport {
+        let (workload, tier) = (opts.workload, opts.tier);
         if let Err(e) = validate_workload(self.config.curve, self.config.arch, workload) {
             panic!("{e}");
         }
-        let mut total = RunAccum::default();
+        let mut total = Simulation::new(self.config.timing());
         if profile != ProfileKind::None {
             total.profile = Some(RoutineProfile::default());
         }
@@ -580,7 +618,7 @@ impl System {
                     curve: pair,
                     ..self.config
                 });
-                let mut side = RunAccum::default();
+                let mut side = Simulation::new(companion.config.timing());
                 companion.accum_ecdsa(Workload::SignVerify, profile, tier, &mut side);
                 total.counters.accumulate(&side.counters);
                 total.raw.accumulate(&side.raw);
@@ -591,15 +629,15 @@ impl System {
                         .absorb(&p, &format!("{}:", pair.name()));
                 }
             }
-            return total.finish(self);
+            return total;
         }
         self.accum_ecdsa(workload, profile, tier, &mut total);
-        total.finish(self)
+        total
     }
 
     /// One full Montgomery ladder (`main_xdh`) with deterministic
     /// handshake inputs, checked bit-for-bit against the host ladder.
-    fn accum_xdh(&self, profile: ProfileKind, tier: EngineTier, total: &mut RunAccum) {
+    fn accum_xdh(&self, profile: ProfileKind, tier: EngineTier, total: &mut Simulation) {
         let k = self.suite.k;
         let mc = self.curve.mont();
         // Our static key and the peer's ephemeral key: raw (unclamped)
@@ -623,7 +661,7 @@ impl System {
             shared.limbs(),
             "simulated shared secret mismatch"
         );
-        total.add(&mut m, self);
+        total.add(&mut m);
     }
 
     /// The ECDSA workload paths, accumulating into `total`.
@@ -632,7 +670,7 @@ impl System {
         workload: Workload,
         profile: ProfileKind,
         tier: EngineTier,
-        total: &mut RunAccum,
+        total: &mut Simulation,
     ) {
         let k = self.suite.k;
         let inp = self.inputs();
@@ -654,7 +692,7 @@ impl System {
                 let s = Mp::from_limbs(&read_buf(&m, &self.suite.program, "out_s", k));
                 assert_eq!(r, inp.sig.r, "simulated r mismatch");
                 assert_eq!(s, inp.sig.s, "simulated s mismatch");
-                total.add(&mut m, self);
+                total.add(&mut m);
             }
             _ => {}
         }
@@ -675,7 +713,7 @@ impl System {
                     vec![1],
                     "simulated verification rejected a valid signature"
                 );
-                total.add(&mut m, self);
+                total.add(&mut m);
             }
             _ => {}
         }
@@ -686,14 +724,14 @@ impl System {
             let gx = read_buf(&m, &self.suite.program, "out_r", k);
             let expect = host_mul_g(&self.curve, &inp.nonce, k);
             assert_eq!(gx, expect.0, "simulated kG mismatch");
-            total.add(&mut m, self);
+            total.add(&mut m);
         }
         if workload == Workload::FieldMul {
             let mut m = self.machine(profile);
             write_buf(&mut m, &self.suite.program, "arg_qx", &qx);
             write_buf(&mut m, &self.suite.program, "arg_qy", &qy);
             self.sim_entry(&mut m, "main_fmul", tier);
-            total.add(&mut m, self);
+            total.add(&mut m);
         }
     }
 
@@ -805,16 +843,38 @@ fn host_mul_g(curve: &Curve, s: &Mp, k: usize) -> (Vec<u32>, Vec<u32>) {
     }
 }
 
-/// Accumulates counters/stats across the entry points of a workload.
-#[derive(Default)]
-struct RunAccum {
-    counters: Counters,
-    raw: RawStats,
-    profile: Option<RoutineProfile>,
+/// One simulated workload: counters, raw stats and profile summed over
+/// its entry points, with every functional output already checked
+/// against the host. Energy is not part of it — [`Simulation::report`]
+/// prices it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Simulation {
+    timing: SystemConfig,
+    /// Aggregated pipeline counters.
+    pub counters: Counters,
+    /// Raw memory/cache/accelerator statistics.
+    pub raw: RawStats,
+    /// Per-routine cycle attribution, when the run was profiled.
+    pub profile: Option<RoutineProfile>,
 }
 
-impl RunAccum {
-    fn add(&mut self, m: &mut Machine, _sys: &System) {
+impl Simulation {
+    fn new(timing: SystemConfig) -> Self {
+        Simulation {
+            timing,
+            counters: Counters::default(),
+            raw: RawStats::default(),
+            profile: None,
+        }
+    }
+
+    /// The timing configuration that was simulated (a
+    /// [`SystemConfig::timing`] value).
+    pub fn timing(&self) -> SystemConfig {
+        self.timing
+    }
+
+    fn add(&mut self, m: &mut Machine) {
         self.counters.accumulate(&m.counters());
         self.raw.accumulate(&RawStats {
             rom: m.rom_stats(),
@@ -829,7 +889,19 @@ impl RunAccum {
         }
     }
 
-    fn finish(self, sys: &System) -> RunReport {
+    /// Prices the simulation at `config`: one energy-model call. Any
+    /// configuration with the simulated timing point is valid — this is
+    /// the only reader of the energy-only knobs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.timing()` differs from [`Simulation::timing`].
+    pub fn report(&self, config: &SystemConfig) -> RunReport {
+        assert_eq!(
+            config.timing(),
+            self.timing,
+            "a simulation can only be priced at its own timing point"
+        );
         let _sp = ule_obs::span("sys.energy");
         let cycles = self.counters.cycles;
         let raw = self.raw;
@@ -838,17 +910,17 @@ impl RunAccum {
             busy_cycles: cycles.saturating_sub(self.counters.stall_cycles),
             stall_cycles: self.counters.stall_cycles,
             mult_active_cycles: self.counters.mult_active_cycles,
-            mult_variant_factor: sys.config.mult_variant.factor(),
+            mult_variant_factor: config.mult_variant.factor(),
             rom_word_reads: raw.rom.reads,
             rom_line_reads: raw.rom.line_reads,
             ram_reads: raw.ram.reads,
             ram_writes: raw.ram.writes,
-            icache: sys.config.icache.map(|c| IcacheActivity {
+            icache: config.icache.map(|c| IcacheActivity {
                 size_bytes: c.size_bytes,
                 accesses: raw.icache.map(|ic| ic.accesses).unwrap_or(0),
                 fills: raw.icache.map(|ic| ic.fills).unwrap_or(0),
             }),
-            cop: match sys.config.arch {
+            cop: match config.arch {
                 Arch::Monte => Some(CopActivity {
                     kind: CopKind::Monte,
                     busy_cycles: raw.cop.busy_cycles,
@@ -856,18 +928,18 @@ impl RunAccum {
                     // 3 scratch accesses per busy cycle (2 reads + 1
                     // write on average through the CIOS inner loops).
                     scratch_accesses: 3 * raw.cop.busy_cycles,
-                    gating: sys.config.gating,
+                    gating: config.gating,
                     sram_register_file: false,
                 }),
                 Arch::Billie => Some(CopActivity {
                     kind: CopKind::Billie {
-                        m: sys.config.curve.nist_binary().m(),
+                        m: config.curve.nist_binary().m(),
                     },
                     busy_cycles: raw.cop.busy_cycles,
                     dma_cycles: raw.cop.dma_cycles,
                     scratch_accesses: 0,
-                    gating: sys.config.gating,
-                    sram_register_file: sys.config.billie_sram_rf,
+                    gating: config.gating,
+                    sram_register_file: config.billie_sram_rf,
                 }),
                 _ => None,
             },
@@ -879,7 +951,7 @@ impl RunAccum {
             raw,
             activity,
             energy,
-            profile: self.profile,
+            profile: self.profile.clone(),
         }
     }
 }
@@ -942,6 +1014,14 @@ mod tests {
         let p = ballast.profile.as_ref().expect("profile present");
         assert_eq!(p.total_cycles(), ballast.cycles);
         assert_eq!(p.total_instructions(), ballast.counters.instructions);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own timing point")]
+    fn pricing_at_another_timing_point_panics() {
+        let base = SystemConfig::new(CurveId::K163, Arch::Billie);
+        let sim = System::new(base).simulate(RunOptions::new(Workload::FieldMul));
+        let _ = sim.report(&base.with_billie_digit(4));
     }
 
     #[test]

@@ -26,18 +26,30 @@ use std::fmt;
 
 /// Carry-less 32×32 → 64-bit multiplication (the datapath primitive the
 /// `MULGF2` instruction provides in hardware).
+///
+/// Branch-free: each operand is split into four bit classes with
+/// three-bit holes between set bits, so sixteen integer products can
+/// carry only into the holes, which the final masks drop.
 pub fn clmul32(a: u32, b: u32) -> u64 {
-    let mut acc = 0u64;
-    let mut a64 = a as u64;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 == 1 {
-            acc ^= a64;
+    const M: [u32; 4] = [0x1111_1111, 0x2222_2222, 0x4444_4444, 0x8888_8888];
+    const W: [u64; 4] = [
+        0x1111_1111_1111_1111,
+        0x2222_2222_2222_2222,
+        0x4444_4444_4444_4444,
+        0x8888_8888_8888_8888,
+    ];
+    let x = M.map(|m| (a & m) as u64);
+    let y = M.map(|m| (b & m) as u64);
+    let mut z = 0u64;
+    for (c, w) in W.iter().enumerate() {
+        // Bit class c of the product: x_i * y_j with i + j ≡ c (mod 4).
+        let mut t = 0u64;
+        for (i, xi) in x.iter().enumerate() {
+            t ^= xi.wrapping_mul(y[(c + 4 - i) % 4]);
         }
-        a64 <<= 1;
-        b >>= 1;
+        z |= t & w;
     }
-    acc
+    z
 }
 
 /// An element of a binary field: `k` little-endian limbs with every bit at
@@ -270,21 +282,34 @@ impl BinaryField {
     pub fn mul_clmul(&self, a: &F2mElement, b: &F2mElement) -> F2mElement {
         self.check(a);
         self.check(b);
+        let mut wide = vec![0 as Limb; 2 * self.k];
+        self.clmul_wide(&a.0, &b.0, &mut wide);
+        self.reduce_in_place(&mut wide);
+        wide.truncate(self.k);
+        F2mElement(wide)
+    }
+
+    /// The unreduced carry-less product of two `k`-limb polynomials,
+    /// written to `wide[..2k]` — [`BinaryField::mul_clmul`] before its
+    /// reduction, on caller-owned storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` or `b` is shorter than `k` or `wide` than `2k`.
+    pub fn clmul_wide(&self, a: &[Limb], b: &[Limb], wide: &mut [Limb]) {
         let k = self.k;
-        let mut wide = vec![0 as Limb; 2 * k];
         let mut acc: u64 = 0;
         #[allow(clippy::needless_range_loop)]
         for i in 0..(2 * k - 1) {
             let lo = i.saturating_sub(k - 1);
             let hi = i.min(k - 1);
             for j in lo..=hi {
-                acc ^= clmul32(a.0[j], b.0[i - j]);
+                acc ^= clmul32(a[j], b[i - j]);
             }
             wide[i] = acc as Limb;
             acc >>= 32;
         }
         wide[2 * k - 1] = acc as Limb;
-        F2mElement(self.reduce(&wide))
     }
 
     /// `a^2 mod f` via zero-interleaving expansion (§4.2.3) — `O(k)`,
@@ -292,9 +317,21 @@ impl BinaryField {
     /// advantages of binary fields.
     pub fn sqr(&self, a: &F2mElement) -> F2mElement {
         self.check(a);
-        let k = self.k;
-        let mut wide = vec![0 as Limb; 2 * k];
-        for (i, &w) in a.0.iter().enumerate() {
+        let mut wide = vec![0 as Limb; 2 * self.k];
+        self.sqr_wide(&a.0, &mut wide);
+        self.reduce_in_place(&mut wide);
+        wide.truncate(self.k);
+        F2mElement(wide)
+    }
+
+    /// The unreduced square of a `k`-limb polynomial, written to
+    /// `wide[..2k]` — [`BinaryField::sqr`] before its reduction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is shorter than `k` or `wide` than `2k`.
+    pub fn sqr_wide(&self, a: &[Limb], wide: &mut [Limb]) {
+        for (i, &w) in a[..self.k].iter().enumerate() {
             let lo = self.spread[(w & 0xff) as usize] as u32
                 | (self.spread[((w >> 8) & 0xff) as usize] as u32) << 16;
             let hi = self.spread[((w >> 16) & 0xff) as usize] as u32
@@ -302,7 +339,6 @@ impl BinaryField {
             wide[2 * i] = lo;
             wide[2 * i + 1] = hi;
         }
-        F2mElement(self.reduce(&wide))
     }
 
     /// Word-level fast reduction (Algorithm 7, generalized): folds a
@@ -313,11 +349,24 @@ impl BinaryField {
     ///
     /// Panics if `wide.len() < k`.
     pub fn reduce(&self, wide: &[Limb]) -> Vec<Limb> {
-        assert!(wide.len() >= self.k);
-        if !self.word_foldable {
-            return self.reduce_bit_serial(wide);
-        }
         let mut c = wide.to_vec();
+        self.reduce_in_place(&mut c);
+        c.truncate(self.k);
+        c
+    }
+
+    /// [`BinaryField::reduce`] on caller-owned storage: on return
+    /// `c[..k]` holds the reduced element and every limb above it is
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len() < k`.
+    pub fn reduce_in_place(&self, c: &mut [Limb]) {
+        assert!(c.len() >= self.k);
+        if !self.word_foldable {
+            return self.reduce_bit_serial(c);
+        }
         let kw = self.m / 32; // word index containing bit m
         let r = self.m % 32;
         for i in (kw + 1..c.len()).rev() {
@@ -348,15 +397,12 @@ impl BinaryField {
             }
         }
         c[kw] &= (1u32 << r) - 1;
-        c.truncate(self.k);
-        debug_assert!(mp::bit_len(&c) <= self.m);
-        c
+        debug_assert!(mp::bit_len(c) <= self.m);
     }
 
     /// Bit-serial reduction fallback for polynomials too dense (or fields
     /// too small) for the word fold.
-    fn reduce_bit_serial(&self, wide: &[Limb]) -> Vec<Limb> {
-        let mut c = wide.to_vec();
+    fn reduce_bit_serial(&self, c: &mut [Limb]) {
         for i in (self.m..32 * c.len()).rev() {
             if (c[i / 32] >> (i % 32)) & 1 == 1 {
                 c[i / 32] ^= 1 << (i % 32);
@@ -366,8 +412,6 @@ impl BinaryField {
                 }
             }
         }
-        c.truncate(self.k);
-        c
     }
 
     /// Inverse by the **polynomial extended Euclidean algorithm**
@@ -505,6 +549,32 @@ mod tests {
         let r = f.m() % 32;
         limbs[f.k() - 1] &= (1u32 << r) - 1;
         f.from_limbs(&limbs)
+    }
+
+    #[test]
+    fn clmul32_matches_the_bit_serial_definition() {
+        let serial = |a: u32, b: u32| {
+            (0..32)
+                .filter(|i| (b >> i) & 1 == 1)
+                .fold(0u64, |acc, i| acc ^ ((a as u64) << i))
+        };
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        };
+        let edges = [0, 1, 2, 0x8000_0000, 0xffff_ffff, 0x1111_1111, 0x8888_8888];
+        for &a in &edges {
+            for &b in &edges {
+                assert_eq!(clmul32(a, b), serial(a, b), "{a:#x} {b:#x}");
+            }
+        }
+        for _ in 0..100_000 {
+            let (a, b) = (next(), next());
+            assert_eq!(clmul32(a, b), serial(a, b), "{a:#x} {b:#x}");
+        }
     }
 
     #[test]
