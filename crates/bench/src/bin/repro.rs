@@ -24,6 +24,7 @@ use ule_bench::{metrics_out, ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_core::attr::{self, FlameWeight};
 use ule_core::{RunOptions, System, SystemConfig, Workload};
 use ule_obs::trace_events::TraceEventsBuf;
+use ule_pete::cpu::EngineTier;
 use ule_swlib::builder::Arch;
 
 /// Per-thread flight-recorder ring size for CLI runs: large enough
@@ -90,7 +91,6 @@ fn print_help() {
     println!("       repro check [--flame PATH] [--trace-events PATH] [--journal PATH]");
     println!("                   [--flight-dump PATH] [--serve PATH [--serve-min-gain G]]");
     println!("                   [--sla PATH [--max-p99 CYCLES]]");
-    println!("       repro overhead [overhead-options]");
     println!("       repro selftest-flight    (panics on purpose; the armed flight");
     println!("                                recorder must dump first — CI self-test)");
     println!();
@@ -155,16 +155,13 @@ fn print_help() {
     println!("  --workload W        sign | verify | sign_verify | scalar_mul | field_mul |");
     println!("                      xdh | handshake (default sign; xdh/handshake need an");
     println!("                      RFC 7748 curve: X25519 or X448)");
-    println!("  --tier T            reference (default): exact per-instruction profiler");
-    println!("                      with full call graph; fast: sampled profiler on the");
-    println!("                      fast engine (exact totals, approximate per-routine");
-    println!("                      split, no call graph)");
+    println!("  --tier T            fast (default) | reference: the engine the exact");
+    println!("                      profiler runs on (reference is the differential");
+    println!("                      oracle; both print the same bytes)");
     println!("  --top N             table rows before aggregation (default 20, 0 = all)");
-    println!("  --flame PATH        also write collapsed flamegraph stacks (reference");
-    println!("                      tier only: the sampled profiler has no call graph)");
+    println!("  --flame PATH        also write collapsed flamegraph stacks");
     println!("  --flame-weight W    `cycles` (default) or `nj`");
-    println!("  --trace-events PATH also write Chrome trace-event JSON (reference tier");
-    println!("                      only)");
+    println!("  --trace-events PATH also write Chrome trace-event JSON");
     println!();
     println!("serve-options (batched signing/verification service model):");
     println!("  --curve NAME        curve to serve (repeatable; default P-256 and K-163)");
@@ -196,14 +193,6 @@ fn print_help() {
     println!("                      one track per shard, one slice per executed batch");
     println!("                      (args: queued requests, service/wait cycles; 1 cycle");
     println!("                      rendered as 1 us — load in Perfetto)");
-    println!();
-    println!("overhead-options (sampled-profiler wall-clock A/B against an identically");
-    println!("                  allocated never-firing ballast sampler; hard-gated in CI):");
-    println!("  --curve NAME        curve (default K-163)");
-    println!("  --arch A            baseline | isa_ext | monte | billie (default baseline)");
-    println!("  --workload W        workload (default sign)");
-    println!("  --runs N            timed runs per mode, best-of (default 3)");
-    println!("  --max-pct P         failure threshold, percent (default 5)");
     println!();
     println!("explore-options (design-space exploration with Pareto extraction):");
     println!(
@@ -515,17 +504,15 @@ fn run_check(args: impl Iterator<Item = String>) -> ! {
     std::process::exit(i32::from(failed));
 }
 
-/// `repro profile`: simulate one design point with a profiler attached
-/// and print the per-routine energy attribution table. The reference
-/// tier attaches the exact per-instruction profiler (full call graph);
-/// `--tier fast` attaches the sampled profiler and runs on the fast
-/// engine (exact totals, stride-bounded per-routine split, no call
-/// graph).
+/// `repro profile`: simulate one design point with the exact profiler
+/// attached and print the per-routine energy attribution table. The
+/// profile is the same on either engine tier (`--tier reference` runs
+/// the differential oracle).
 fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
     let mut curve = ule_curves::params::CurveId::P256;
     let mut arch = Arch::IsaExt;
     let mut workload = Workload::Sign;
-    let mut fast_tier = false;
+    let mut tier = EngineTier::Fast;
     let mut top = 20usize;
     let mut flame: Option<PathBuf> = None;
     let mut flame_weight = FlameWeight::Cycles;
@@ -564,14 +551,10 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
             }
             "--tier" => {
                 let v = take(&mut i, "--tier");
-                fast_tier = match v.as_str() {
-                    "fast" => true,
-                    "reference" => false,
-                    _ => {
-                        eprintln!("--tier expects `fast` or `reference`, got {v:?}");
-                        std::process::exit(2);
-                    }
-                };
+                tier = EngineTier::parse(&v).unwrap_or_else(|| {
+                    eprintln!("--tier expects `fast` or `reference`, got {v:?}");
+                    std::process::exit(2);
+                });
             }
             "--top" => {
                 let v = take(&mut i, "--top");
@@ -596,13 +579,6 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
         }
         i += 1;
     }
-    if fast_tier && (flame.is_some() || trace.is_some()) {
-        eprintln!(
-            "--flame/--trace-events need the call graph, which the sampled profiler \
-             does not build; drop --tier fast (or the export flags)"
-        );
-        std::process::exit(2);
-    }
     if let Err(e) = ule_core::validate_workload(curve, arch, workload) {
         eprintln!("{e}");
         std::process::exit(2);
@@ -610,35 +586,20 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
     obs.install();
     let config = SystemConfig::new(curve, arch);
     let label = ConfigKey::new(config, workload).label();
-    let opts = if fast_tier {
-        RunOptions::new(workload).sampled()
-    } else {
-        RunOptions::new(workload).profiled()
-    };
     let started = std::time::Instant::now();
-    let report = System::new(config).run_with(opts);
+    let report = System::new(config).run_with(RunOptions::new(workload).profiled().with_tier(tier));
     let wall = started.elapsed();
     let p = report.profile.as_ref().expect("profiled run sets profile");
-    if fast_tier {
-        println!(
-            "{label}: {} cycles, {:.4} uJ, {} routines (sampled, fast engine)",
-            report.cycles,
-            report.energy.total_uj(),
-            p.routines.len(),
-        );
-    } else {
-        println!(
-            "{label}: {} cycles, {:.4} uJ, {} routines, {} call paths",
-            report.cycles,
-            report.energy.total_uj(),
-            p.routines.len(),
-            p.calls.nodes.len()
-        );
-    }
+    println!(
+        "{label}: {} cycles, {:.4} uJ, {} routines, {} call paths",
+        report.cycles,
+        report.energy.total_uj(),
+        p.routines.len(),
+        p.calls.nodes.len()
+    );
     println!();
     print!("{}", attr::routine_energy_table(p, &report.energy, top));
-    // Wall-clock on stderr (stdout stays deterministic): the CI tier
-    // A/B compares this across `--tier fast` and `--tier reference`.
+    // Wall-clock on stderr, so stdout stays byte-identical across tiers.
     eprintln!("profile wall-clock: {} ms", wall.as_millis());
     if let Some(path) = &flame {
         let stacks = attr::folded_stacks(p, &report.energy, flame_weight, &label);
@@ -650,123 +611,6 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
         write_or_die(path, &buf.finish(), "trace events");
     }
     std::process::exit(0);
-}
-
-/// `repro overhead`: A/B the sampled profiler's wall-clock cost against
-/// a *ballast* run of the same point — a sampler configured with a
-/// stride so large it never fires. Both arms therefore allocate the
-/// identical profiler machinery (same heap layout, same code paths up
-/// to the stride check), so the measured delta is the marginal cost of
-/// samples actually firing, not allocator noise. This is what lets CI
-/// hold the hard ≤5% gate: the old uninstrumented baseline differed in
-/// allocation layout and showed a spurious ~6% floor. Exits 1 when the
-/// overhead exceeds the threshold.
-fn run_overhead(args: impl Iterator<Item = String>) -> ! {
-    let mut curve = ule_curves::params::CurveId::K163;
-    let mut arch = Arch::Baseline;
-    let mut workload = Workload::Sign;
-    let mut runs = 3usize;
-    let mut max_pct = 5.0f64;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < args_v.len() {
-        let take = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args_v.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
-        match args_v[i].as_str() {
-            "--curve" => {
-                let v = take(&mut i, "--curve");
-                curve = ule_verify::parse_curve(&v).unwrap_or_else(|| {
-                    eprintln!("unknown curve {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--arch" => {
-                let v = take(&mut i, "--arch");
-                arch = parse_arch(&v).unwrap_or_else(|| {
-                    eprintln!("unknown arch {v:?} (baseline|isa_ext|monte|billie)");
-                    std::process::exit(2);
-                });
-            }
-            "--workload" => {
-                let v = take(&mut i, "--workload");
-                workload = parse_workload(&v).unwrap_or_else(|| {
-                    eprintln!("unknown workload {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--runs" => {
-                let v = take(&mut i, "--runs");
-                runs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--runs expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--max-pct" => {
-                let v = take(&mut i, "--max-pct");
-                max_pct = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| p.is_finite() && *p >= 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-pct expects a non-negative number");
-                        std::process::exit(2);
-                    });
-            }
-            other => {
-                eprintln!("unknown overhead option {other:?}");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    if let Err(e) = ule_core::validate_workload(curve, arch, workload) {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let config = SystemConfig::new(curve, arch);
-    let label = ConfigKey::new(config, workload).label();
-    let system = System::new(config);
-    // One untimed warm-up per mode (first-touch effects), then the
-    // timed runs interleaved so drift hits both modes equally.
-    let time = |opts: &RunOptions| {
-        let t0 = std::time::Instant::now();
-        let report = system.run_with(*opts);
-        (t0.elapsed(), report)
-    };
-    // The baseline arm carries the same sampler machinery with a
-    // stride (2^40) no fast-tier run ever reaches, so the only
-    // difference between the arms is samples firing.
-    let plain = RunOptions::new(workload).sampled_with_stride(1 << 40);
-    let sampled = RunOptions::new(workload).sampled();
-    let (_, base_report) = time(&plain);
-    let (_, sampled_report) = time(&sampled);
-    assert_eq!(
-        base_report.cycles, sampled_report.cycles,
-        "sampling must not change simulated cycles"
-    );
-    let mut best_plain = std::time::Duration::MAX;
-    let mut best_sampled = std::time::Duration::MAX;
-    for _ in 0..runs {
-        best_plain = best_plain.min(time(&plain).0);
-        best_sampled = best_sampled.min(time(&sampled).0);
-    }
-    let pct = (best_sampled.as_secs_f64() / best_plain.as_secs_f64() - 1.0) * 100.0;
-    println!(
-        "{label}: ballast fast tier {} us, sampled {} us, overhead {pct:+.2}% \
-         (threshold {max_pct}%, best of {runs})",
-        best_plain.as_micros(),
-        best_sampled.as_micros(),
-    );
-    std::process::exit(i32::from(pct > max_pct));
 }
 
 /// `repro serve`: the batched signing/verification service model.
@@ -1529,7 +1373,6 @@ fn main() {
             "profile" => run_profile(args, obs),
             "explore" => run_explore(args, obs),
             "serve" => run_serve(args, obs),
-            "overhead" => run_overhead(args),
             "selftest-flight" => run_selftest_flight(&obs),
             "all" => selected.extend(ExperimentId::ALL),
             other => match ExperimentId::from_str(other) {

@@ -332,12 +332,6 @@ pub enum ProfileMode {
     /// Profile this run regardless of the flag — the report's `profile`
     /// is always `Some`.
     On,
-    /// Sampled profiling: stride-based attribution that rides the fast
-    /// engine instead of forcing the reference interpreter. The
-    /// report's `profile` is always `Some`, with exact totals, an
-    /// approximate per-routine split, and an empty call graph (see
-    /// `ule_pete::profile::SampledProfiler`).
-    Sampled,
     /// Never profile this run.
     Off,
 }
@@ -357,13 +351,8 @@ pub struct RunOptions {
     pub workload: Workload,
     /// Per-routine profiling choice (default: follow the global flag).
     pub profile: ProfileMode,
-    /// Execution-engine tier (default: fast when unprofiled).
+    /// Execution-engine tier (default: fast, profiled or not).
     pub tier: EngineTier,
-    /// Sampled-profiler stride override for this run; `None` follows
-    /// `ULE_SAMPLE_STRIDE` / the built-in default. Lets A/B harnesses
-    /// (e.g. `repro overhead`) hold the profiler machinery constant
-    /// while varying only how often it fires.
-    pub sample_stride: Option<u64>,
 }
 
 impl RunOptions {
@@ -373,30 +362,12 @@ impl RunOptions {
             workload,
             profile: ProfileMode::default(),
             tier: EngineTier::default(),
-            sample_stride: None,
         }
     }
 
     /// Forces per-routine profiling on for this run.
     pub fn profiled(mut self) -> Self {
         self.profile = ProfileMode::On;
-        self
-    }
-
-    /// Selects sampled profiling for this run (fast-tier eligible).
-    pub fn sampled(mut self) -> Self {
-        self.profile = ProfileMode::Sampled;
-        self
-    }
-
-    /// Selects sampled profiling with an explicit stride (in cycles),
-    /// ignoring `ULE_SAMPLE_STRIDE`. Totals are exact at any stride; an
-    /// astronomically large stride yields a profiler that attaches but
-    /// never fires — the ballast arm of the overhead A/B measurement.
-    pub fn sampled_with_stride(mut self, stride: u64) -> Self {
-        assert!(stride > 0, "sample stride must be positive");
-        self.profile = ProfileMode::Sampled;
-        self.sample_stride = Some(stride);
         self
     }
 
@@ -512,7 +483,7 @@ impl System {
         &self.suite
     }
 
-    fn machine(&self, profile: ProfileKind) -> Machine {
+    fn machine(&self, profiled: bool) -> Machine {
         let mut mc = match self.config.arch {
             Arch::Baseline => MachineConfig::baseline(),
             _ => MachineConfig::isa_ext(),
@@ -529,12 +500,10 @@ impl System {
             ))),
             _ => b,
         };
-        let instr = match profile {
-            ProfileKind::None => Instrumentation::none(),
-            ProfileKind::Exact => Instrumentation::profile(&self.suite.program.text_symbols()),
-            ProfileKind::Sampled(stride) => {
-                Instrumentation::sampled_profile(&self.suite.program.text_symbols(), stride)
-            }
+        let instr = if profiled {
+            Instrumentation::profile(&self.suite.program.text_symbols())
+        } else {
+            Instrumentation::none()
         };
         b.instrumentation(instr).build()
     }
@@ -580,27 +549,22 @@ impl System {
     ///
     /// Panics on an invalid `(curve, arch, workload)` triple, and if the
     /// simulated outputs disagree with the host reference — a
-    /// wrong-but-fast simulation must never produce a data point. Also
-    /// panics when the options force both profiling and the fast engine
-    /// tier (the fast engine carries no attribution plumbing).
+    /// wrong-but-fast simulation must never produce a data point.
     pub fn simulate(&self, opts: RunOptions) -> Simulation {
         let profile = match opts.profile {
             // The global flag is read once per run so a report is
             // internally consistent even if the flag changes
             // concurrently.
-            ProfileMode::Auto if ule_obs::profiling_enabled() => ProfileKind::Exact,
-            ProfileMode::Auto | ProfileMode::Off => ProfileKind::None,
-            ProfileMode::On => ProfileKind::Exact,
-            ProfileMode::Sampled => {
-                ProfileKind::Sampled(opts.sample_stride.unwrap_or_else(sample_stride))
-            }
+            ProfileMode::Auto => ule_obs::profiling_enabled(),
+            ProfileMode::On => true,
+            ProfileMode::Off => false,
         };
         let (workload, tier) = (opts.workload, opts.tier);
         if let Err(e) = validate_workload(self.config.curve, self.config.arch, workload) {
             panic!("{e}");
         }
         let mut total = Simulation::new(self.config.timing());
-        if profile != ProfileKind::None {
+        if profile {
             total.profile = Some(RoutineProfile::default());
         }
         if workload.is_ladder() {
@@ -637,7 +601,7 @@ impl System {
 
     /// One full Montgomery ladder (`main_xdh`) with deterministic
     /// handshake inputs, checked bit-for-bit against the host ladder.
-    fn accum_xdh(&self, profile: ProfileKind, tier: EngineTier, total: &mut Simulation) {
+    fn accum_xdh(&self, profile: bool, tier: EngineTier, total: &mut Simulation) {
         let k = self.suite.k;
         let mc = self.curve.mont();
         // Our static key and the peer's ephemeral key: raw (unclamped)
@@ -668,7 +632,7 @@ impl System {
     fn accum_ecdsa(
         &self,
         workload: Workload,
-        profile: ProfileKind,
+        profile: bool,
         tier: EngineTier,
         total: &mut Simulation,
     ) {
@@ -756,37 +720,6 @@ impl System {
             .field("curve", self.config.curve.name())
             .field("cycles", m.cycles());
     }
-}
-
-/// The sampled profiler's stride in cycles:
-/// [`ule_pete::profile::DEFAULT_SAMPLE_STRIDE`] unless overridden by
-/// the `ULE_SAMPLE_STRIDE` environment variable (a positive integer;
-/// anything else warns once and falls back). Smaller strides tighten
-/// the per-routine split at proportionally more sampling work; totals
-/// are exact at any stride.
-fn sample_stride() -> u64 {
-    match std::env::var("ULE_SAMPLE_STRIDE") {
-        Ok(v) => match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                ule_obs::obs_warn_once!(
-                    "ULE_SAMPLE_STRIDE must be a positive integer; using the default",
-                    value = v.as_str(),
-                );
-                ule_pete::profile::DEFAULT_SAMPLE_STRIDE
-            }
-        },
-        Err(_) => ule_pete::profile::DEFAULT_SAMPLE_STRIDE,
-    }
-}
-
-/// Resolved per-run profiling choice ([`ProfileMode`] with `Auto`
-/// already folded against the global flag).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ProfileKind {
-    None,
-    Exact,
-    Sampled(u64),
 }
 
 struct WorkloadInputs {
@@ -967,53 +900,6 @@ mod tests {
         assert!(r.cycles > 100_000);
         assert!(r.energy_uj() > 0.0);
         assert!(r.time_ms() > 0.0);
-    }
-
-    /// The memo invariant extends to sampled profiling: a sampled run's
-    /// report is bit-identical to an unprofiled one in every simulated
-    /// quantity, and the sampled profile's totals equal the headline
-    /// counters exactly (across the workload's merged entry points).
-    #[test]
-    fn sampled_profile_preserves_report_and_sums_exactly() {
-        let sys = System::new(SystemConfig::new(CurveId::P192, Arch::IsaExt));
-        let plain = sys.run_with(RunOptions::new(Workload::SignVerify));
-        let sampled = sys.run_with(RunOptions::new(Workload::SignVerify).sampled());
-        assert_eq!(plain.cycles, sampled.cycles);
-        assert_eq!(plain.counters, sampled.counters);
-        assert_eq!(plain.raw, sampled.raw);
-        assert_eq!(plain.activity, sampled.activity);
-        assert_eq!(plain.energy, sampled.energy);
-        let p = sampled.profile.as_ref().expect("sampled run sets profile");
-        assert_eq!(p.total_cycles(), sampled.cycles);
-        assert_eq!(p.total_instructions(), sampled.counters.instructions);
-        assert!(
-            p.calls.nodes.is_empty(),
-            "sampled profile has no call graph"
-        );
-        // Attributed energy conserves bit-for-bit, same as the exact
-        // profiler (the residual fix-up in `EnergyBreakdown::attribute`
-        // operates on exact totals).
-        let att = sampled.energy.attribute(&attr::routine_activities(p));
-        assert_eq!(
-            att.total_uj().to_bits(),
-            sampled.energy.total_uj().to_bits()
-        );
-    }
-
-    /// A stride too large to ever fire still attaches the profiler
-    /// (identical allocation behaviour to a live one — the overhead
-    /// harness's ballast arm) and still reports exact totals.
-    #[test]
-    fn sampled_stride_override_never_fires_but_totals_exact() {
-        let sys = System::new(SystemConfig::new(CurveId::P192, Arch::IsaExt));
-        let plain = sys.run_with(RunOptions::new(Workload::Sign));
-        let ballast = sys.run_with(RunOptions::new(Workload::Sign).sampled_with_stride(1 << 40));
-        assert_eq!(plain.cycles, ballast.cycles);
-        assert_eq!(plain.counters, ballast.counters);
-        assert_eq!(plain.energy, ballast.energy);
-        let p = ballast.profile.as_ref().expect("profile present");
-        assert_eq!(p.total_cycles(), ballast.cycles);
-        assert_eq!(p.total_instructions(), ballast.counters.instructions);
     }
 
     #[test]

@@ -21,17 +21,17 @@
 //!   only on a full coprocessor queue or on `cop2sync` (§5.4.1).
 //!
 //! Two execution engines implement this contract (DESIGN.md §6a):
-//! the **reference** interpreter ([`Machine::step`]-based, carries the
-//! per-routine profiler and activity attribution) and the **fast**
-//! engine (translation cache + fused superinstructions, no
-//! instrumentation plumbing). Cycles, every [`Counters`] field, and all
-//! memory-system statistics are bit-identical between the two; the
-//! fast engine is an optimisation, never a second semantics.
+//! the **fast** engine (translation cache + fused superinstructions,
+//! the default) and the **reference** interpreter ([`Machine::step`],
+//! the differential oracle). Cycles, every [`Counters`] field, all
+//! memory-system statistics, and the per-routine profile are
+//! bit-identical between the two; the fast engine is an optimisation,
+//! never a second semantics.
 
 use crate::cop::{CopStats, Coprocessor, NoCoprocessor};
 use crate::icache::{CacheConfig, CacheStats, ICache};
 use crate::mem::{MemStats, Ram, Rom};
-use crate::profile::{ActivitySlice, ControlEvent, PcProfiler, RoutineProfile, SampledProfiler};
+use crate::profile::{ActivitySlice, ControlEvent, PcProfiler, RoutineProfile};
 use crate::xlate::{
     self, AluKind, AluOp, BOp, BrBlock, BrCond, BranchOp, MemOp, Term, XOp, XTable,
 };
@@ -188,15 +188,12 @@ pub enum RunExit {
 /// Which execution engine a run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineTier {
-    /// Fast when the machine carries no instrumentation, reference
-    /// otherwise. The right choice everywhere outside A/B tests.
+    /// The translated/fused fast engine, profiled or not. The right
+    /// choice everywhere outside A/B tests.
     #[default]
-    Auto,
-    /// Force the translated/fused fast engine. Requesting it on a
-    /// machine with a profiler attached is a programming error (the
-    /// fast engine has no attribution plumbing) and panics.
     Fast,
-    /// Force the instrumented reference interpreter.
+    /// The one-instruction-per-step reference interpreter: the
+    /// differential oracle the fast engine is checked against.
     Reference,
 }
 
@@ -204,7 +201,6 @@ impl EngineTier {
     /// CLI spelling (`--tier fast` …).
     pub fn label(self) -> &'static str {
         match self {
-            EngineTier::Auto => "auto",
             EngineTier::Fast => "fast",
             EngineTier::Reference => "reference",
         }
@@ -213,7 +209,6 @@ impl EngineTier {
     /// Parses the CLI spelling; `ref` is accepted for `reference`.
     pub fn parse(s: &str) -> Option<EngineTier> {
         match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(EngineTier::Auto),
             "fast" => Some(EngineTier::Fast),
             "reference" | "ref" => Some(EngineTier::Reference),
             _ => None,
@@ -227,12 +222,12 @@ impl EngineTier {
 pub struct ExecOptions {
     /// Stop (with [`RunExit::CycleLimit`]) once `cycles() >= max_cycles`.
     pub max_cycles: u64,
-    /// Engine selection (default [`EngineTier::Auto`]).
+    /// Engine selection (default [`EngineTier::Fast`]).
     pub tier: EngineTier,
 }
 
 impl ExecOptions {
-    /// Options with the given cycle budget and automatic tier choice.
+    /// Options with the given cycle budget on the default tier.
     pub fn new(max_cycles: u64) -> Self {
         ExecOptions {
             max_cycles,
@@ -248,56 +243,32 @@ impl ExecOptions {
 }
 
 /// What a machine observes about its own run — attached once, at build
-/// time, because it decides which engine [`EngineTier::Auto`] picks.
-/// Today that is the per-routine cycle profiler (exact, reference-only)
-/// or the sampled profiler (stride-based, runs on either tier); a
-/// trace sink would slot in here the same way.
+/// time, because it decides the fast engine's block leaders. Today that
+/// is the per-routine cycle profiler; a trace sink would slot in here
+/// the same way.
 #[derive(Clone, Debug, Default)]
 pub struct Instrumentation {
     profile_symbols: Option<Vec<(u32, String)>>,
-    sampled: Option<(Vec<(u32, String)>, u64)>,
 }
 
 impl Instrumentation {
-    /// No instrumentation: `Auto` runs the fast engine.
+    /// No instrumentation.
     pub fn none() -> Self {
         Instrumentation::default()
     }
 
     /// Per-routine cycle/activity profiling over the given routine
-    /// table (from `Program::text_symbols`). `Auto` then runs the
-    /// reference engine, which carries the attribution plumbing.
+    /// table (from `Program::text_symbols`), exact on either tier.
     pub fn profile(text_symbols: &[(u32, String)]) -> Self {
         Instrumentation {
             profile_symbols: Some(text_symbols.to_vec()),
-            sampled: None,
         }
-    }
-
-    /// Stride-based sampled profiling over the same routine table —
-    /// attribution at block boundaries instead of per instruction, so
-    /// `Auto` still runs the **fast** engine. Totals are exact
-    /// (telescoping intervals); the per-routine split is approximate
-    /// with error bounded by the stride. See
-    /// [`SampledProfiler`](crate::profile::SampledProfiler).
-    pub fn sampled_profile(text_symbols: &[(u32, String)], stride: u64) -> Self {
-        Instrumentation {
-            profile_symbols: None,
-            sampled: Some((text_symbols.to_vec(), stride)),
-        }
-    }
-
-    /// True when nothing is attached. A sampled profiler does **not**
-    /// make the machine non-inert for tier selection — it rides the
-    /// fast engine — but it is still an attachment.
-    pub fn is_inert(&self) -> bool {
-        self.profile_symbols.is_none() && self.sampled.is_none()
     }
 }
 
 /// Builder for a [`Machine`] with an accelerator and/or instrumentation
-/// attached — the only way to attach either, so the fast/reference
-/// seam is decided before the first cycle, not mid-run.
+/// attached — the only way to attach either, so the fast engine's
+/// block leaders are decided before the first cycle, not mid-run.
 pub struct MachineBuilder<'p> {
     program: &'p Program,
     config: MachineConfig,
@@ -324,16 +295,8 @@ impl MachineBuilder<'_> {
         if let Some(cop) = self.cop {
             m.cop = cop;
         }
-        assert!(
-            !(self.instrumentation.profile_symbols.is_some()
-                && self.instrumentation.sampled.is_some()),
-            "attach either the exact profiler or the sampled profiler, not both"
-        );
         if let Some(syms) = self.instrumentation.profile_symbols {
             m.profiler = Some(Box::new(PcProfiler::new(&syms)));
-        }
-        if let Some((syms, stride)) = self.instrumentation.sampled {
-            m.sampler = Some(Box::new(SampledProfiler::new(&syms, stride)));
         }
         m
     }
@@ -352,7 +315,8 @@ pub struct Machine {
     ram: Ram,
     decoded: Vec<Option<Instr>>,
     /// Fast-engine translation table (`xlate`), built on first fast
-    /// dispatch; reference-only machines never pay for it.
+    /// dispatch (with block leaders when profiled); reference-only
+    /// machines never pay for it.
     xops: Option<XTable>,
     icache: Option<ICache>,
     cop: Box<dyn Coprocessor>,
@@ -372,12 +336,18 @@ pub struct Machine {
     last_load_dest: Option<Reg>,
     halted: Option<u16>,
     /// Per-routine cycle profiler; `None` (the default) costs one
-    /// branch per step. Boxed so the unprofiled machine's layout stays
-    /// a single pointer wide here.
+    /// branch per dispatch. Boxed so the unprofiled machine's layout
+    /// stays a single pointer wide here.
     profiler: Option<Box<PcProfiler>>,
-    /// Stride-based sampled profiler; unlike `profiler` it rides the
-    /// fast engine (checked once per dispatch, not per instruction).
-    sampler: Option<Box<SampledProfiler>>,
+}
+
+/// The retired-state counters a profiled dispatch is billed against,
+/// snapshotted before it runs.
+struct Retired {
+    pc: u32,
+    cycle: u64,
+    instructions: u64,
+    activity: ActivitySlice,
 }
 
 impl Machine {
@@ -417,7 +387,6 @@ impl Machine {
             last_load_dest: None,
             halted: None,
             profiler: None,
-            sampler: None,
         }
     }
 
@@ -432,14 +401,10 @@ impl Machine {
         }
     }
 
-    /// Detaches the profiler (exact or sampled), returning the
-    /// per-routine breakdown accumulated so far (`None` if neither was
-    /// attached). A sampled profile carries an empty call graph.
+    /// Detaches the profiler, returning the per-routine breakdown
+    /// accumulated so far (`None` if none was attached).
     pub fn take_profile(&mut self) -> Option<RoutineProfile> {
-        if let Some(p) = self.profiler.take() {
-            return Some(p.finish());
-        }
-        self.sampler.take().map(|s| s.finish())
+        self.profiler.take().map(|p| p.finish())
     }
 
     /// The data RAM (for injecting operands and reading results).
@@ -513,61 +478,14 @@ impl Machine {
 
     /// Runs until `break` or the cycle limit, on the engine tier the
     /// options select.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`EngineTier::Fast`] is forced on a machine with a
-    /// profiler attached (the fast engine cannot attribute cycles).
     pub fn run_with(&mut self, opts: ExecOptions) -> RunExit {
-        let fast = match opts.tier {
-            EngineTier::Auto => self.profiler.is_none(),
-            EngineTier::Fast => {
-                assert!(
-                    self.profiler.is_none(),
-                    "EngineTier::Fast on a profiled machine; use Auto or Reference"
-                );
-                true
-            }
-            EngineTier::Reference => false,
-        };
-        if fast {
-            self.run_fast(opts.max_cycles)
-        } else {
-            self.run_reference(opts.max_cycles)
-        }
-    }
-
-    /// The reference-tier interpreter loop, bounded by `bound` cycles.
-    /// Both the uninstrumented and the sampled paths run this one
-    /// function, so sampling cannot perturb the loop it measures
-    /// (`inline(never)` keeps the compiler from re-specializing a copy
-    /// per call site).
-    #[inline(never)]
-    fn step_until(&mut self, bound: u64) {
-        while self.halted.is_none() && self.cycle < bound {
-            self.step();
-        }
-    }
-
-    /// The instrumented reference interpreter.
-    fn run_reference(&mut self, max_cycles: u64) -> RunExit {
-        if let Some(mut s) = self.sampler.take() {
-            // Sampled profiling on the reference tier: the same
-            // boundary-sampling semantics as the fast engine, with a
-            // "block" being one instruction.
-            loop {
-                self.step_until(max_cycles.min(s.next_sample_at()));
-                if self.halted.is_some() || self.cycle >= max_cycles {
-                    break;
+        match opts.tier {
+            EngineTier::Fast => self.run_fast(opts.max_cycles),
+            EngineTier::Reference => {
+                while self.halted.is_none() && self.cycle < opts.max_cycles {
+                    self.step();
                 }
-                let act = self.activity_snapshot();
-                s.sample(self.pc, self.cycle, self.counters.instructions, &act);
             }
-            let act = self.activity_snapshot();
-            s.flush(self.pc, self.cycle, self.counters.instructions, &act);
-            self.sampler = Some(s);
-        } else {
-            self.step_until(max_cycles);
         }
         match self.halted {
             Some(code) => RunExit::Halted { code },
@@ -576,49 +494,79 @@ impl Machine {
     }
 
     /// The fast engine: dispatches pre-translated (and, where legal,
-    /// fused) operations with no per-instruction instrumentation
-    /// plumbing. Timing and counters are bit-identical to
-    /// [`Machine::run_reference`]. An attached [`SampledProfiler`] is
-    /// consulted once per dispatch, at block boundaries, in a
-    /// dedicated loop so the common uninstrumented path pays nothing.
-    fn run_fast(&mut self, max_cycles: u64) -> RunExit {
+    /// fused) operations. Timing, counters and the profile are
+    /// bit-identical to the reference interpreter. A profiled machine's
+    /// table starts a dispatch at every routine entry and after every
+    /// linking or register jump ([`xlate::profile_leaders`]), so this
+    /// one loop bills whole dispatches exactly as `step` bills single
+    /// instructions.
+    fn run_fast(&mut self, max_cycles: u64) {
         if self.xops.is_none() {
-            self.xops = Some(xlate::translate(&self.decoded));
+            let leaders = match &self.profiler {
+                Some(p) => xlate::profile_leaders(&self.decoded, p.routine_starts()),
+                None => Vec::new(),
+            };
+            self.xops = Some(xlate::translate(&self.decoded, &leaders));
         }
         // Move the table out for the duration of the loop so dispatch
         // needs no per-step Option check or re-borrow.
         let xt = self.xops.take().expect("translation table just built");
-        if let Some(mut s) = self.sampler.take() {
-            // Sampled profiling runs the *same* dispatch loop as the
-            // uninstrumented path ([`Machine::dispatch_fast_until`]),
-            // bounded by the next stride threshold instead of the run
-            // budget: the hot loop carries no extra state, and all
-            // sampling work happens between spans. Each interval is
-            // billed to the routine owning the PC at the first block
-            // boundary past the threshold; the activity snapshot is
-            // purely observational, so the run stays bit-identical to
-            // an unsampled one.
-            loop {
-                self.dispatch_fast_until(&xt, max_cycles.min(s.next_sample_at()), max_cycles);
-                if self.halted.is_some() || self.cycle >= max_cycles {
-                    break;
-                }
-                let act = self.activity_snapshot();
-                s.sample(self.pc, self.cycle, self.counters.instructions, &act);
+        // One dispatch's closing snapshot opens the next one's.
+        let mut before = self.profiler.is_some().then(|| self.retired());
+        while self.halted.is_none() && self.cycle < max_cycles {
+            self.step_fast(&xt, max_cycles);
+            if let Some(b) = &mut before {
+                *b = self.bill(b);
             }
-            // Flush the final partial interval so bucket totals equal
-            // the headline counters exactly.
-            let act = self.activity_snapshot();
-            s.flush(self.pc, self.cycle, self.counters.instructions, &act);
-            self.sampler = Some(s);
-        } else {
-            self.dispatch_fast_until(&xt, max_cycles, max_cycles);
         }
         self.xops = Some(xt);
-        match self.halted {
-            Some(code) => RunExit::Halted { code },
-            None => RunExit::CycleLimit,
+    }
+
+    /// Snapshot of the retired-state counters before a profiled
+    /// dispatch. Out of line, like [`Machine::bill`], so the unprofiled
+    /// dispatch loop carries neither.
+    #[inline(never)]
+    fn retired(&self) -> Retired {
+        Retired {
+            pc: self.pc,
+            cycle: self.cycle,
+            instructions: self.counters.instructions,
+            activity: self.activity_snapshot(),
         }
+    }
+
+    /// Bills everything retired since `before` to the profiler and
+    /// returns the snapshot it billed up to. The dispatch lies inside
+    /// one routine, and a jump that drives the shadow stack is always
+    /// its own dispatch, so the event of the instruction at `before.pc`
+    /// is the dispatch's event. `get(rs)` is still the jump target here
+    /// — `jr` writes no register and a linking `jalr` is classified as
+    /// a call, not a jump.
+    #[inline(never)]
+    fn bill(&mut self, before: &Retired) -> Retired {
+        let now = self.retired();
+        let activity = ActivitySlice::delta(&before.activity, &now.activity);
+        let pc = before.pc;
+        let event = match self.decoded.get((pc / 4) as usize).copied().flatten() {
+            Some(Instr::Jal { .. }) => Some(ControlEvent::Call {
+                ret: pc.wrapping_add(8),
+            }),
+            Some(Instr::Jalr { rd, .. }) if rd != Reg::ZERO => Some(ControlEvent::Call {
+                ret: pc.wrapping_add(8),
+            }),
+            Some(Instr::Jalr { rs, .. } | Instr::Jr { rs }) => Some(ControlEvent::JumpReg {
+                target: self.get(rs),
+            }),
+            _ => None,
+        };
+        let (instructions, cycles) = (
+            now.instructions - before.instructions,
+            now.cycle - before.cycle,
+        );
+        if let Some(p) = self.profiler.as_mut() {
+            p.record(pc, instructions, cycles, &activity, event);
+        }
+        now
     }
 
     /// Executes one architectural instruction (advancing time by its issue
@@ -627,13 +575,7 @@ impl Machine {
         if self.halted.is_some() {
             return;
         }
-        let cycle_at_issue = self.cycle;
-        // Snapshot the counted memory/coprocessor statistics so the
-        // profiler can attribute this instruction's delta. All counted
-        // traffic happens inside `step` (harness pokes/peeks are
-        // uncounted), so the per-routine slices sum exactly to the
-        // run's `RawStats`.
-        let activity_before = self.profiler.is_some().then(|| self.activity_snapshot());
+        let before = self.profiler.is_some().then(|| self.retired());
         let branch_target = self.pending_branch.take();
         let pc = self.pc;
         let instr = self.fetch(pc);
@@ -658,48 +600,14 @@ impl Machine {
             None => self.pc = next_pc,
         }
 
-        // `cycle` only advances inside `step`, so attributing the delta
-        // to this instruction's PC makes the routine buckets sum
-        // exactly to the machine's total cycles.
-        if let Some(before) = activity_before {
-            let delta = ActivitySlice::delta(&before, &self.activity_snapshot());
-            // Shadow-stack events: a link-register write is a call; a
-            // register jump may be a return. `get(rs)` is still the
-            // jump target here — `jr` writes no register and a
-            // linking `jalr` is classified as a call, not a jump.
-            let event = match instr {
-                Instr::Jal { .. } => Some(ControlEvent::Call {
-                    ret: pc.wrapping_add(8),
-                }),
-                Instr::Jalr { rd, .. } if rd != Reg::ZERO => Some(ControlEvent::Call {
-                    ret: pc.wrapping_add(8),
-                }),
-                Instr::Jalr { rs, .. } | Instr::Jr { rs } => Some(ControlEvent::JumpReg {
-                    target: self.get(rs),
-                }),
-                _ => None,
-            };
-            if let Some(p) = self.profiler.as_mut() {
-                p.record(pc, self.cycle - cycle_at_issue, &delta, event);
-            }
-        }
-    }
-
-    /// The fast-engine dispatch loop, bounded by `bound` cycles. Both
-    /// the uninstrumented and the sampled paths run this one function,
-    /// so sampling cannot perturb the loop it measures
-    /// (`inline(never)` keeps the compiler from re-specializing a copy
-    /// per call site).
-    #[inline(never)]
-    fn dispatch_fast_until(&mut self, xt: &XTable, bound: u64, max_cycles: u64) {
-        while self.halted.is_none() && self.cycle < bound {
-            self.step_fast(xt, max_cycles);
+        if let Some(before) = before {
+            self.bill(&before);
         }
     }
 
     /// One fast-engine dispatch: a whole basic block (or a branch with
     /// its delay slot) where legal, a single translated op otherwise.
-    /// Mirrors `step` exactly minus the profiler/activity plumbing.
+    /// Mirrors `step` exactly; profiling is billed around it.
     fn step_fast(&mut self, xt: &XTable, max_cycles: u64) {
         let branch_target = self.pending_branch.take();
         let pc = self.pc;
@@ -1600,7 +1508,7 @@ impl std::fmt::Debug for Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ule_isa::asm::Asm;
+    use ule_isa::asm::{Asm, Program};
 
     fn run(asm: Asm) -> Machine {
         run_cfg(asm, MachineConfig::isa_ext())
@@ -2028,9 +1936,8 @@ mod tests {
         }
     }
 
-    /// `Auto` picks the fast engine on a bare machine and the reference
-    /// engine on a profiled one; forcing Fast on a profiled machine is
-    /// a programming error.
+    /// Every run translates unless the reference oracle is requested:
+    /// a profiled machine runs the fast engine too.
     #[test]
     fn tier_selection_rules() {
         let mut a = Asm::new();
@@ -2041,42 +1948,22 @@ mod tests {
 
         let mut bare = Machine::new(&p, MachineConfig::baseline());
         bare.run_with(ExecOptions::new(1000));
-        assert!(bare.xops.is_some(), "Auto on a bare machine runs fast");
+        assert!(bare.xops.is_some(), "a bare machine runs fast");
 
-        let mut profiled = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::profile(&p.text_symbols()))
-            .build();
-        profiled.run_with(ExecOptions::new(1000));
-        assert!(
-            profiled.xops.is_none(),
-            "Auto on a profiled machine runs reference"
-        );
-        assert!(profiled.take_profile().is_some());
+        let mut m = profiled(&p, MachineConfig::baseline());
+        m.run_with(ExecOptions::new(1000));
+        assert!(m.xops.is_some(), "a profiled machine runs fast");
+        assert!(m.take_profile().is_some());
 
-        let mut profiled = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::profile(&p.text_symbols()))
-            .build();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            profiled.run_with(ExecOptions::new(1000).with_tier(EngineTier::Fast));
-        }));
-        assert!(result.is_err(), "forcing Fast on a profiled machine panics");
-
-        // A sampled profiler does NOT force the reference engine: Auto
-        // still translates and runs fast, and the profile is present.
-        let mut sampled = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 64))
-            .build();
-        sampled.run_with(ExecOptions::new(1000));
-        assert!(
-            sampled.xops.is_some(),
-            "Auto on a sampled machine runs fast"
-        );
-        assert!(sampled.take_profile().is_some());
+        let mut m = profiled(&p, MachineConfig::baseline());
+        m.run_with(ExecOptions::new(1000).with_tier(EngineTier::Reference));
+        assert!(m.xops.is_none(), "the oracle never translates");
+        assert!(m.take_profile().is_some());
     }
 
-    /// Builds a multi-routine program whose inner loops are long enough
-    /// that a small stride takes many samples.
-    fn sampled_fixture() -> ule_isa::asm::Program {
+    /// A multi-routine program: two calls into loop routines whose
+    /// inner-loop labels sit mid-routine.
+    fn profile_fixture() -> Program {
         let mut a = Asm::new();
         let buf = a.ram_alloc("buf", 4);
         a.label("main");
@@ -2110,72 +1997,246 @@ mod tests {
         a.link("main").unwrap()
     }
 
-    /// Sampled profiling is purely observational: the run's counters,
-    /// architectural state, and memory statistics are bit-identical to
-    /// an uninstrumented fast run — and the sampled bucket totals equal
-    /// the headline counters exactly, on both tiers.
-    #[test]
-    fn sampled_profile_is_observational_and_exact() {
-        let p = sampled_fixture();
-        let mut plain = Machine::new(&p, MachineConfig::baseline());
-        let exit_plain = plain.run_with(ExecOptions::new(1_000_000).with_tier(EngineTier::Fast));
+    /// Labels on the delay slots of a branch, a `jal` and a `jr`: the
+    /// delay slot bills to its own routine, not the jump's.
+    fn delay_slot_label_fixture() -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.li(Reg::T0, 6);
+        a.label("loop");
+        a.addiu(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::ZERO, "loop");
+        a.label("loop_ds");
+        a.addiu(Reg::T1, Reg::T1, 1);
+        a.jal("leaf");
+        a.label("call_ds");
+        a.addiu(Reg::T2, Reg::T2, 1);
+        a.brk(0);
+        a.label("leaf");
+        a.addiu(Reg::T3, Reg::T3, 1);
+        a.jr(Reg::RA);
+        a.label("ret_ds");
+        a.addiu(Reg::T4, Reg::T4, 1);
+        a.brk(1);
+        a.link("main").unwrap()
+    }
 
-        for tier in [EngineTier::Fast, EngineTier::Auto, EngineTier::Reference] {
-            let mut m = Machine::builder(&p, MachineConfig::baseline())
-                .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 17))
-                .build();
-            let exit = m.run_with(ExecOptions::new(1_000_000).with_tier(tier));
-            assert_eq!(exit, exit_plain, "{tier:?}: exit diverges");
-            assert_tiers_equal(&m, &plain);
-            let counters = m.counters();
-            let prof = m.take_profile().expect("sampled profile present");
-            assert_eq!(prof.total_cycles(), counters.cycles, "{tier:?}");
-            assert_eq!(prof.total_instructions(), counters.instructions, "{tier:?}");
-            assert!(prof.calls.nodes.is_empty(), "sampled: no call graph");
-            // With a stride much shorter than the loops, both hot
-            // loop routines must show up.
-            assert!(prof.find("wloop").unwrap().cycles > 0, "{tier:?}");
-            assert!(prof.find("rloop").unwrap().cycles > 0, "{tier:?}");
+    /// A label inside a straight-line run, right between a load and
+    /// its use: the cut block's interlock moves to the dispatch seam.
+    fn mid_run_label_fixture() -> Program {
+        let mut a = Asm::new();
+        let buf = a.ram_alloc("buf", 2);
+        a.label("main");
+        a.li(Reg::T0, buf as i64);
+        a.li(Reg::T1, 9);
+        a.label("top");
+        a.sw(Reg::T1, 0, Reg::T0);
+        a.lw(Reg::T2, 0, Reg::T0);
+        a.label("mid");
+        a.addu(Reg::T3, Reg::T2, Reg::T2);
+        a.sw(Reg::T3, 4, Reg::T0);
+        a.addiu(Reg::T1, Reg::T1, -1);
+        a.bne(Reg::T1, Reg::ZERO, "top");
+        a.nop();
+        a.brk(0);
+        a.link("main").unwrap()
+    }
+
+    /// A `j` tail call: `a` jumps to `c`, which returns through the
+    /// `$ra` of `main`'s call to `a`.
+    fn tail_call_fixture() -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.jal("a");
+        a.nop();
+        a.jal("a");
+        a.nop();
+        a.brk(0);
+        a.label("a");
+        a.addiu(Reg::T0, Reg::T0, 1);
+        a.j("c");
+        a.addiu(Reg::T0, Reg::T0, 1);
+        a.label("c");
+        a.addiu(Reg::T1, Reg::T1, 2);
+        a.jr(Reg::RA);
+        a.nop();
+        a.link("main").unwrap()
+    }
+
+    /// A multi-frame pop: `b` (called by `a` through `jalr`) returns
+    /// straight to `main` with a `jr` to `main`'s return address,
+    /// abandoning `a`'s frame.
+    fn multi_frame_pop_fixture() -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.jal("a");
+        a.nop();
+        a.addiu(Reg::T5, Reg::T5, 1);
+        a.brk(0);
+        a.label("a");
+        a.mov(Reg::T9, Reg::RA);
+        a.la(Reg::T8, "b");
+        a.jalr(Reg::RA, Reg::T8);
+        a.nop();
+        a.brk(1);
+        a.label("b");
+        a.addiu(Reg::T6, Reg::T6, 1);
+        a.jr(Reg::T9);
+        a.nop();
+        a.link("main").unwrap()
+    }
+
+    fn profiled(p: &Program, cfg: MachineConfig) -> Machine {
+        Machine::builder(p, cfg)
+            .instrumentation(Instrumentation::profile(&p.text_symbols()))
+            .build()
+    }
+
+    /// The profile accumulated so far, without detaching it.
+    fn profile_now(m: &Machine) -> Option<RoutineProfile> {
+        m.profiler.as_ref().map(|p| p.as_ref().clone().finish())
+    }
+
+    /// Splits a profiled run at every cycle budget from 1 to its full
+    /// length and resumes it to the end, on both tiers: machine state
+    /// and the whole profile (flat buckets, activity, call graph) must
+    /// be equal at the split and at the end.
+    fn assert_profiled_tiers_equal(p: &Program) {
+        for cfg in [
+            MachineConfig::baseline(),
+            MachineConfig::isa_ext_with_cache(CacheConfig::real(256, true)),
+        ] {
+            let mut whole = profiled(p, cfg);
+            assert_eq!(
+                whole.run_with(ExecOptions::new(1_000_000)),
+                RunExit::Halted { code: 0 }
+            );
+            let counters = whole.counters();
+            let prof = whole.take_profile().unwrap();
+            assert_eq!(prof.total_cycles(), counters.cycles);
+            assert_eq!(prof.total_instructions(), counters.instructions);
+            assert_eq!(prof.calls.total_cycles(), counters.cycles);
+
+            for split in 1..=counters.cycles {
+                let mut fast = profiled(p, cfg);
+                let mut reference = profiled(p, cfg);
+                let reference_at =
+                    |budget| ExecOptions::new(budget).with_tier(EngineTier::Reference);
+                let ef = fast.run_with(ExecOptions::new(split));
+                let er = reference.run_with(reference_at(split));
+                assert_eq!(ef, er, "exit diverges at split {split}");
+                assert_tiers_equal(&fast, &reference);
+                assert_eq!(
+                    profile_now(&fast),
+                    profile_now(&reference),
+                    "profile diverges at split {split}"
+                );
+                fast.run_with(ExecOptions::new(1_000_000));
+                reference.run_with(reference_at(1_000_000));
+                assert_tiers_equal(&fast, &reference);
+                let pf = fast.take_profile().unwrap();
+                assert_eq!(pf, reference.take_profile().unwrap(), "split {split}");
+                assert_eq!(pf, prof, "split {split} changes the profile");
+            }
         }
     }
 
-    /// Sampled-vs-exact agreement on the fixture: with a short stride
-    /// the two hot loops' cycle shares land near the reference
-    /// profiler's, and activity telescopes to the same raw totals.
     #[test]
-    fn sampled_profile_tracks_reference_attribution() {
-        let p = sampled_fixture();
-        let mut reference = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::profile(&p.text_symbols()))
-            .build();
-        reference.run_with(ExecOptions::new(1_000_000));
-        let exact = reference.take_profile().unwrap();
+    fn profile_is_exact_on_the_fast_tier() {
+        assert_profiled_tiers_equal(&profile_fixture());
+    }
 
-        let mut m = Machine::builder(&p, MachineConfig::baseline())
-            .instrumentation(Instrumentation::sampled_profile(&p.text_symbols(), 17))
-            .build();
+    #[test]
+    fn profile_is_exact_with_a_label_on_a_delay_slot() {
+        let p = delay_slot_label_fixture();
+        assert_profiled_tiers_equal(&p);
+        let mut m = profiled(&p, MachineConfig::baseline());
         m.run_with(ExecOptions::new(1_000_000));
-        let sampled = m.take_profile().unwrap();
-
-        // Same bucket table, same totals.
-        assert_eq!(exact.routines.len(), sampled.routines.len());
-        assert_eq!(exact.total_cycles(), sampled.total_cycles());
-        for name in ["wloop", "rloop"] {
-            let e = exact.find(name).unwrap().cycles as f64;
-            let s = sampled.find(name).unwrap().cycles as f64;
-            let rel = (e - s).abs() / e;
-            assert!(
-                rel < 0.25,
-                "{name}: sampled {s} vs exact {e} ({rel:.2} relative)"
+        let prof = m.take_profile().unwrap();
+        // Six delay slots of the loop branch, one of the call, one of
+        // the return.
+        for (name, instructions) in [("loop_ds", 6 + 1), ("call_ds", 1 + 1), ("ret_ds", 1)] {
+            assert_eq!(
+                prof.routine(name).unwrap().instructions,
+                instructions,
+                "{name}"
             );
         }
-        let sum = |p: &RoutineProfile| {
-            let mut t = ActivitySlice::default();
-            for r in &p.routines {
-                t.accumulate(&r.activity);
-            }
-            t
-        };
-        assert_eq!(sum(&exact), sum(&sampled), "activity totals telescope");
+    }
+
+    #[test]
+    fn profile_is_exact_with_a_label_mid_run() {
+        assert_profiled_tiers_equal(&mid_run_label_fixture());
+    }
+
+    #[test]
+    fn profile_is_exact_across_a_jump_tail_call() {
+        let p = tail_call_fixture();
+        assert_profiled_tiers_equal(&p);
+        let mut m = profiled(&p, MachineConfig::baseline());
+        m.run_with(ExecOptions::new(1_000_000));
+        let paths: Vec<String> = m
+            .take_profile()
+            .unwrap()
+            .call_paths()
+            .into_iter()
+            .map(|(path, _)| path)
+            .collect();
+        // The tail-callee is a sibling of the tail-caller.
+        assert_eq!(paths, ["main", "main;a", "main;c"]);
+    }
+
+    #[test]
+    fn profile_is_exact_across_a_multi_frame_pop() {
+        let p = multi_frame_pop_fixture();
+        assert_profiled_tiers_equal(&p);
+        let mut m = profiled(&p, MachineConfig::baseline());
+        m.run_with(ExecOptions::new(1_000_000));
+        let prof = m.take_profile().unwrap();
+        let paths: Vec<(String, u64)> = prof
+            .call_paths()
+            .into_iter()
+            .map(|(path, n)| (path, n.instructions))
+            .collect();
+        // After `b`'s `jr` pops both frames, its delay slot bills to
+        // `main;b` and the tail of `main` to `main` itself.
+        assert_eq!(
+            paths,
+            [
+                ("main".to_owned(), 4),
+                ("main;a".to_owned(), 5),
+                ("main;a;b".to_owned(), 2),
+                ("main;b".to_owned(), 1),
+            ]
+        );
+    }
+
+    /// On a profiled table no dispatch runs into a leader word; on an
+    /// unprofiled one the same program still fuses across labels.
+    #[test]
+    fn profiled_dispatches_never_cross_a_leader() {
+        for p in [
+            profile_fixture(),
+            delay_slot_label_fixture(),
+            mid_run_label_fixture(),
+            tail_call_fixture(),
+            multi_frame_pop_fixture(),
+        ] {
+            let decoded: Vec<Option<Instr>> =
+                p.rom().iter().map(|&w| Instr::decode(w).ok()).collect();
+            let starts: Vec<u32> = p.text_symbols().iter().map(|&(a, _)| a).collect();
+            let leaders = xlate::profile_leaders(&decoded, &starts);
+            let span = |xt: &XTable, idx: usize| match xt.ops[idx] {
+                XOp::Block { len, .. } => len as usize,
+                XOp::BlockBr { idx } => xt.brs[idx as usize].len as usize + 2,
+                XOp::BranchDs(..) | XOp::JumpDs { .. } | XOp::JumpRegDs { .. } => 2,
+                _ => 1,
+            };
+            let crosses = |xt: &XTable| {
+                (0..xt.ops.len()).any(|i| (i + 1..i + span(xt, i)).any(|j| leaders[j]))
+            };
+            assert!(!crosses(&xlate::translate(&decoded, &leaders)));
+            assert!(crosses(&xlate::translate(&decoded, &[])));
+        }
     }
 }

@@ -3,10 +3,13 @@
 //!
 //! The assembler already knows every routine's start address
 //! (`Program::text_symbols`), so profiling needs no instrumentation in
-//! the software suite: when enabled, [`Machine::step`] records the
-//! cycle delta of each retired instruction into the bucket owning its
-//! PC (binary search over sorted routine starts). Because `cycle` only
-//! advances inside `step`, the bucket totals sum *exactly* to the
+//! the software suite: when enabled, the machine bills the cycle delta
+//! of each retired dispatch into the bucket owning its PC (binary
+//! search over sorted routine starts). The reference interpreter
+//! dispatches one instruction at a time; a profiled fast-engine table
+//! starts a dispatch at every routine entry (DESIGN.md §11), so each
+//! dispatch lies inside one routine either way. Because `cycle` only
+//! advances inside a dispatch, the bucket totals sum *exactly* to the
 //! machine's total cycles — the invariant the attribution test pins.
 //!
 //! On top of the flat buckets, the profiler maintains a **shadow call
@@ -34,11 +37,9 @@
 //!
 //! Each bucket and each call-tree node also carries an
 //! [`ActivitySlice`] of memory-system and coprocessor counters, deltaed
-//! per retired instruction in `step`. All *counted* traffic happens
-//! inside `step` (harness `poke`/`peek` are uncounted by design), so
-//! the per-routine slices sum exactly to the run's `RawStats`.
-//!
-//! [`Machine::step`]: crate::cpu::Machine::step
+//! per dispatch. All *counted* traffic happens inside a dispatch
+//! (harness `poke`/`peek` are uncounted by design), so the per-routine
+//! slices sum exactly to the run's `RawStats`.
 
 use std::collections::HashMap;
 
@@ -384,182 +385,6 @@ impl RoutineProfile {
     }
 }
 
-/// Default *mean* sampling stride for [`SampledProfiler`], in cycles
-/// (individual intervals are jittered over `[stride/2, 3*stride/2)` —
-/// see [`SampledProfiler::sample`]). 251 is the sparsest scanned
-/// stride at which the sampled top-5 routine shares of both the P-192
-/// and P-256 baseline sign profiles stay within 10% relative of the
-/// reference profiler, in reference order (the sim and the jitter are
-/// deterministic, so this is a reproducible property of the programs,
-/// not a statistical one); at sparser strides the third and fourth
-/// routines, whose true shares differ by only ~7%, start swapping.
-pub const DEFAULT_SAMPLE_STRIDE: u64 = 251;
-
-/// The sampled profiler attached to a fast-tier
-/// [`Machine`](crate::cpu::Machine) run.
-///
-/// Where [`PcProfiler`] observes every retired instruction (and so only
-/// works on the reference interpreter), this one observes the run at
-/// **block boundaries**: whenever the retired-cycle count crosses the
-/// next stride threshold, the *entire* delta since the previous sample
-/// — cycles, instructions, and counted activity — is billed to the
-/// routine owning the PC at that boundary. The intervals telescope, so
-/// bucket totals still sum bit-exactly to the machine's headline
-/// counters (the invariant every attribution consumer relies on);
-/// what's approximate is only the *split* between routines, with error
-/// bounded by the stride (see DESIGN.md §11).
-///
-/// No shadow call stack is maintained — the fast engine never sees
-/// individual link instructions — so [`SampledProfiler::finish`]
-/// yields a profile with an empty [`CallGraph`].
-#[derive(Clone, Debug)]
-pub struct SampledProfiler {
-    /// Sorted bucket start addresses (parallel to `buckets`).
-    starts: Vec<u32>,
-    buckets: Vec<RoutineCycles>,
-    /// Sampling stride in cycles.
-    stride: u64,
-    /// Next cycle threshold at which a sample is due.
-    next_sample: u64,
-    /// Snapshot at the previous sample (start of the open interval).
-    last_cycle: u64,
-    last_instructions: u64,
-    last_activity: ActivitySlice,
-    /// Number of samples taken (incl. the final flush).
-    samples: u64,
-    /// `(index, start, end)` of the previously hit bucket. Samples
-    /// cluster in the hot field-op routines, so most lookups resolve
-    /// with one range check instead of a binary search.
-    cached: (usize, u32, u32),
-    /// Deterministic jitter state (splitmix64), advanced per sample.
-    jitter: u64,
-}
-
-impl SampledProfiler {
-    /// Builds buckets from `Program::text_symbols` output, exactly like
-    /// [`PcProfiler::new`], with the given stride in cycles.
-    pub fn new(text_symbols: &[(u32, String)], stride: u64) -> Self {
-        assert!(stride > 0, "sample stride must be positive");
-        let mut buckets = Vec::with_capacity(text_symbols.len() + 1);
-        if text_symbols.first().is_none_or(|&(a, _)| a != 0) {
-            buckets.push(RoutineCycles {
-                name: "(prelude)".to_owned(),
-                start: 0,
-                instructions: 0,
-                cycles: 0,
-                activity: ActivitySlice::default(),
-            });
-        }
-        for (start, name) in text_symbols {
-            buckets.push(RoutineCycles {
-                name: name.clone(),
-                start: *start,
-                instructions: 0,
-                cycles: 0,
-                activity: ActivitySlice::default(),
-            });
-        }
-        let starts = buckets.iter().map(|b| b.start).collect();
-        SampledProfiler {
-            starts,
-            buckets,
-            stride,
-            next_sample: stride,
-            last_cycle: 0,
-            last_instructions: 0,
-            last_activity: ActivitySlice::default(),
-            samples: 0,
-            cached: (0, 0, 0),
-            jitter: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-
-    /// Whether the retired-cycle count has crossed the next stride
-    /// threshold, i.e. a sample is due at this block boundary.
-    #[inline]
-    pub fn due(&self, cycle: u64) -> bool {
-        cycle >= self.next_sample
-    }
-
-    /// The cycle at which the next sample is due. Dispatch loops hoist
-    /// this into a local so the per-block check costs one compare on a
-    /// register instead of a heap load.
-    #[inline]
-    pub fn next_sample_at(&self) -> u64 {
-        self.next_sample
-    }
-
-    /// Takes a sample at a block boundary: bills the whole interval
-    /// since the previous sample to the routine owning `pc`, then arms
-    /// the next threshold past `cycle`.
-    ///
-    /// The next interval is jittered deterministically (splitmix64)
-    /// over `[stride/2, 3*stride/2)` — mean `stride` — so sample
-    /// points cannot phase-lock onto *any* loop period. The field ops
-    /// are fixed-length loops whose periods vary per curve; a fixed
-    /// stride resonates with some of them and systematically over- or
-    /// under-bills whichever routine the boundary keeps landing after.
-    pub fn sample(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        self.attribute(pc, cycle, instructions, activity);
-        self.jitter = self.jitter.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.jitter;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        self.next_sample = cycle + self.stride / 2 + z % self.stride;
-    }
-
-    /// Flushes the final partial interval at run end so totals stay
-    /// exact. Idempotent for an unchanged machine state (a zero-length
-    /// interval adds nothing but still counts as a sample).
-    pub fn flush(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        self.attribute(pc, cycle, instructions, activity);
-    }
-
-    fn attribute(&mut self, pc: u32, cycle: u64, instructions: u64, activity: &ActivitySlice) {
-        let (ci, cs, ce) = self.cached;
-        let idx = if pc >= cs && pc < ce {
-            ci
-        } else {
-            let i = match self.starts.binary_search(&pc) {
-                Ok(i) => i,
-                Err(i) => i - 1, // starts[0] == 0 covers every pc
-            };
-            let end = self.starts.get(i + 1).copied().unwrap_or(u32::MAX);
-            self.cached = (i, self.starts[i], end);
-            i
-        };
-        let b = &mut self.buckets[idx];
-        b.cycles += cycle - self.last_cycle;
-        b.instructions += instructions - self.last_instructions;
-        b.activity
-            .accumulate(&ActivitySlice::delta(&self.last_activity, activity));
-        self.last_cycle = cycle;
-        self.last_instructions = instructions;
-        self.last_activity = *activity;
-        self.samples += 1;
-    }
-
-    /// Number of samples taken so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The stride this profiler was built with.
-    pub fn stride(&self) -> u64 {
-        self.stride
-    }
-
-    /// Finishes the run, yielding the per-routine breakdown (flat
-    /// buckets only; the call graph is empty).
-    pub fn finish(self) -> RoutineProfile {
-        RoutineProfile {
-            routines: self.buckets,
-            calls: CallGraph::default(),
-        }
-    }
-}
-
 /// A live shadow-stack frame: where to return to, and which node the
 /// call was made from.
 #[derive(Clone, Copy, Debug)]
@@ -651,23 +476,41 @@ impl PcProfiler {
         }
     }
 
-    /// Attributes one retired instruction: its cycle delta and counted
-    /// activity go to the bucket owning `pc` and to the current
-    /// call-tree node, then `event` advances the shadow stack.
+    /// Sorted start addresses of the buckets (the routine boundaries a
+    /// profiled dispatch may not cross).
+    pub(crate) fn routine_starts(&self) -> &[u32] {
+        &self.starts
+    }
+
+    /// Attributes one retired dispatch of `instructions` instructions
+    /// starting at `pc`, all inside one routine: its cycle delta and
+    /// counted activity go to the bucket owning `pc` and to the current
+    /// call-tree node, then `event` (the dispatch's last instruction's)
+    /// advances the shadow stack.
     #[inline]
     pub fn record(
         &mut self,
         pc: u32,
+        instructions: u64,
         cycles: u64,
         activity: &ActivitySlice,
         event: Option<ControlEvent>,
     ) {
-        let idx = match self.starts.binary_search(&pc) {
-            Ok(i) => i,
-            Err(i) => i - 1, // starts[0] == 0 covers every pc
+        // Most dispatches stay in the previous one's routine.
+        let cur = self.cur_routine;
+        let idx = if cur != usize::MAX
+            && pc >= self.starts[cur]
+            && self.starts.get(cur + 1).is_none_or(|&end| pc < end)
+        {
+            cur
+        } else {
+            match self.starts.binary_search(&pc) {
+                Ok(i) => i,
+                Err(i) => i - 1, // starts[0] == 0 covers every pc
+            }
         };
         let b = &mut self.buckets[idx];
-        b.instructions += 1;
+        b.instructions += instructions;
         b.cycles += cycles;
         b.activity.accumulate(activity);
 
@@ -676,7 +519,7 @@ impl PcProfiler {
             self.cur_node = self.node_for(self.context, idx as u32);
         }
         let n = &mut self.nodes[self.cur_node as usize];
-        n.instructions += 1;
+        n.instructions += instructions;
         n.cycles += cycles;
         n.activity.accumulate(activity);
 
@@ -733,11 +576,11 @@ mod tests {
     #[test]
     fn attribution_covers_prelude_and_boundaries() {
         let mut p = PcProfiler::new(&syms());
-        p.record(0x0, 3, &act(1), None); // prelude
-        p.record(0x10, 2, &act(0), None); // first instr of a
-        p.record(0x3c, 1, &act(2), None); // last instr of a
-        p.record(0x40, 5, &act(0), None); // b/c
-        p.record(0x1000, 7, &act(4), None); // past last label -> b/c
+        p.record(0x0, 1, 3, &act(1), None); // prelude
+        p.record(0x10, 1, 2, &act(0), None); // first instr of a
+        p.record(0x3c, 1, 1, &act(2), None); // last instr of a
+        p.record(0x40, 1, 5, &act(0), None); // b/c
+        p.record(0x1000, 1, 7, &act(4), None); // past last label -> b/c
         let prof = p.finish();
         assert_eq!(prof.total_cycles(), 18);
         assert_eq!(prof.total_instructions(), 5);
@@ -756,7 +599,7 @@ mod tests {
     #[test]
     fn no_prelude_bucket_when_label_at_zero() {
         let mut p = PcProfiler::new(&[(0, "start".to_owned())]);
-        p.record(0, 1, &act(0), None);
+        p.record(0, 1, 1, &act(0), None);
         let prof = p.finish();
         assert_eq!(prof.routines.len(), 1);
         assert_eq!(prof.routine("start").unwrap().cycles, 1);
@@ -766,11 +609,11 @@ mod tests {
     fn merge_accumulates() {
         let mut a = RoutineProfile::default();
         let mut p = PcProfiler::new(&syms());
-        p.record(0x10, 2, &act(1), None);
+        p.record(0x10, 1, 2, &act(1), None);
         a.merge(&p.finish());
         let mut p = PcProfiler::new(&syms());
-        p.record(0x10, 3, &act(1), None);
-        p.record(0x40, 4, &act(0), None);
+        p.record(0x10, 1, 3, &act(1), None);
+        p.record(0x40, 1, 4, &act(0), None);
         a.merge(&p.finish());
         assert_eq!(a.routine("a").unwrap().cycles, 5);
         assert_eq!(a.routine("a").unwrap().activity.ram_reads, 2);
@@ -793,24 +636,42 @@ mod tests {
         let mut p = PcProfiler::new(&syms);
         let a0 = act(0);
         // main: jal a (ret 0x10), delay slot, then a runs.
-        p.record(0x08, 1, &a0, Some(ControlEvent::Call { ret: 0x10 }));
-        p.record(0x0c, 1, &a0, None); // delay slot -> main's node
-                                      // a: jal b (ret 0x50), delay slot, b body, jr back to a.
-        p.record(0x40, 1, &a0, None);
-        p.record(0x48, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
-        p.record(0x4c, 1, &a0, None); // delay slot -> main;a
-        p.record(0x80, 2, &a0, None); // b body -> main;a;b
-        p.record(0x84, 1, &a0, Some(ControlEvent::JumpReg { target: 0x50 }));
-        p.record(0x88, 1, &a0, None); // return delay slot -> main;a;b
-                                      // back in a; jr back to main.
-        p.record(0x50, 1, &a0, Some(ControlEvent::JumpReg { target: 0x10 }));
-        p.record(0x54, 1, &a0, None); // return delay slot -> main;a
-                                      // main again; second call to a.
-        p.record(0x10, 1, &a0, Some(ControlEvent::Call { ret: 0x18 }));
-        p.record(0x14, 1, &a0, None);
-        p.record(0x40, 3, &a0, Some(ControlEvent::JumpReg { target: 0x18 }));
-        p.record(0x44, 1, &a0, None);
-        p.record(0x18, 1, &a0, None);
+        p.record(0x08, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x10 }));
+        p.record(0x0c, 1, 1, &a0, None); // delay slot -> main's node
+                                         // a: jal b (ret 0x50), delay slot, b body, jr back to a.
+        p.record(0x40, 1, 1, &a0, None);
+        p.record(0x48, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
+        p.record(0x4c, 1, 1, &a0, None); // delay slot -> main;a
+        p.record(0x80, 1, 2, &a0, None); // b body -> main;a;b
+        p.record(
+            0x84,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x50 }),
+        );
+        p.record(0x88, 1, 1, &a0, None); // return delay slot -> main;a;b
+                                         // back in a; jr back to main.
+        p.record(
+            0x50,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x10 }),
+        );
+        p.record(0x54, 1, 1, &a0, None); // return delay slot -> main;a
+                                         // main again; second call to a.
+        p.record(0x10, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x18 }));
+        p.record(0x14, 1, 1, &a0, None);
+        p.record(
+            0x40,
+            1,
+            3,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x18 }),
+        );
+        p.record(0x44, 1, 1, &a0, None);
+        p.record(0x18, 1, 1, &a0, None);
         let prof = p.finish();
 
         let paths: Vec<(String, u64)> = prof
@@ -841,18 +702,36 @@ mod tests {
         let syms = vec![(0x00, "main".to_owned()), (0x40, "f".to_owned())];
         let mut p = PcProfiler::new(&syms);
         let a0 = act(0);
-        p.record(0x00, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
+        p.record(0x00, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
         // f calls itself twice from the same site (ret 0x50 both times).
-        p.record(0x40, 1, &a0, None);
-        p.record(0x48, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
-        p.record(0x40, 1, &a0, None);
-        p.record(0x48, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
-        p.record(0x40, 1, &a0, None);
+        p.record(0x40, 1, 1, &a0, None);
+        p.record(0x48, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
+        p.record(0x40, 1, 1, &a0, None);
+        p.record(0x48, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x50 }));
+        p.record(0x40, 1, 1, &a0, None);
         // Innermost returns, then the outer recursive call returns.
-        p.record(0x5c, 1, &a0, Some(ControlEvent::JumpReg { target: 0x50 }));
-        p.record(0x50, 1, &a0, Some(ControlEvent::JumpReg { target: 0x50 }));
-        p.record(0x50, 1, &a0, Some(ControlEvent::JumpReg { target: 0x08 }));
-        p.record(0x08, 1, &a0, None);
+        p.record(
+            0x5c,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x50 }),
+        );
+        p.record(
+            0x50,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x50 }),
+        );
+        p.record(
+            0x50,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x08 }),
+        );
+        p.record(0x08, 1, 1, &a0, None);
         let prof = p.finish();
         let paths: Vec<String> = prof.call_paths().into_iter().map(|(s, _)| s).collect();
         assert_eq!(paths, vec!["main".to_owned(), "main;f".to_owned()]);
@@ -872,14 +751,26 @@ mod tests {
         ];
         let mut p = PcProfiler::new(&syms);
         let a0 = act(0);
-        p.record(0x00, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
-        p.record(0x40, 2, &a0, None); // a body
-                                      // a tail-jumps to c: target 0x80 matches no frame.
-        p.record(0x44, 1, &a0, Some(ControlEvent::JumpReg { target: 0x80 }));
-        p.record(0x80, 3, &a0, None); // c body -> main;c (sibling of main;a)
-                                      // c returns through the shared $ra, popping main's frame.
-        p.record(0x84, 1, &a0, Some(ControlEvent::JumpReg { target: 0x08 }));
-        p.record(0x08, 1, &a0, None);
+        p.record(0x00, 1, 1, &a0, Some(ControlEvent::Call { ret: 0x08 }));
+        p.record(0x40, 1, 2, &a0, None); // a body
+                                         // a tail-jumps to c: target 0x80 matches no frame.
+        p.record(
+            0x44,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x80 }),
+        );
+        p.record(0x80, 1, 3, &a0, None); // c body -> main;c (sibling of main;a)
+                                         // c returns through the shared $ra, popping main's frame.
+        p.record(
+            0x84,
+            1,
+            1,
+            &a0,
+            Some(ControlEvent::JumpReg { target: 0x08 }),
+        );
+        p.record(0x08, 1, 1, &a0, None);
         let prof = p.finish();
         let paths: Vec<(String, u64)> = prof
             .call_paths()
@@ -897,65 +788,23 @@ mod tests {
         assert_eq!(prof.calls.root_inclusive_cycles(), prof.total_cycles());
     }
 
-    /// Sampled attribution telescopes: whatever the stride and sample
-    /// placement, bucket totals equal the final machine counters
-    /// exactly.
+    /// Billing a dispatch whole equals billing its instructions one by
+    /// one, event included, when the dispatch stays in one routine.
     #[test]
-    fn sampled_intervals_telescope_to_exact_totals() {
-        let mut p = SampledProfiler::new(&syms(), 10);
-        assert!(!p.due(9));
-        assert!(p.due(10));
-        // First interval [0, 13) lands on a PC in routine `a`.
-        p.sample(0x14, 13, 4, &act(2));
-        assert_eq!(p.samples(), 1);
-        // Threshold re-arms past the sample point, jittered over
-        // [cycle + stride/2, cycle + 3*stride/2).
-        let next = p.next_sample_at();
-        assert!((13 + 5..13 + 15).contains(&next), "next = {next}");
-        assert!(!p.due(next - 1));
-        assert!(p.due(next));
-        // Second interval [13, 27) lands in `b/c`.
-        p.sample(0x44, 27, 9, &act(5));
-        // Final partial interval [27, 31) flushed into the prelude.
-        p.flush(0x0, 31, 11, &act(6));
-        let prof = p.finish();
-        assert_eq!(prof.total_cycles(), 31);
-        assert_eq!(prof.total_instructions(), 11);
-        assert_eq!(prof.routine("a").unwrap().cycles, 13);
-        assert_eq!(prof.routine("a").unwrap().activity.ram_reads, 2);
-        assert_eq!(prof.routine("b/c").unwrap().cycles, 14);
-        assert_eq!(prof.routine("b/c").unwrap().activity.ram_reads, 3);
-        assert_eq!(prof.routine("(prelude)").unwrap().cycles, 4);
-        assert!(prof.calls.nodes.is_empty());
-        // Same bucket table shape as the reference profiler, so merge
-        // against a reference profile would be well-formed.
-        assert_eq!(prof.routines.len(), 3);
-    }
-
-    /// One giant block spanning several strides re-arms in O(1) past
-    /// the boundary (relative to the sample cycle), not at some
-    /// multiple merely >= the old threshold.
-    #[test]
-    fn sampled_stride_skips_over_long_blocks() {
-        let mut p = SampledProfiler::new(&syms(), 10);
-        p.sample(0x10, 57, 1, &act(0));
-        let next = p.next_sample_at();
-        assert!((57 + 5..57 + 15).contains(&next), "next = {next}");
-        assert!(!p.due(next - 1));
-        assert!(p.due(next));
-    }
-
-    /// The jittered schedule is deterministic: two profilers over the
-    /// same run take identical samples.
-    #[test]
-    fn sampled_schedule_is_deterministic() {
-        let mut a = SampledProfiler::new(&syms(), 10);
-        let mut b = SampledProfiler::new(&syms(), 10);
-        for i in 0..100u64 {
-            a.sample(0x10, i * 13, i, &act(0));
-            b.sample(0x10, i * 13, i, &act(0));
-            assert_eq!(a.next_sample_at(), b.next_sample_at());
+    fn dispatch_billing_equals_per_instruction_billing() {
+        let mut whole = PcProfiler::new(&syms());
+        let mut single = PcProfiler::new(&syms());
+        let call = Some(ControlEvent::Call { ret: 0x20 });
+        whole.record(0x10, 3, 7, &act(3), None);
+        whole.record(0x1c, 1, 1, &act(0), call);
+        whole.record(0x40, 2, 2, &act(1), None);
+        for (pc, cycles, ram_reads) in [(0x10, 2, 1), (0x14, 4, 2), (0x18, 1, 0)] {
+            single.record(pc, 1, cycles, &act(ram_reads), None);
         }
+        single.record(0x1c, 1, 1, &act(0), call);
+        single.record(0x40, 1, 1, &act(1), None);
+        single.record(0x44, 1, 1, &act(0), None);
+        assert_eq!(whole.finish(), single.finish());
     }
 
     #[test]
@@ -966,9 +815,9 @@ mod tests {
             (0x80, "mm".to_owned()),
         ];
         let mut p = PcProfiler::new(&syms);
-        p.record(0x00, 5, &act(0), None);
-        p.record(0x40, 5, &act(0), None);
-        p.record(0x80, 9, &act(0), None);
+        p.record(0x00, 1, 5, &act(0), None);
+        p.record(0x40, 1, 5, &act(0), None);
+        p.record(0x80, 1, 9, &act(0), None);
         let prof = p.finish();
         let order: Vec<&str> = prof
             .sorted_routines()

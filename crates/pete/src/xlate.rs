@@ -15,7 +15,9 @@
 //! The table is position-indexed (`pc / 4`), and every suffix of a run
 //! gets its own block entry over the shared member pool, so a jump
 //! into the middle of a run still dispatches a block: fusion never
-//! changes reachability. Everything the
+//! changes reachability. A profiled machine's table additionally
+//! starts a dispatch at every **leader** word ([`profile_leaders`]):
+//! no block or fused pair runs into one. Everything the
 //! translator cannot (or need not) speed up — Hi/Lo multiplies,
 //! subword memory ops, coprocessor commands — keeps its decoded
 //! [`Instr`] in [`XOp::Other`] and is executed by the reference
@@ -388,6 +390,29 @@ fn pair_stall(a: BOp, b: BOp) -> u16 {
     }
 }
 
+/// The leader words of a profiled machine's table, indexed by `pc / 4`:
+/// every routine start (so each dispatch bills one routine), and the
+/// delay slot of every `jal`/`jalr`/`jr` (so the shadow-stack event of
+/// the jump fires before its delay slot retires, as on the reference
+/// interpreter). An unprofiled machine passes no leaders: labels inside
+/// straight-line runs would otherwise cut its hottest blocks.
+pub(crate) fn profile_leaders(decoded: &[Option<Instr>], routine_starts: &[u32]) -> Vec<bool> {
+    let mut leaders = vec![false; decoded.len()];
+    for &start in routine_starts {
+        if let Some(l) = leaders.get_mut((start / 4) as usize) {
+            *l = true;
+        }
+    }
+    for (idx, d) in decoded.iter().enumerate() {
+        if let Some(Instr::Jal { .. } | Instr::Jalr { .. } | Instr::Jr { .. }) = d {
+            if let Some(l) = leaders.get_mut(idx + 1) {
+                *l = true;
+            }
+        }
+    }
+    leaders
+}
+
 /// Builds the translation table for a program image.
 ///
 /// Every maximal straight-line run of ALU/load/store words becomes a
@@ -396,8 +421,10 @@ fn pair_stall(a: BOp, b: BOp) -> u16 {
 /// block (the dispatcher handles the I-cache fetch stream per 16-byte
 /// line: only a line's first access is dynamic — the rest of the line
 /// cannot be evicted under it mid-block). Branches additionally fuse
-/// the op in their delay slot.
-pub(crate) fn translate(decoded: &[Option<Instr>]) -> XTable {
+/// the op in their delay slot. No dispatch runs into a word marked in
+/// `leaders` (empty: none is).
+pub(crate) fn translate(decoded: &[Option<Instr>], leaders: &[bool]) -> XTable {
+    let leader = |idx: usize| leaders.get(idx).copied().unwrap_or(false);
     let mut ops: Vec<XOp> = decoded
         .iter()
         .enumerate()
@@ -418,7 +445,7 @@ pub(crate) fn translate(decoded: &[Option<Instr>]) -> XTable {
     // dispatch). The delay word keeps its own table entry for direct
     // jumps into it.
     for idx in 0..ops.len().saturating_sub(1) {
-        let Some(ds) = member(ops[idx + 1]) else {
+        let Some(ds) = member(ops[idx + 1]).filter(|_| !leader(idx + 1)) else {
             continue;
         };
         match ops[idx] {
@@ -438,7 +465,7 @@ pub(crate) fn translate(decoded: &[Option<Instr>]) -> XTable {
         };
         let mut members = vec![first];
         let mut e = s + 1;
-        while e < n {
+        while e < n && !leader(e) {
             match member(ops[e]) {
                 Some(m) => members.push(m),
                 None => break,
@@ -449,7 +476,7 @@ pub(crate) fn translate(decoded: &[Option<Instr>]) -> XTable {
         // A run that flows straight into a fused control-transfer/
         // delay-slot pair extends its blocks through it: the whole
         // loop body (or call site, or epilogue) becomes one dispatch.
-        let tail = match ops.get(e) {
+        let tail = match ops.get(e).filter(|_| !leader(e)) {
             Some(&XOp::BranchDs(b, d)) => Some((Term::Branch(b), d)),
             Some(&XOp::JumpDs { target, link, ds }) => Some((Term::Jump { target, link }, ds)),
             Some(&XOp::JumpRegDs { rs, link, ds }) => Some((Term::JumpReg { rs, link }, ds)),

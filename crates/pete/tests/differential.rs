@@ -1,12 +1,13 @@
 //! Differential testing of Pete's ALU/multiplier semantics: random
 //! straight-line programs are executed on the cycle-level machine and on
 //! an independent, dead-simple interpreter written in this test. Any
-//! divergence is a simulator bug.
+//! divergence is a simulator bug. With random labels sprinkled in, the
+//! profiled fast tier must also bill exactly what the reference does.
 
 use ule_isa::asm::Asm;
 use ule_isa::instr::Instr;
 use ule_isa::reg::Reg;
-use ule_pete::cpu::{EngineTier, ExecOptions, Machine, MachineConfig, RunExit};
+use ule_pete::cpu::{EngineTier, ExecOptions, Instrumentation, Machine, MachineConfig, RunExit};
 use ule_testkit::Rng;
 
 /// The registers the generated programs may touch (avoid $zero/$sp/$ra).
@@ -134,6 +135,9 @@ fn emit(asm: &mut Asm, op: &Op) {
 #[test]
 fn random_programs_match_the_oracle() {
     let mut rng = Rng::new(0xd1ff);
+    // Labels cut the profiled fast tier's blocks; drawn from their own
+    // stream so the programs stay those of the seed above.
+    let mut labels = Rng::new(0x1abe1);
     for _ in 0..128 {
         let mut init = [0u32; 10];
         for v in &mut init {
@@ -145,11 +149,29 @@ fn random_programs_match_the_oracle() {
         };
         let mut asm = Asm::new();
         asm.label("main");
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
+            if labels.below(6) == 0 {
+                asm.label(&format!("l{i}"));
+            }
             emit(&mut asm, op);
         }
         asm.brk(0);
         let program = asm.link("main").expect("link");
+        let profiled = |tier| {
+            let mut m = Machine::builder(&program, MachineConfig::baseline())
+                .instrumentation(Instrumentation::profile(&program.text_symbols()))
+                .build();
+            for (i, &v) in init.iter().enumerate() {
+                m.set_reg(POOL[i], v);
+            }
+            m.run_with(ExecOptions::new(1_000_000).with_tier(tier));
+            (m.counters(), m.take_profile())
+        };
+        assert_eq!(
+            profiled(EngineTier::Fast),
+            profiled(EngineTier::Reference),
+            "profiled tiers diverge"
+        );
         // Both engine tiers must match the oracle — and each other.
         let mut per_tier = [EngineTier::Fast, EngineTier::Reference].map(|tier| {
             let mut m = Machine::new(&program, MachineConfig::baseline());
