@@ -145,10 +145,10 @@ impl MontCurve {
     /// final inversion by Fermat (`z^(p-2)`).
     pub fn ladder(&self, k: &Mp, u: &FpElement) -> FpElement {
         let f = &self.field;
-        let x1 = u.clone();
+        let x1 = *u;
         let mut x2 = f.one();
         let mut z2 = f.zero();
-        let mut x3 = u.clone();
+        let mut x3 = *u;
         let mut z3 = f.one();
         let mut swap = false;
         for t in (0..self.ladder_bits()).rev() {

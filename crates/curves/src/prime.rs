@@ -130,7 +130,7 @@ impl PrimeCurve {
 
     /// The base point `G`.
     pub fn generator(&self) -> AffinePoint {
-        AffinePoint::new(self.gx.clone(), self.gy.clone())
+        AffinePoint::new(self.gx, self.gy)
     }
 
     /// Checks the curve equation `y^2 = x^3 + ax + b` (infinity is on the
@@ -151,7 +151,7 @@ impl PrimeCurve {
     pub fn neg(&self, p: &AffinePoint) -> AffinePoint {
         match p {
             AffinePoint::Infinity => AffinePoint::Infinity,
-            AffinePoint::Point { x, y } => AffinePoint::new(x.clone(), self.field.neg(y)),
+            AffinePoint::Point { x, y } => AffinePoint::new(*x, self.field.neg(y)),
         }
     }
 
@@ -216,8 +216,8 @@ impl PrimeCurve {
         match p {
             AffinePoint::Infinity => self.jac_identity(),
             AffinePoint::Point { x, y } => JacobianPoint {
-                x: x.clone(),
-                y: y.clone(),
+                x: *x,
+                y: *y,
                 z: self.field.one(),
             },
         }
@@ -261,8 +261,8 @@ impl PrimeCurve {
         };
         if p.z.is_zero() {
             return JacobianPoint {
-                x: x2.clone(),
-                y: y2.clone(),
+                x: *x2,
+                y: *y2,
                 z: f.one(),
             };
         }

@@ -2,8 +2,11 @@
 //!
 //! A [`PrimeField`] context fixes the modulus once and precomputes the
 //! folding constants used by fast reduction. Elements are fixed-width
-//! little-endian limb vectors of `k = ceil(bits/32)` limbs, exactly the
-//! in-memory representation of the simulated software suite.
+//! little-endian limb arrays of `k = ceil(bits/32)` limbs, exactly the
+//! in-memory representation of the simulated software suite. Every
+//! element and every intermediate lives in a stack array of at most
+//! [`MAX_LIMBS`] limbs (two of them for a double-width product), so the
+//! field operations allocate nothing.
 //!
 //! Multiplication is operand scanning (Algorithm 2) followed by fast
 //! reduction. Reduction exploits the *modular congruency* idea of §4.2.1:
@@ -20,34 +23,41 @@ use crate::nist::NistPrime;
 use std::cmp::Ordering;
 use std::fmt;
 
-/// An element of a prime field: exactly `k` little-endian limbs, always
-/// fully reduced (`< p`).
+/// Limb capacity of an [`FpElement`]: 18 limbs (576 bits) hold the widest
+/// field in use, the 570-bit group-order field of K-571.
+pub const MAX_LIMBS: usize = 18;
+
+/// An element of a prime field: `k` little-endian limbs, always fully
+/// reduced (`< p`), in a fixed array whose limbs past `k` are zero.
 ///
 /// Elements are produced by and consumed by a [`PrimeField`] context; using
 /// an element with a field of a different width is a logic error (checked
 /// with debug assertions).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub struct FpElement(Vec<Limb>);
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FpElement {
+    limbs: [Limb; MAX_LIMBS],
+    k: usize,
+}
 
 impl FpElement {
     /// The little-endian limbs of the element.
     pub fn limbs(&self) -> &[Limb] {
-        &self.0
+        &self.limbs[..self.k]
     }
 
     /// Converts to an arbitrary-precision integer.
     pub fn to_mp(&self) -> Mp {
-        Mp::from_limbs(&self.0)
+        Mp::from_limbs(self.limbs())
     }
 
     /// Returns `true` if this is the zero element.
     pub fn is_zero(&self) -> bool {
-        mp::is_zero(&self.0)
+        mp::is_zero(self.limbs())
     }
 
     /// Returns bit `i` of the canonical representative.
     pub fn bit(&self, i: usize) -> bool {
-        mp::bit(&self.0, i)
+        mp::bit(self.limbs(), i)
     }
 }
 
@@ -62,15 +72,14 @@ impl fmt::Debug for FpElement {
 #[derive(Clone, Debug)]
 pub struct PrimeField {
     name: String,
-    modulus: Vec<Limb>,
+    modulus: [Limb; MAX_LIMBS],
     modulus_mp: Mp,
     k: usize,
     bits: usize,
-    /// `fold[j] = 2^(32*(k+j)) mod p` for `j in 0..=k+1`; the extra entries
-    /// let [`PrimeField::reduce_wide`] fold its own (k+2)-limb accumulator.
-    fold: Vec<Vec<Limb>>,
+    /// `fold[j] = 2^(32*(k+j)) mod p` for `j in 0..k`.
+    fold: [[Limb; MAX_LIMBS]; MAX_LIMBS],
     /// `2^bits mod p`, for the bit-granular reduction tail.
-    two_b: Mp,
+    two_b: [Limb; MAX_LIMBS],
 }
 
 impl PrimeField {
@@ -88,26 +97,34 @@ impl PrimeField {
     ///
     /// # Panics
     ///
-    /// Panics if `modulus < 3` or `modulus` is even.
+    /// Panics if `modulus < 3`, if `modulus` is even, or if it is wider
+    /// than [`MAX_LIMBS`] limbs.
     pub fn new(name: &str, modulus: &Mp) -> Self {
         assert!(modulus.bit_len() >= 2, "modulus too small");
         assert!(modulus.bit(0), "modulus must be odd");
         let bits = modulus.bit_len();
         let k = bits.div_ceil(32);
-        let mut fold = Vec::with_capacity(k + 2);
-        for j in 0..k + 2 {
-            let c = Mp::one().shl(32 * (k + j)).rem(modulus);
-            fold.push(c.to_limbs(k));
+        assert!(
+            k <= MAX_LIMBS,
+            "{name}: a {bits}-bit modulus needs {k} limbs, more than MAX_LIMBS = {MAX_LIMBS}"
+        );
+        let limbs = |v: &Mp| {
+            let mut out = [0; MAX_LIMBS];
+            out[..k].copy_from_slice(&v.to_limbs(k));
+            out
+        };
+        let mut fold = [[0; MAX_LIMBS]; MAX_LIMBS];
+        for (j, row) in fold.iter_mut().enumerate().take(k) {
+            *row = limbs(&Mp::one().shl(32 * (k + j)).rem(modulus));
         }
-        let two_b = Mp::one().shl(bits).rem(modulus);
         PrimeField {
             name: name.to_owned(),
-            modulus: modulus.to_limbs(k),
+            modulus: limbs(modulus),
             modulus_mp: modulus.clone(),
             k,
             bits,
             fold,
-            two_b,
+            two_b: limbs(&Mp::one().shl(bits).rem(modulus)),
         }
     }
 
@@ -123,7 +140,7 @@ impl PrimeField {
 
     /// Modulus as `k` little-endian limbs.
     pub fn modulus_limbs(&self) -> &[Limb] {
-        &self.modulus
+        &self.modulus[..self.k]
     }
 
     /// Element width in limbs (`k = ceil(bits/32)`).
@@ -138,7 +155,7 @@ impl PrimeField {
 
     /// The zero element.
     pub fn zero(&self) -> FpElement {
-        FpElement(vec![0; self.k])
+        self.element([0; MAX_LIMBS])
     }
 
     /// The one element.
@@ -148,12 +165,19 @@ impl PrimeField {
 
     /// Embeds a small integer.
     pub fn from_u64(&self, v: u64) -> FpElement {
-        self.from_mp(&Mp::from_u64(v))
+        let limbs = [v as Limb, (v >> 32) as Limb];
+        let len = if limbs[1] == 0 { 1 } else { 2 };
+        self.reduced(&limbs[..len])
+            .unwrap_or_else(|| self.from_mp(&Mp::from_u64(v)))
     }
 
-    /// Reduces an arbitrary integer into the field.
+    /// Reduces an arbitrary integer into the field. A value already
+    /// below `p` is taken as is, without a division.
     pub fn from_mp(&self, v: &Mp) -> FpElement {
-        FpElement(v.rem(&self.modulus_mp).to_limbs(self.k))
+        self.reduced(v.limbs()).unwrap_or_else(|| {
+            self.reduced(v.rem(&self.modulus_mp).limbs())
+                .expect("remainder lies below the modulus")
+        })
     }
 
     /// Interprets exactly `k` limbs as an element.
@@ -163,11 +187,7 @@ impl PrimeField {
     /// Panics if `limbs.len() != k` or the value is not fully reduced.
     pub fn from_limbs(&self, limbs: &[Limb]) -> FpElement {
         assert_eq!(limbs.len(), self.k, "element width mismatch");
-        assert!(
-            mp::cmp(limbs, &self.modulus) == Ordering::Less,
-            "element not reduced"
-        );
-        FpElement(limbs.to_vec())
+        self.reduced(limbs).expect("element not reduced")
     }
 
     /// `a + b mod p` — multi-precision add followed by a conditional
@@ -175,12 +195,13 @@ impl PrimeField {
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = vec![0; self.k];
-        let carry = mp::add3(&mut out, &a.0, &b.0);
-        if carry || mp::cmp(&out, &self.modulus) != Ordering::Less {
-            mp::sub_into(&mut out, &self.modulus);
+        let mut out = [0; MAX_LIMBS];
+        let o = &mut out[..self.k];
+        let carry = mp::add3(o, a.limbs(), b.limbs());
+        if carry || mp::cmp(o, self.modulus_limbs()) != Ordering::Less {
+            mp::sub_into(o, self.modulus_limbs());
         }
-        FpElement(out)
+        self.element(out)
     }
 
     /// `a - b mod p` — subtraction with a conditional add-back of the
@@ -188,22 +209,23 @@ impl PrimeField {
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = vec![0; self.k];
-        let borrow = mp::sub3(&mut out, &a.0, &b.0);
-        if borrow {
-            mp::add_into(&mut out, &self.modulus);
+        let mut out = [0; MAX_LIMBS];
+        let o = &mut out[..self.k];
+        if mp::sub3(o, a.limbs(), b.limbs()) {
+            mp::add_into(o, self.modulus_limbs());
         }
-        FpElement(out)
+        self.element(out)
     }
 
     /// `-a mod p`.
     pub fn neg(&self, a: &FpElement) -> FpElement {
+        self.check(a);
         if a.is_zero() {
             return self.zero();
         }
-        let mut out = vec![0; self.k];
-        mp::sub3(&mut out, &self.modulus, &a.0);
-        FpElement(out)
+        let mut out = [0; MAX_LIMBS];
+        mp::sub3(&mut out[..self.k], self.modulus_limbs(), a.limbs());
+        self.element(out)
     }
 
     /// `a * b mod p`: operand-scanning multiplication (Algorithm 2) plus
@@ -211,8 +233,10 @@ impl PrimeField {
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let wide = mp::mul_operand_scanning(&a.0, &b.0);
-        self.reduce_wide(&wide)
+        let mut wide = [0; 2 * MAX_LIMBS];
+        let wide = &mut wide[..2 * self.k];
+        mp::mul_operand_scanning_into(wide, a.limbs(), b.limbs());
+        self.reduce_wide(wide)
     }
 
     /// `a^2 mod p`.
@@ -247,12 +271,12 @@ impl PrimeField {
         assert_eq!(wide.len(), 2 * self.k, "wide operand width mismatch");
         let k = self.k;
         // Accumulator with two guard limbs: low half + sum of k folded rows.
-        let mut acc = vec![0 as Limb; k + 2];
+        let mut buf = [0; MAX_LIMBS + 2];
+        let acc = &mut buf[..k + 2];
         acc[..k].copy_from_slice(&wide[..k]);
-        for j in 0..k {
-            let h = wide[k + j];
+        for (j, &h) in wide[k..].iter().enumerate() {
             if h != 0 {
-                let carry = mp::mul_add_limb(&mut acc, &self.fold[j], h);
+                let carry = mp::mul_add_limb(acc, &self.fold[j][..k], h);
                 debug_assert_eq!(carry, 0, "guard limbs overflowed");
             }
         }
@@ -266,40 +290,43 @@ impl PrimeField {
             acc[k] = 0;
             acc[k + 1] = 0;
             if hi0 != 0 {
-                mp::mul_add_limb(&mut acc, &self.fold[0], hi0);
+                mp::mul_add_limb(acc, &self.fold[0][..k], hi0);
             }
             if hi1 != 0 {
-                mp::mul_add_limb(&mut acc, &self.fold[1], hi1);
+                mp::mul_add_limb(acc, &self.fold[1][..k], hi1);
             }
         }
-        let mut v = Mp::from_limbs(&acc[..k]);
-        // v < 2^(32k); fold down to < 2^bits, then a final conditional
+        // acc < 2^(32k), so the bits at and above `bits` span at most 31
+        // bits: fold them back as `hi * (2^bits mod p)` (k+1 limbs hold
+        // the sum) until acc < 2^bits, then a final conditional
         // subtraction (at most a few iterations since 2^bits < 2p).
-        while v.bit_len() > self.bits {
-            let hi = v.shr(self.bits);
-            let lo_limbs: Vec<Limb> = {
-                let mut t = v.to_limbs(k + 1);
-                // mask off bits >= self.bits
-                let top = self.bits / 32;
-                let rem = self.bits % 32;
-                for limb in t.iter_mut().skip(top + 1) {
-                    *limb = 0;
-                }
-                if rem != 0 {
-                    t[top] &= (1u32 << rem) - 1;
-                } else if top < t.len() {
-                    for limb in t.iter_mut().skip(top) {
-                        *limb = 0;
-                    }
-                }
-                t
+        let t = &mut acc[..k + 1];
+        let (top, sh) = (self.bits / 32, self.bits % 32);
+        loop {
+            let hi = if sh == 0 {
+                t[top]
+            } else {
+                debug_assert_eq!(t[top + 1] >> sh, 0, "tail wider than one limb");
+                (t[top] >> sh) | (t[top + 1] << (32 - sh))
             };
-            v = Mp::from_limbs(&lo_limbs).add(&hi.mul(&self.two_b));
+            if hi == 0 {
+                break;
+            }
+            if sh == 0 {
+                t[top] = 0;
+            } else {
+                t[top] &= (1 << sh) - 1;
+                t[top + 1] = 0;
+            }
+            mp::mul_add_limb(t, &self.two_b[..k], hi);
         }
-        while v >= self.modulus_mp {
-            v = v.sub(&self.modulus_mp);
+        let t = &mut t[..k];
+        while mp::cmp(t, self.modulus_limbs()) != Ordering::Less {
+            mp::sub_into(t, self.modulus_limbs());
         }
-        FpElement(v.to_limbs(k))
+        let mut out = [0; MAX_LIMBS];
+        out[..k].copy_from_slice(t);
+        self.element(out)
     }
 
     /// `a^e mod p` by left-to-right square-and-multiply.
@@ -316,51 +343,42 @@ impl PrimeField {
 
     /// Modular inverse by the **binary extended Euclidean algorithm**
     /// (§4.2.4, used on Pete), or `None` for zero.
+    ///
+    /// `u, v <= p` fit in `k` limbs; the coefficients `x1, x2` stay below
+    /// `p` but `x + p` needs one guard limb.
     pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
+        self.check(a);
         if a.is_zero() {
             return None;
         }
-        let p = &self.modulus_mp;
-        let mut u = a.to_mp();
-        let mut v = p.clone();
-        let mut x1 = Mp::one();
-        let mut x2 = Mp::zero();
-        let one = Mp::one();
-        while u != one && v != one {
-            while !u.bit(0) {
-                u = u.shr(1);
-                x1 = if x1.bit(0) {
-                    x1.add(p).shr(1)
-                } else {
-                    x1.shr(1)
-                };
+        let k = self.k;
+        let p = self.modulus_limbs();
+        let (mut u, mut v) = (a.limbs, self.modulus);
+        let (u, v) = (&mut u[..k], &mut v[..k]);
+        let (mut x1, mut x2) = ([0; MAX_LIMBS + 1], [0; MAX_LIMBS + 1]);
+        let (x1, x2) = (&mut x1[..k + 1], &mut x2[..k + 1]);
+        x1[0] = 1;
+        while !is_one(u) && !is_one(v) {
+            while u[0] & 1 == 0 {
+                mp::shr1_into(u);
+                halve_mod(x1, p);
             }
-            while !v.bit(0) {
-                v = v.shr(1);
-                x2 = if x2.bit(0) {
-                    x2.add(p).shr(1)
-                } else {
-                    x2.shr(1)
-                };
+            while v[0] & 1 == 0 {
+                mp::shr1_into(v);
+                halve_mod(x2, p);
             }
-            if u >= v {
-                u = u.sub(&v);
-                x1 = if x1 >= x2 {
-                    x1.sub(&x2)
-                } else {
-                    x1.add(p).sub(&x2)
-                };
+            if mp::cmp(u, v) != Ordering::Less {
+                mp::sub_into(u, v);
+                sub_mod(x1, x2, p);
             } else {
-                v = v.sub(&u);
-                x2 = if x2 >= x1 {
-                    x2.sub(&x1)
-                } else {
-                    x2.add(p).sub(&x1)
-                };
+                mp::sub_into(v, u);
+                sub_mod(x2, x1, p);
             }
         }
-        let r = if u == one { x1 } else { x2 };
-        Some(self.from_mp(&r))
+        let r = if is_one(u) { x1 } else { x2 };
+        let mut out = [0; MAX_LIMBS];
+        out[..k].copy_from_slice(&r[..k]);
+        Some(self.element(out))
     }
 
     /// Modular inverse by **Fermat's little theorem** (`a^(p-2)`), the
@@ -374,12 +392,49 @@ impl PrimeField {
         Some(self.pow(a, &e))
     }
 
+    /// Wraps limbs (zero past `k`, value below `p`) as an element.
+    fn element(&self, limbs: [Limb; MAX_LIMBS]) -> FpElement {
+        FpElement { limbs, k: self.k }
+    }
+
+    /// The element with these (zero-extended) limbs, if their value
+    /// fits in `k` limbs and lies below `p`.
+    fn reduced(&self, limbs: &[Limb]) -> Option<FpElement> {
+        if limbs.len() > self.k || mp::cmp(limbs, self.modulus_limbs()) != Ordering::Less {
+            return None;
+        }
+        let mut out = [0; MAX_LIMBS];
+        out[..limbs.len()].copy_from_slice(limbs);
+        Some(self.element(out))
+    }
+
     fn check(&self, a: &FpElement) {
-        debug_assert_eq!(a.0.len(), self.k, "element belongs to another field");
+        debug_assert_eq!(a.k, self.k, "element belongs to another field");
         debug_assert!(
-            mp::cmp(&a.0, &self.modulus) == Ordering::Less,
+            mp::cmp(a.limbs(), self.modulus_limbs()) == Ordering::Less,
             "element not reduced"
         );
+    }
+}
+
+fn is_one(x: &[Limb]) -> bool {
+    x[0] == 1 && mp::is_zero(&x[1..])
+}
+
+/// `x = x / 2 mod p` for `x < p`, over `k + 1` limbs: an odd `x` becomes
+/// the even `x + p` first.
+fn halve_mod(x: &mut [Limb], p: &[Limb]) {
+    if x[0] & 1 == 1 {
+        mp::add_into(x, p);
+    }
+    mp::shr1_into(x);
+}
+
+/// `x = x - y mod p` for `x, y < p`, over `k + 1` limbs: on a borrow the
+/// wrapped difference plus `p` wraps back to `x - y + p`.
+fn sub_mod(x: &mut [Limb], y: &[Limb], p: &[Limb]) {
+    if mp::sub_into(x, y) {
+        mp::add_into(x, p);
     }
 }
 

@@ -174,16 +174,22 @@ pub fn shl1_into(a: &mut [Limb]) -> bool {
 /// executes (§5.1.1).
 pub fn mul_operand_scanning(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     let mut p = vec![0 as Limb; a.len() + b.len()];
-    for (i, &bi) in b.iter().enumerate() {
-        let mut u = 0u64;
-        for (j, &aj) in a.iter().enumerate() {
-            let uv = aj as u64 * bi as u64 + p[i + j] as u64 + u;
-            p[i + j] = uv as Limb;
-            u = uv >> LIMB_BITS;
-        }
-        p[i + a.len()] = u as Limb;
-    }
+    mul_operand_scanning_into(&mut p, a, b);
     p
+}
+
+/// [`mul_operand_scanning`] into a caller-provided product slice (its
+/// previous contents are overwritten).
+///
+/// # Panics
+///
+/// Panics if `p.len() != a.len() + b.len()`.
+pub fn mul_operand_scanning_into(p: &mut [Limb], a: &[Limb], b: &[Limb]) {
+    assert_eq!(p.len(), a.len() + b.len(), "product width mismatch");
+    p.fill(0);
+    for (i, &bi) in b.iter().enumerate() {
+        p[i + a.len()] = mul_add_limb(&mut p[i..i + a.len()], a, bi);
+    }
 }
 
 /// Product-scanning ("Comba") multiplication — Algorithm 3 of the paper.
@@ -232,13 +238,14 @@ pub fn mul_product_scanning(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
 /// Panics if `acc` is shorter than `a`.
 pub fn mul_add_limb(acc: &mut [Limb], a: &[Limb], m: Limb) -> Limb {
     assert!(acc.len() >= a.len());
+    let (lo, hi) = acc.split_at_mut(a.len());
     let mut carry = 0u64;
-    for (i, &aj) in a.iter().enumerate() {
-        let uv = aj as u64 * m as u64 + acc[i] as u64 + carry;
-        acc[i] = uv as Limb;
+    for (r, &aj) in lo.iter_mut().zip(a) {
+        let uv = aj as u64 * m as u64 + *r as u64 + carry;
+        *r = uv as Limb;
         carry = uv >> LIMB_BITS;
     }
-    for limb in acc.iter_mut().skip(a.len()) {
+    for limb in hi {
         if carry == 0 {
             return 0;
         }

@@ -31,8 +31,8 @@ fn render() -> String {
         let keys = Keypair::derive(&curve, b"golden-host");
         let e = ecdsa::hash_to_scalar(&curve, b"golden message");
         let k = ecdsa::derive_scalar(&curve, b"golden-host", b"nonce");
-        let sig = ecdsa::sign_with_nonce(&curve, keys.private(), &e, &k)
-            .expect("the golden nonce signs");
+        let sig =
+            ecdsa::sign_with_nonce(&curve, keys.private(), &e, &k).expect("the golden nonce signs");
         let public = keys.public();
         let ok = ecdsa::verify_prehashed(&curve, &public, &e, &sig);
         let tampered = Signature {
@@ -83,8 +83,7 @@ fn render() -> String {
 #[test]
 fn host_arithmetic_matches_golden() {
     let actual = render();
-    let path =
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/host_arith.txt");
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/host_arith.txt");
     if std::env::var_os("ULE_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
         std::fs::write(&path, &actual).expect("write golden");

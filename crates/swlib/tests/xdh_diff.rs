@@ -45,7 +45,7 @@ fn ladder_matches_host_on_every_arch() {
             for case in 0..2 {
                 let raw_k: Vec<u32> = (0..k).map(|_| rng.next_u64() as u32).collect();
                 let u = if case == 0 {
-                    mc.base_u().clone()
+                    *mc.base_u()
                 } else {
                     let limbs: Vec<u32> = (0..k).map(|_| rng.next_u64() as u32).collect();
                     f.from_limbs(&Mp::from_limbs(&limbs).rem(p).to_limbs(k))

@@ -1,12 +1,11 @@
 //! Zero-dependency test support for the workspace: a deterministic
-//! PRNG for the property/differential tests and a tiny wall-clock
-//! micro-benchmark harness.
+//! PRNG for the property/differential tests and a thread-spawn failure
+//! shim.
 //!
 //! The workspace builds in fully offline environments, so the test
 //! suites cannot lean on external crates (`proptest`, `rand`,
-//! `criterion`). Everything they actually needed is small: reproducible
-//! random operands and a "how many ns per iteration" loop. Both live
-//! here.
+//! `criterion`). What they actually need is small: reproducible random
+//! operands, and a way to make thread spawns fail on demand.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -138,21 +137,6 @@ pub mod threads {
             }
         })
     }
-}
-
-/// Times `f` over `iters` iterations and prints mean ns/iteration —
-/// the workspace's replacement for the criterion harness. Returns the
-/// mean so callers can assert coarse bounds if they want to.
-pub fn bench(name: &str, iters: u32, mut f: impl FnMut()) -> f64 {
-    // One warm-up pass so lazily built tables don't pollute the mean.
-    f();
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
-    println!("{name:40} {ns:>14.0} ns/iter   ({iters} iters)");
-    ns
 }
 
 #[cfg(test)]
