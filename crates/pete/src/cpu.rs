@@ -344,10 +344,18 @@ pub struct Machine {
 /// The retired-state counters a profiled dispatch is billed against,
 /// snapshotted before it runs.
 struct Retired {
-    pc: u32,
     cycle: u64,
     instructions: u64,
     activity: ActivitySlice,
+}
+
+/// An open billing stretch: the snapshot it bills from, and the routine
+/// whose PC range (`pc.wrapping_sub(start) < len`) it may not leave.
+struct Stretch {
+    from: Retired,
+    routine: usize,
+    start: u32,
+    len: u32,
 }
 
 impl Machine {
@@ -497,9 +505,9 @@ impl Machine {
     /// fused) operations. Timing, counters and the profile are
     /// bit-identical to the reference interpreter. A profiled machine's
     /// table starts a dispatch at every routine entry and after every
-    /// linking or register jump ([`xlate::profile_leaders`]), so this
-    /// one loop bills whole dispatches exactly as `step` bills single
-    /// instructions.
+    /// linking or register jump ([`xlate::profile_leaders`]), and its
+    /// own loop ([`Machine::run_fast_profiled`]) bills the profiler, so
+    /// this loop carries no profiling check at all.
     fn run_fast(&mut self, max_cycles: u64) {
         if self.xops.is_none() {
             let leaders = match &self.profiler {
@@ -511,43 +519,77 @@ impl Machine {
         // Move the table out for the duration of the loop so dispatch
         // needs no per-step Option check or re-borrow.
         let xt = self.xops.take().expect("translation table just built");
-        // One dispatch's closing snapshot opens the next one's.
-        let mut before = self.profiler.is_some().then(|| self.retired());
-        while self.halted.is_none() && self.cycle < max_cycles {
-            self.step_fast(&xt, max_cycles);
-            if let Some(b) = &mut before {
-                *b = self.bill(b);
+        if self.profiler.is_some() {
+            self.run_fast_profiled(&xt, max_cycles);
+        } else {
+            while self.halted.is_none() && self.cycle < max_cycles {
+                self.step_fast(&xt, max_cycles);
             }
         }
         self.xops = Some(xt);
     }
 
-    /// Snapshot of the retired-state counters before a profiled
-    /// dispatch. Out of line, like [`Machine::bill`], so the unprofiled
-    /// dispatch loop carries neither.
+    /// The profiled dispatch loop. It bills once per **stretch**: a run
+    /// of consecutive dispatches inside one routine's PC range that
+    /// fires no shadow-stack event. A stretch closes before a dispatch
+    /// whose PC leaves the range, and after every `jal`/`jalr`/`jr`
+    /// dispatch (a lone dispatch on a profiled table), whose event is
+    /// the stretch's. Per-instruction sums are associative, so the
+    /// profile equals the reference tier's per-instruction billing.
     #[inline(never)]
+    fn run_fast_profiled(&mut self, xt: &XTable, max_cycles: u64) {
+        let mut open = self.open_stretch(self.retired());
+        while self.halted.is_none() && self.cycle < max_cycles {
+            let pc = self.pc;
+            if pc.wrapping_sub(open.start) >= open.len {
+                let now = self.bill(&open, None);
+                open = self.open_stretch(now);
+            }
+            self.step_fast(xt, max_cycles);
+            if let Some(event) = self.link_event(pc) {
+                let now = self.bill(&open, Some(event));
+                open = self.open_stretch(now);
+            }
+        }
+        // Every dispatch retires at least one instruction; an empty
+        // stretch must not bill, or it could create a node.
+        if self.counters.instructions != open.from.instructions {
+            self.bill(&open, None);
+        }
+    }
+
+    /// Snapshot of the retired-state counters before a profiled
+    /// dispatch.
     fn retired(&self) -> Retired {
         Retired {
-            pc: self.pc,
             cycle: self.cycle,
             instructions: self.counters.instructions,
             activity: self.activity_snapshot(),
         }
     }
 
-    /// Bills everything retired since `before` to the profiler and
-    /// returns the snapshot it billed up to. The dispatch lies inside
-    /// one routine, and a jump that drives the shadow stack is always
-    /// its own dispatch, so the event of the instruction at `before.pc`
-    /// is the dispatch's event. `get(rs)` is still the jump target here
-    /// — `jr` writes no register and a linking `jalr` is classified as
-    /// a call, not a jump.
+    /// Opens a billing stretch at the current PC, billing from `from`
+    /// (the current state). Out of line, like [`Machine::bill`], to
+    /// keep the dispatch loops small.
     #[inline(never)]
-    fn bill(&mut self, before: &Retired) -> Retired {
-        let now = self.retired();
-        let activity = ActivitySlice::delta(&before.activity, &now.activity);
-        let pc = before.pc;
-        let event = match self.decoded.get((pc / 4) as usize).copied().flatten() {
+    fn open_stretch(&self, from: Retired) -> Stretch {
+        let p = self.profiler.as_ref().expect("profiled machine");
+        let routine = p.routine_at(self.pc);
+        Stretch {
+            from,
+            routine,
+            start: p.routine_starts()[routine],
+            len: p.routine_len(routine),
+        }
+    }
+
+    /// The shadow-stack event of the instruction at `pc`, read after
+    /// it retires: `get(rs)` is still the jump target then — `jr`
+    /// writes no register and a linking `jalr` is classified as a
+    /// call, not a jump.
+    #[inline(always)]
+    fn link_event(&self, pc: u32) -> Option<ControlEvent> {
+        match self.decoded.get((pc / 4) as usize).copied().flatten() {
             Some(Instr::Jal { .. }) => Some(ControlEvent::Call {
                 ret: pc.wrapping_add(8),
             }),
@@ -558,13 +600,23 @@ impl Machine {
                 target: self.get(rs),
             }),
             _ => None,
-        };
-        let (instructions, cycles) = (
-            now.instructions - before.instructions,
-            now.cycle - before.cycle,
-        );
+        }
+    }
+
+    /// Bills everything retired since `open` opened to the profiler,
+    /// ending with `event`, and returns the snapshot it billed up to.
+    #[inline(never)]
+    fn bill(&mut self, open: &Stretch, event: Option<ControlEvent>) -> Retired {
+        let now = self.retired();
+        let activity = ActivitySlice::delta(&open.from.activity, &now.activity);
         if let Some(p) = self.profiler.as_mut() {
-            p.record(pc, instructions, cycles, &activity, event);
+            p.bill(
+                open.routine,
+                now.instructions - open.from.instructions,
+                now.cycle - open.from.cycle,
+                &activity,
+                event,
+            );
         }
         now
     }
@@ -575,7 +627,10 @@ impl Machine {
         if self.halted.is_some() {
             return;
         }
-        let before = self.profiler.is_some().then(|| self.retired());
+        let open = self
+            .profiler
+            .is_some()
+            .then(|| self.open_stretch(self.retired()));
         let branch_target = self.pending_branch.take();
         let pc = self.pc;
         let instr = self.fetch(pc);
@@ -600,14 +655,17 @@ impl Machine {
             None => self.pc = next_pc,
         }
 
-        if let Some(before) = before {
-            self.bill(&before);
+        if let Some(open) = open {
+            let event = self.link_event(pc);
+            self.bill(&open, event);
         }
     }
 
     /// One fast-engine dispatch: a whole basic block (or a branch with
     /// its delay slot) where legal, a single translated op otherwise.
-    /// Mirrors `step` exactly; profiling is billed around it.
+    /// Mirrors `step` exactly; profiling is billed around it. Inlined
+    /// into both dispatch loops.
+    #[inline(always)]
     fn step_fast(&mut self, xt: &XTable, max_cycles: u64) {
         let branch_target = self.pending_branch.take();
         let pc = self.pc;

@@ -4,13 +4,14 @@
 //! The assembler already knows every routine's start address
 //! (`Program::text_symbols`), so profiling needs no instrumentation in
 //! the software suite: when enabled, the machine bills the cycle delta
-//! of each retired dispatch into the bucket owning its PC (binary
-//! search over sorted routine starts). The reference interpreter
-//! dispatches one instruction at a time; a profiled fast-engine table
-//! starts a dispatch at every routine entry (DESIGN.md §11), so each
-//! dispatch lies inside one routine either way. Because `cycle` only
-//! advances inside a dispatch, the bucket totals sum *exactly* to the
-//! machine's total cycles — the invariant the attribution test pins.
+//! of what it retired into the routine owning the PC (binary search
+//! over sorted routine starts). The reference interpreter bills one
+//! instruction at a time; the fast engine bills a *stretch* of
+//! dispatches that stays inside one routine and ends at the first
+//! linking or register jump (DESIGN.md §11), so each bill lies inside
+//! one routine either way. Because `cycle` only advances inside a
+//! dispatch, the totals sum *exactly* to the machine's total cycles —
+//! the invariant the attribution test pins.
 //!
 //! On top of the flat buckets, the profiler maintains a **shadow call
 //! stack** driven by retirement of the link instructions:
@@ -35,13 +36,16 @@
 //! direct recursion accumulate in the existing frame's node instead of
 //! growing a chain, exactly like a collapsed flamegraph.
 //!
-//! Each bucket and each call-tree node also carries an
-//! [`ActivitySlice`] of memory-system and coprocessor counters, deltaed
-//! per dispatch. All *counted* traffic happens inside a dispatch
-//! (harness `poke`/`peek` are uncounted by design), so the per-routine
-//! slices sum exactly to the run's `RawStats`.
+//! Each call-tree node also carries an [`ActivitySlice`] of
+//! memory-system and coprocessor counters, deltaed per bill. All
+//! *counted* traffic happens inside a dispatch (harness `poke`/`peek`
+//! are uncounted by design), so the per-routine slices sum exactly to
+//! the run's `RawStats`. Every node has exactly one routine, so the
+//! flat buckets are the sums of their routine's nodes, derived once at
+//! [`PcProfiler::finish`] instead of accumulated beside the nodes.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Sentinel parent id for call-tree roots (and the profiler's initial
 /// context before any call has been observed).
@@ -393,17 +397,46 @@ struct Frame {
     caller: u32,
 }
 
+/// Hashes a packed `(parent, routine)` key with one multiply and a
+/// fold. Billing looks a node up at every routine change, and with
+/// every label a routine that is once per few dispatches: SipHash
+/// would cost more than the rest of the bill.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeKeyHasher(u64);
+
+impl Hasher for NodeKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("node keys are hashed as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        // Fold the well-mixed high half into the low bits the table
+        // indexes by, so a parent id reaches the bucket index too.
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// `(parent << 32 | routine) -> node id`.
+type Children = HashMap<u64, u32, BuildHasherDefault<NodeKeyHasher>>;
+
 /// The live profiler attached to a [`Machine`](crate::cpu::Machine).
 #[derive(Clone, Debug)]
 pub struct PcProfiler {
     /// Sorted bucket start addresses (parallel to `buckets`).
     starts: Vec<u32>,
+    /// Routine names and starts, with zero counters until
+    /// [`PcProfiler::finish`] sums the nodes into them.
     buckets: Vec<RoutineCycles>,
     /// Call-tree nodes (creation-ordered).
     nodes: Vec<CallNode>,
     /// `(parent, routine) -> node id` lookup, consulted only on
-    /// call/return/leaf transitions, not per retired instruction.
-    children: HashMap<(u32, u32), u32>,
+    /// call/return/leaf transitions, not per bill.
+    children: Children,
     /// The shadow call stack.
     stack: Vec<Frame>,
     /// The node calls are currently made from ([`ROOT`] at top level).
@@ -444,7 +477,7 @@ impl PcProfiler {
             starts,
             buckets,
             nodes: Vec::new(),
-            children: HashMap::new(),
+            children: Children::default(),
             stack: Vec::new(),
             context: ROOT,
             cur_routine: usize::MAX,
@@ -459,7 +492,10 @@ impl PcProfiler {
         if context != ROOT && self.nodes[context as usize].routine == routine {
             return context;
         }
-        match self.children.entry((context, routine)) {
+        match self
+            .children
+            .entry(u64::from(context) << 32 | u64::from(routine))
+        {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(e) => {
                 let id = self.nodes.len() as u32;
@@ -482,11 +518,30 @@ impl PcProfiler {
         &self.starts
     }
 
-    /// Attributes one retired dispatch of `instructions` instructions
-    /// starting at `pc`, all inside one routine: its cycle delta and
-    /// counted activity go to the bucket owning `pc` and to the current
-    /// call-tree node, then `event` (the dispatch's last instruction's)
-    /// advances the shadow stack.
+    /// The routine (bucket index) owning `pc`.
+    pub(crate) fn routine_at(&self, pc: u32) -> usize {
+        // Most lookups land in the last billed routine.
+        let cur = self.cur_routine;
+        if cur != usize::MAX && pc.wrapping_sub(self.starts[cur]) < self.routine_len(cur) {
+            return cur;
+        }
+        match self.starts.binary_search(&pc) {
+            Ok(i) => i,
+            Err(i) => i - 1, // starts[0] == 0 covers every pc
+        }
+    }
+
+    /// Bytes from `routine`'s start to the next routine's start (to the
+    /// top of the address space for the last one), so `pc` lies in the
+    /// routine iff `pc.wrapping_sub(start) < len`.
+    pub(crate) fn routine_len(&self, routine: usize) -> u32 {
+        let end = self.starts.get(routine + 1).copied().unwrap_or(u32::MAX);
+        end - self.starts[routine]
+    }
+
+    /// Attributes `instructions` retired instructions at `pc`, all
+    /// inside one routine, with their cycle delta and counted activity;
+    /// `event` is the last instruction's. See [`PcProfiler::bill`].
     #[inline]
     pub fn record(
         &mut self,
@@ -496,27 +551,27 @@ impl PcProfiler {
         activity: &ActivitySlice,
         event: Option<ControlEvent>,
     ) {
-        // Most dispatches stay in the previous one's routine.
-        let cur = self.cur_routine;
-        let idx = if cur != usize::MAX
-            && pc >= self.starts[cur]
-            && self.starts.get(cur + 1).is_none_or(|&end| pc < end)
-        {
-            cur
-        } else {
-            match self.starts.binary_search(&pc) {
-                Ok(i) => i,
-                Err(i) => i - 1, // starts[0] == 0 covers every pc
-            }
-        };
-        let b = &mut self.buckets[idx];
-        b.instructions += instructions;
-        b.cycles += cycles;
-        b.activity.accumulate(activity);
+        let routine = self.routine_at(pc);
+        self.bill(routine, instructions, cycles, activity, event);
+    }
 
-        if idx != self.cur_routine {
-            self.cur_routine = idx;
-            self.cur_node = self.node_for(self.context, idx as u32);
+    /// Bills a run of retired instructions that all lie in `routine`:
+    /// the cycle delta and counted activity go to the current call-tree
+    /// node (and through it to the routine's bucket), then `event` (the
+    /// run's last instruction's) advances the shadow stack. Sums are
+    /// associative, so billing a run whole equals billing its
+    /// instructions one by one.
+    pub(crate) fn bill(
+        &mut self,
+        routine: usize,
+        instructions: u64,
+        cycles: u64,
+        activity: &ActivitySlice,
+        event: Option<ControlEvent>,
+    ) {
+        if routine != self.cur_routine {
+            self.cur_routine = routine;
+            self.cur_node = self.node_for(self.context, routine as u32);
         }
         let n = &mut self.nodes[self.cur_node as usize];
         n.instructions += instructions;
@@ -551,8 +606,15 @@ impl PcProfiler {
 
     /// Finishes the run, yielding the per-routine breakdown.
     pub fn finish(self) -> RoutineProfile {
+        let mut routines = self.buckets;
+        for n in &self.nodes {
+            let b = &mut routines[n.routine as usize];
+            b.instructions += n.instructions;
+            b.cycles += n.cycles;
+            b.activity.accumulate(&n.activity);
+        }
         RoutineProfile {
-            routines: self.buckets,
+            routines,
             calls: CallGraph { nodes: self.nodes },
         }
     }
