@@ -2144,6 +2144,76 @@ mod tests {
         a.link("main").unwrap()
     }
 
+    /// A loop that calls the same leaf from two labelled blocks in
+    /// turn: after each return, control moves on to the other label.
+    fn alternating_call_loop_fixture(iterations: i64) -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.li(Reg::T0, iterations);
+        a.label("top");
+        a.jal("leaf");
+        a.nop();
+        a.label("mid");
+        a.jal("leaf");
+        a.nop();
+        a.addiu(Reg::T0, Reg::T0, -1);
+        a.bne(Reg::T0, Reg::ZERO, "top");
+        a.nop();
+        a.brk(0);
+        a.label("leaf");
+        a.addiu(Reg::T1, Reg::T1, 1);
+        a.jr(Reg::RA);
+        a.nop();
+        a.link("main").unwrap()
+    }
+
+    /// A label on the return address of `main`'s first call.
+    fn return_label_fixture() -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.jal("leaf");
+        a.nop();
+        a.label("after");
+        a.addiu(Reg::T2, Reg::T2, 1);
+        a.jal("leaf");
+        a.nop();
+        a.brk(0);
+        a.label("leaf");
+        a.addiu(Reg::T1, Reg::T1, 1);
+        a.jr(Reg::RA);
+        a.nop();
+        a.link("main").unwrap()
+    }
+
+    /// A return that lands in the returning routine, followed directly
+    /// by a call: `c` calls into the middle of `r` with the return
+    /// address at `r`'s own start, where `r` calls `leaf`.
+    fn call_after_same_routine_return_fixture() -> Program {
+        let mut a = Asm::new();
+        a.label("main");
+        a.jal("c");
+        a.nop();
+        a.brk(0);
+        a.label("c");
+        a.mov(Reg::S0, Reg::RA);
+        a.la(Reg::T8, "r");
+        a.addiu(Reg::T8, Reg::T8, 20); // r's second `jr`
+        a.jalr(Reg::RA, Reg::T8); // returns to `r`
+        a.nop();
+        a.label("r");
+        a.jal("leaf");
+        a.nop();
+        a.mov(Reg::RA, Reg::S0);
+        a.jr(Reg::RA); // back to main
+        a.nop();
+        a.jr(Reg::RA); // entry from `c`: back to `r`
+        a.nop();
+        a.label("leaf");
+        a.jr(Reg::RA);
+        a.nop();
+        a.link("main").unwrap()
+    }
+
     fn profiled(p: &Program, cfg: MachineConfig) -> Machine {
         Machine::builder(p, cfg)
             .instrumentation(Instrumentation::profile(&p.text_symbols()))
@@ -2267,6 +2337,72 @@ mod tests {
                 ("main;b".to_owned(), 1),
             ]
         );
+    }
+
+    /// Every call path with its exclusive instruction count.
+    fn instruction_paths(p: &Program) -> Vec<(String, u64)> {
+        let mut m = profiled(p, MachineConfig::baseline());
+        m.run_with(ExecOptions::new(1_000_000));
+        m.take_profile()
+            .unwrap()
+            .call_paths()
+            .into_iter()
+            .map(|(path, n)| (path, n.instructions))
+            .collect()
+    }
+
+    /// After a return, the next label is the calling block's sibling,
+    /// so the tree does not grow with the iteration count.
+    #[test]
+    fn profile_call_tree_is_bounded_across_loop_iterations() {
+        assert_profiled_tiers_equal(&alternating_call_loop_fixture(3));
+        for iterations in [1, 4] {
+            let paths: Vec<String> = instruction_paths(&alternating_call_loop_fixture(iterations))
+                .into_iter()
+                .map(|(path, _)| path)
+                .collect();
+            assert_eq!(
+                paths,
+                ["main", "top", "top;leaf", "mid", "mid;leaf"],
+                "{iterations} iterations"
+            );
+        }
+    }
+
+    #[test]
+    fn profile_is_exact_with_a_label_on_a_return_address() {
+        let p = return_label_fixture();
+        assert_profiled_tiers_equal(&p);
+        // The return's delay slot bills to `main;leaf`; `after` is a
+        // top-level sibling of `main`, not its child.
+        assert_eq!(
+            instruction_paths(&p),
+            [
+                ("main".to_owned(), 2),
+                ("main;leaf".to_owned(), 3),
+                ("after".to_owned(), 4),
+                ("after;leaf".to_owned(), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn profile_is_exact_for_a_call_after_a_same_routine_return() {
+        let p = call_after_same_routine_return_fixture();
+        assert_profiled_tiers_equal(&p);
+        let paths = instruction_paths(&p);
+        let names: Vec<&str> = paths.iter().map(|(path, _)| path.as_str()).collect();
+        // `r`'s call to `leaf` is made from the restored context, not
+        // from under `c`. The `jal` itself retires before the restore,
+        // so it still bills to `main;c;r` with the return's `jr` and
+        // delay slot.
+        assert_eq!(
+            names,
+            ["main", "main;c", "main;c;r", "main;r", "main;r;leaf"]
+        );
+        assert_eq!(paths[2].1, 3);
+        assert_eq!(paths[3].1, 4);
+        assert_eq!(paths[4].1, 2);
     }
 
     /// On a profiled table no dispatch runs into a leader word; on an

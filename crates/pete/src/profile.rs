@@ -18,11 +18,17 @@
 //!
 //! * `jal`, and `jalr` with a non-zero destination, push a frame
 //!   recording the architectural return address (`pc + 8`, past the
-//!   delay slot) and the call-tree node the call was made from;
+//!   delay slot), the call-tree node the call was made from, and the
+//!   context that node sat in;
 //! * any register jump (`jr`, or `jalr` with `rd == $zero`) whose
 //!   target matches a recorded return address pops back to that
 //!   frame's caller — intervening frames abandoned by tail calls are
-//!   discarded in the same pop;
+//!   discarded in the same pop. The return's delay slot still bills
+//!   under the caller node; at the first bill outside the returning
+//!   routine, or before the next push, the frame's call-time context
+//!   comes back, so code reached after a return (the caller, or
+//!   another label of it) is a sibling of the calling node, never its
+//!   child;
 //! * a register jump that matches nothing (a `jalr`-style tail call or
 //!   computed jump) leaves the stack alone: the leaf routine simply
 //!   changes under the same caller, so the tail-callee appears as a
@@ -389,12 +395,13 @@ impl RoutineProfile {
     }
 }
 
-/// A live shadow-stack frame: where to return to, and which node the
-/// call was made from.
+/// A live shadow-stack frame: where to return to, which node the call
+/// was made from, and the context that node sat in.
 #[derive(Clone, Copy, Debug)]
 struct Frame {
     ret: u32,
     caller: u32,
+    context: u32,
 }
 
 /// Hashes a packed `(parent, routine)` key with one multiply and a
@@ -441,6 +448,10 @@ pub struct PcProfiler {
     stack: Vec<Frame>,
     /// The node calls are currently made from ([`ROOT`] at top level).
     context: u32,
+    /// The context to go back to after a return: the popped frame's
+    /// call-time context, restored at the first bill outside the
+    /// returning routine or before the next push.
+    restore: Option<u32>,
     /// Bucket index of the previous instruction (`usize::MAX` before
     /// the first), so the common straight-line case skips node lookup.
     cur_routine: usize,
@@ -480,6 +491,7 @@ impl PcProfiler {
             children: Children::default(),
             stack: Vec::new(),
             context: ROOT,
+            restore: None,
             cur_routine: usize::MAX,
             cur_node: ROOT,
         }
@@ -571,6 +583,9 @@ impl PcProfiler {
     ) {
         if routine != self.cur_routine {
             self.cur_routine = routine;
+            if let Some(context) = self.restore.take() {
+                self.context = context;
+            }
             self.cur_node = self.node_for(self.context, routine as u32);
         }
         let n = &mut self.nodes[self.cur_node as usize];
@@ -580,9 +595,16 @@ impl PcProfiler {
 
         match event {
             Some(ControlEvent::Call { ret }) if self.stack.len() < MAX_SHADOW_DEPTH => {
+                // A call right after a return that landed in the
+                // returning routine is made from the restored context.
+                if let Some(context) = self.restore.take() {
+                    self.context = context;
+                    self.cur_node = self.node_for(context, self.cur_routine as u32);
+                }
                 self.stack.push(Frame {
                     ret,
                     caller: self.cur_node,
+                    context: self.context,
                 });
                 self.context = self.cur_node;
                 self.cur_node = self.node_for(self.context, self.cur_routine as u32);
@@ -595,7 +617,13 @@ impl PcProfiler {
                 if let Some(pos) = self.stack.iter().rposition(|f| f.ret == target) {
                     let frame = self.stack[pos];
                     self.stack.truncate(pos);
+                    // The delay slot still runs in the returning
+                    // routine, under the caller; whatever runs next
+                    // outside it is the caller's sibling, not its
+                    // child (a branch to another label after a return
+                    // must not nest one level per loop iteration).
                     self.context = frame.caller;
+                    self.restore = Some(frame.context);
                     self.cur_node = self.node_for(self.context, self.cur_routine as u32);
                 }
             }
