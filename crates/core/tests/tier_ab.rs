@@ -96,6 +96,33 @@ fn profiled_fast_and_reference_tiers_agree_on_x25519() {
     }
 }
 
+/// The call tree of a real suite stays bounded. After a return, the
+/// next label is a sibling of the calling block, not its child, so a
+/// loop that calls from alternating labels (`twin_mul` on ISA-ext) does
+/// not nest one level deeper per iteration.
+#[test]
+fn profiled_call_tree_stays_bounded() {
+    for (id, arch) in [
+        (CurveId::P192, Arch::IsaExt),
+        (CurveId::K163, Arch::Baseline),
+    ] {
+        let sys = System::new(SystemConfig::new(id, arch));
+        let report = sys.run_with(RunOptions::new(Workload::SignVerify).profiled());
+        let calls = &report.profile.expect("profiled run sets profile").calls;
+        let depth = (0..calls.nodes.len())
+            .map(|i| calls.path(i).len())
+            .max()
+            .unwrap_or(0);
+        let ctx = format!("{} {:?}", id.name(), arch);
+        assert!(depth <= 16, "{ctx}: call path depth {depth}");
+        assert!(
+            calls.nodes.len() < 10_000,
+            "{ctx}: {} call-tree nodes",
+            calls.nodes.len()
+        );
+    }
+}
+
 /// A profiled run and an unprofiled one must also agree on every
 /// reported number — profiling is purely observational.
 #[test]

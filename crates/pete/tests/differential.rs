@@ -1,8 +1,10 @@
 //! Differential testing of Pete's ALU/multiplier semantics: random
-//! straight-line programs are executed on the cycle-level machine and on
-//! an independent, dead-simple interpreter written in this test. Any
-//! divergence is a simulator bug. With random labels sprinkled in, the
-//! profiled fast tier must also bill exactly what the reference does.
+//! straight-line programs, with calls into small leaf routines, are
+//! executed on the cycle-level machine and on an independent,
+//! dead-simple interpreter written in this test. Any divergence is a
+//! simulator bug. With random labels sprinkled in (some on return
+//! addresses), the profiled fast tier must also bill exactly what the
+//! reference does, across stretch boundaries and returns.
 
 use ule_isa::asm::Asm;
 use ule_isa::instr::Instr;
@@ -102,6 +104,35 @@ fn interpret(init: &[u32; 10], ops: &[Op]) -> [u32; 10] {
     r
 }
 
+/// An op that assembles to one word, so it fits a delay slot.
+fn random_single_word_op(rng: &mut Rng) -> Op {
+    loop {
+        let op = random_op(rng);
+        if !matches!(op, Op::MultuMflo(..) | Op::MultMfhi(..)) {
+            return op;
+        }
+    }
+}
+
+/// An optional delay-slot op (`nop` when absent).
+fn random_delay_slot(rng: &mut Rng) -> Option<Op> {
+    (rng.below(2) == 0).then(|| random_single_word_op(rng))
+}
+
+/// A leaf routine the generated programs call: straight-line ops, then
+/// `jr $ra` with an optional op in its delay slot.
+struct Leaf {
+    body: Vec<Op>,
+    ds: Option<Op>,
+}
+
+fn emit_delay_slot(asm: &mut Asm, ds: &Option<Op>) {
+    match ds {
+        Some(op) => emit(asm, op),
+        None => asm.nop(),
+    }
+}
+
 fn emit(asm: &mut Asm, op: &Op) {
     let p = |i: usize| POOL[i];
     match *op {
@@ -135,9 +166,11 @@ fn emit(asm: &mut Asm, op: &Op) {
 #[test]
 fn random_programs_match_the_oracle() {
     let mut rng = Rng::new(0xd1ff);
-    // Labels cut the profiled fast tier's blocks; drawn from their own
-    // stream so the programs stay those of the seed above.
+    // Labels cut the profiled fast tier's blocks, and calls drive its
+    // shadow stack; each is drawn from its own stream so the
+    // straight-line ops stay those of the seed above.
     let mut labels = Rng::new(0x1abe1);
+    let mut calls = Rng::new(0xca11);
     for _ in 0..128 {
         let mut init = [0u32; 10];
         for v in &mut init {
@@ -147,15 +180,47 @@ fn random_programs_match_the_oracle() {
             let n = rng.range(1, 60);
             (0..n).map(|_| random_op(&mut rng)).collect()
         };
+        let leaves: Vec<Leaf> = (0..calls.range(1, 4))
+            .map(|_| Leaf {
+                body: (0..calls.below(6)).map(|_| random_op(&mut calls)).collect(),
+                ds: random_delay_slot(&mut calls),
+            })
+            .collect();
+        // The ops in execution order, for the oracle.
+        let mut executed = Vec::new();
         let mut asm = Asm::new();
         asm.label("main");
         for (i, op) in ops.iter().enumerate() {
             if labels.below(6) == 0 {
                 asm.label(&format!("l{i}"));
             }
+            if calls.below(8) == 0 {
+                let k = calls.below(leaves.len() as u64) as usize;
+                let ds = random_delay_slot(&mut calls);
+                asm.jal(&format!("leaf{k}"));
+                emit_delay_slot(&mut asm, &ds);
+                executed.extend(ds);
+                executed.extend(leaves[k].body.iter().cloned());
+                executed.extend(leaves[k].ds.clone());
+                if calls.below(3) == 0 {
+                    asm.label(&format!("r{i}")); // on the return address
+                }
+            }
             emit(&mut asm, op);
+            executed.push(op.clone());
         }
         asm.brk(0);
+        for (k, leaf) in leaves.iter().enumerate() {
+            asm.label(&format!("leaf{k}"));
+            for (j, op) in leaf.body.iter().enumerate() {
+                if j > 0 && calls.below(4) == 0 {
+                    asm.label(&format!("leaf{k}_{j}"));
+                }
+                emit(&mut asm, op);
+            }
+            asm.jr(Reg::RA);
+            emit_delay_slot(&mut asm, &leaf.ds);
+        }
         let program = asm.link("main").expect("link");
         let profiled = |tier| {
             let mut m = Machine::builder(&program, MachineConfig::baseline())
@@ -182,7 +247,7 @@ fn random_programs_match_the_oracle() {
             assert_eq!(exit, RunExit::Halted { code: 0 });
             m
         });
-        let expect = interpret(&init, &ops);
+        let expect = interpret(&init, &executed);
         for m in &per_tier {
             for (i, &e) in expect.iter().enumerate() {
                 assert_eq!(m.reg(POOL[i]), e, "register {} diverged", POOL[i]);
