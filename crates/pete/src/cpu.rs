@@ -341,8 +341,8 @@ pub struct Machine {
     profiler: Option<Box<PcProfiler>>,
 }
 
-/// The retired-state counters a profiled dispatch is billed against,
-/// snapshotted before it runs.
+/// The retired-state counters a bill is measured between, snapshotted
+/// when a stretch opens and again when it closes.
 struct Retired {
     cycle: u64,
     instructions: u64,
@@ -558,8 +558,7 @@ impl Machine {
         }
     }
 
-    /// Snapshot of the retired-state counters before a profiled
-    /// dispatch.
+    /// Snapshot of the retired-state counters.
     fn retired(&self) -> Retired {
         Retired {
             cycle: self.cycle,

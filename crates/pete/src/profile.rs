@@ -13,8 +13,8 @@
 //! dispatch, the totals sum *exactly* to the machine's total cycles —
 //! the invariant the attribution test pins.
 //!
-//! On top of the flat buckets, the profiler maintains a **shadow call
-//! stack** driven by retirement of the link instructions:
+//! The profiler bills into a call tree kept by a **shadow call stack**
+//! driven by retirement of the link instructions:
 //!
 //! * `jal`, and `jalr` with a non-zero destination, push a frame
 //!   recording the architectural return address (`pc + 8`, past the
