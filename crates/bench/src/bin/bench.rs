@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use std::collections::HashSet;
 
+use ule_bench::args::{usage_error, Args};
 use ule_bench::{ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_obs::json::JsonBuf;
 
@@ -44,40 +45,20 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut out = PathBuf::from("BENCH_sweep.json");
     let mut selected: Vec<ExperimentId> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--threads" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads expects a positive integer");
-                        std::process::exit(2);
-                    });
-                threads = Some(n);
-            }
-            "--out" => match args.next() {
-                Some(p) => out = PathBuf::from(p),
-                None => {
-                    eprintln!("--out expects a path");
-                    std::process::exit(2);
-                }
-            },
+            "--threads" => threads = Some(args.positive(&arg)),
+            "--out" => out = args.value(&arg),
             "-h" | "--help" => {
                 println!("usage: bench [--threads N] [--out PATH] [<experiment-id>... | all]");
                 println!("times a sweep and writes BENCH_sweep.json (default: all experiments)");
                 return;
             }
             "all" => selected.extend(ExperimentId::ALL),
-            other => match ExperimentId::from_str(other) {
-                Ok(id) => selected.push(id),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-            },
+            other => {
+                selected.push(ExperimentId::from_str(other).unwrap_or_else(|e| usage_error(e)))
+            }
         }
     }
     if selected.is_empty() {

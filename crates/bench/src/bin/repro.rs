@@ -16,13 +16,15 @@
 //! count (including 1).
 
 use std::collections::{BTreeMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
+use ule_bench::args::{usage_error, Args};
 use ule_bench::diff::{diff_metrics, DiffThresholds};
 use ule_bench::{metrics_out, ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_core::attr::{self, FlameWeight};
 use ule_core::{RunOptions, System, SystemConfig, Workload};
+use ule_curves::params::CurveId;
 use ule_obs::trace_events::TraceEventsBuf;
 use ule_pete::cpu::EngineTier;
 use ule_swlib::builder::Arch;
@@ -62,10 +64,7 @@ impl ObsOptions {
         let inner: Option<Box<dyn ule_obs::EventSink>> = match &self.trace {
             Some(path) => match ule_obs::JsonlFileSink::create(path) {
                 Ok(sink) => Some(Box::new(sink)),
-                Err(e) => {
-                    eprintln!("cannot open trace file {}: {e}", path.display());
-                    std::process::exit(2);
-                }
+                Err(e) => usage_error(format!("cannot open trace file {}: {e}", path.display())),
             },
             None => None,
         };
@@ -217,28 +216,7 @@ fn print_help() {
     println!("ids: {}", id_list());
 }
 
-fn parse_arch(s: &str) -> Option<Arch> {
-    match s {
-        "baseline" => Some(Arch::Baseline),
-        "isa_ext" | "isa-ext" => Some(Arch::IsaExt),
-        "monte" => Some(Arch::Monte),
-        "billie" => Some(Arch::Billie),
-        _ => None,
-    }
-}
-
-fn parse_workload(s: &str) -> Option<Workload> {
-    match s {
-        "sign" => Some(Workload::Sign),
-        "verify" => Some(Workload::Verify),
-        "sign_verify" | "sign-verify" => Some(Workload::SignVerify),
-        "scalar_mul" | "scalar-mul" => Some(Workload::ScalarMul),
-        "field_mul" | "field-mul" => Some(Workload::FieldMul),
-        "xdh" => Some(Workload::Xdh),
-        "handshake" => Some(Workload::Handshake),
-        _ => None,
-    }
-}
+const FLAME_WEIGHTS: &str = "`cycles` or `nj`";
 
 fn parse_flame_weight(s: &str) -> Option<FlameWeight> {
     match s {
@@ -248,7 +226,12 @@ fn parse_flame_weight(s: &str) -> Option<FlameWeight> {
     }
 }
 
-fn write_or_die(path: &std::path::Path, contents: &str, what: &str) {
+fn read_or_die(path: &Path) -> String {
+    std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_error(format!("cannot read {}: {e}", path.display())))
+}
+
+fn write_or_die(path: &Path, contents: &str, what: &str) {
     if let Err(e) = std::fs::write(path, contents) {
         eprintln!("cannot write {what} to {}: {e}", path.display());
         std::process::exit(1);
@@ -258,53 +241,31 @@ fn write_or_die(path: &std::path::Path, contents: &str, what: &str) {
 
 /// `repro diff OLD NEW`: compare two metrics JSONL files on the
 /// deterministic headline metrics. Exit 0 clean, 1 drift, 2 usage.
-fn run_diff(args: impl Iterator<Item = String>) -> ! {
+fn run_diff(mut args: Args) -> ! {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut thresholds = DiffThresholds::default();
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < args_v.len() {
-        let pct = |i: &mut usize, flag: &str| -> f64 {
-            *i += 1;
-            args_v
-                .get(*i)
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|p| p.is_finite() && *p >= 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} expects a non-negative percentage");
-                    std::process::exit(2);
-                })
-        };
-        match args_v[i].as_str() {
+    let pct = |v: &str| v.parse::<f64>().ok().filter(|p| p.is_finite() && *p >= 0.0);
+    while let Some(arg) = args.next() {
+        let what = "a non-negative percentage";
+        match arg.as_str() {
             "--max-cycles-pct" => {
-                thresholds.max_cycles_frac = pct(&mut i, "--max-cycles-pct") / 100.0
+                thresholds.max_cycles_frac = args.value_with(&arg, what, pct) / 100.0
             }
             "--max-energy-pct" => {
-                thresholds.max_energy_frac = pct(&mut i, "--max-energy-pct") / 100.0
+                thresholds.max_energy_frac = args.value_with(&arg, what, pct) / 100.0
             }
-            other if other.starts_with('-') => {
-                eprintln!("unknown diff option {other:?}");
-                std::process::exit(2);
-            }
+            other if other.starts_with('-') => Args::unknown("diff", other),
             p => paths.push(PathBuf::from(p)),
         }
-        i += 1;
     }
     if paths.len() != 2 {
-        eprintln!(
-            "usage: repro diff OLD.jsonl NEW.jsonl [--max-cycles-pct X] [--max-energy-pct X]"
+        usage_error(
+            "usage: repro diff OLD.jsonl NEW.jsonl [--max-cycles-pct X] [--max-energy-pct X]",
         );
-        std::process::exit(2);
     }
     let new_path = paths.pop().unwrap();
     let old_path = paths.pop().unwrap();
-    let read = |p: &PathBuf| -> String {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", p.display());
-            std::process::exit(2);
-        })
-    };
-    let (old_text, new_text) = (read(&old_path), read(&new_path));
+    let (old_text, new_text) = (read_or_die(&old_path), read_or_die(&new_path));
     let report = diff_metrics(
         &old_path.display().to_string(),
         &old_text,
@@ -312,10 +273,7 @@ fn run_diff(args: impl Iterator<Item = String>) -> ! {
         &new_text,
         thresholds,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("diff: {e}");
-        std::process::exit(2);
-    });
+    .unwrap_or_else(|e| usage_error(format!("diff: {e}")));
     print!("{report}");
     std::process::exit(report.exit_code());
 }
@@ -323,180 +281,127 @@ fn run_diff(args: impl Iterator<Item = String>) -> ! {
 /// `repro check`: validate exported observability files (folded stacks
 /// and/or trace-event JSON) the way a consumer would. Exit 0 valid,
 /// 1 invalid, 2 usage.
-fn run_check(args: impl Iterator<Item = String>) -> ! {
-    let mut flame: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut flight_dump: Option<PathBuf> = None;
-    let mut serve: Option<PathBuf> = None;
+fn run_check(mut args: Args) -> ! {
+    let mut files: Vec<(String, PathBuf)> = Vec::new();
     let mut serve_min_gain: Option<f64> = None;
-    let mut sla: Option<PathBuf> = None;
     let mut max_p99: Option<u64> = None;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < args_v.len() {
-        let take = |i: &mut usize, flag: &str| -> PathBuf {
-            *i += 1;
-            args_v.get(*i).map(PathBuf::from).unwrap_or_else(|| {
-                eprintln!("{flag} expects a path");
-                std::process::exit(2);
-            })
-        };
-        match args_v[i].as_str() {
-            "--flame" => flame = Some(take(&mut i, "--flame")),
-            "--trace-events" => trace = Some(take(&mut i, "--trace-events")),
-            "--journal" => journal = Some(take(&mut i, "--journal")),
-            "--flight-dump" => flight_dump = Some(take(&mut i, "--flight-dump")),
-            "--serve" => serve = Some(take(&mut i, "--serve")),
-            "--sla" => sla = Some(take(&mut i, "--sla")),
-            "--max-p99" => {
-                i += 1;
-                let v = args_v.get(i).cloned().unwrap_or_default();
-                max_p99 = Some(v.parse::<u64>().ok().filter(|c| *c > 0).unwrap_or_else(|| {
-                    eprintln!("--max-p99 expects a positive cycle count");
-                    std::process::exit(2);
-                }));
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--flame" | "--trace-events" | "--journal" | "--flight-dump" | "--serve" | "--sla" => {
+                let path = args.value(&arg);
+                files.push((arg, path));
             }
+            "--max-p99" => max_p99 = Some(args.positive(&arg)),
             "--serve-min-gain" => {
-                i += 1;
-                let v = args_v.get(i).cloned().unwrap_or_default();
-                serve_min_gain = Some(v.parse::<f64>().ok().filter(|g| *g >= 1.0).unwrap_or_else(
-                    || {
-                        eprintln!("--serve-min-gain expects a number >= 1");
-                        std::process::exit(2);
-                    },
-                ));
+                serve_min_gain = Some(args.value_with(&arg, "a number >= 1", |v| {
+                    v.parse::<f64>().ok().filter(|g| *g >= 1.0)
+                }))
             }
-            other => {
-                eprintln!("unknown check option {other:?}");
-                std::process::exit(2);
-            }
+            other => Args::unknown("check", other),
         }
-        i += 1;
     }
-    if flame.is_none()
-        && trace.is_none()
-        && journal.is_none()
-        && flight_dump.is_none()
-        && serve.is_none()
-        && sla.is_none()
-    {
-        eprintln!(
+    let file = |flag: &str| files.iter().rev().find(|(f, _)| f == flag).map(|(_, p)| p);
+    // A gate whose file is absent would pass vacuously.
+    for (gate, needs, given) in [
+        ("--serve-min-gain", "--serve", serve_min_gain.is_some()),
+        ("--max-p99", "--sla", max_p99.is_some()),
+    ] {
+        if given && file(needs).is_none() {
+            usage_error(format!("{gate} needs {needs} (the file it gates)"));
+        }
+    }
+    if files.is_empty() {
+        usage_error(
             "usage: repro check [--flame PATH] [--trace-events PATH] [--journal PATH] \
              [--flight-dump PATH] [--serve PATH [--serve-min-gain G]] \
-             [--sla PATH [--max-p99 CYCLES]]"
+             [--sla PATH [--max-p99 CYCLES]]",
         );
-        std::process::exit(2);
     }
-    let read = |p: &PathBuf| -> String {
-        std::fs::read_to_string(p).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", p.display());
-            std::process::exit(2);
-        })
-    };
-    let mut failed = false;
-    if let Some(p) = &flame {
-        match ule_obs::flame::parse_folded(&read(p)) {
-            Ok(stacks) => {
+    type Validator = Box<dyn Fn(&str) -> Result<String, String>>;
+    let validators: [(&str, &str, Validator); 6] = [
+        (
+            "--flame",
+            "folded stacks",
+            Box::new(|text| {
+                let stacks = ule_obs::flame::parse_folded(text)?;
                 let total: u64 = stacks.iter().map(|(_, w)| w).sum();
-                println!(
-                    "{}: {} stacks, total weight {}",
-                    p.display(),
-                    stacks.len(),
-                    total
+                Ok(format!("{} stacks, total weight {total}", stacks.len()))
+            }),
+        ),
+        (
+            "--trace-events",
+            "trace events",
+            Box::new(|text| {
+                let s = ule_obs::trace_events::validate_trace_events(text)?;
+                Ok(format!(
+                    "{} events ({} complete, {} metadata)",
+                    s.events, s.complete_events, s.metadata_events
+                ))
+            }),
+        ),
+        (
+            "--journal",
+            "explorer journal",
+            Box::new(|text| {
+                let s = ule_dse::journal::validate_journal(text)?;
+                let mut line = format!(
+                    "{} design points, {} frontier points, {} summary",
+                    s.design_points, s.frontier_points, s.summaries
                 );
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID folded stacks: {e}", p.display());
-                failed = true;
-            }
-        }
-    }
-    if let Some(p) = &trace {
-        match ule_obs::trace_events::validate_trace_events(&read(p)) {
-            Ok(stats) => println!(
-                "{}: {} events ({} complete, {} metadata)",
-                p.display(),
-                stats.events,
-                stats.complete_events,
-                stats.metadata_events
-            ),
-            Err(e) => {
-                eprintln!("{}: INVALID trace events: {e}", p.display());
-                failed = true;
-            }
-        }
-    }
-    if let Some(p) = &journal {
-        match ule_dse::journal::validate_journal(&read(p)) {
-            Ok(stats) => {
-                print!(
-                    "{}: {} design points, {} frontier points, {} summary",
-                    p.display(),
-                    stats.design_points,
-                    stats.frontier_points,
-                    stats.summaries
-                );
-                if stats.unknown > 0 {
-                    print!(", {} unknown-kind lines skipped", stats.unknown);
+                if s.unknown > 0 {
+                    line += &format!(", {} unknown-kind lines skipped", s.unknown);
                 }
-                println!();
-            }
-            Err(e) => {
-                eprintln!("{}: INVALID explorer journal: {e}", p.display());
-                failed = true;
-            }
-        }
-    }
-    if let Some(p) = &serve {
-        match ule_serve::metrics::validate_serve(&read(p), serve_min_gain) {
-            Ok(stats) => {
-                print!(
-                    "{}: {} serve points, {} summaries, {} frontier points, 0 mismatches",
-                    p.display(),
-                    stats.points,
-                    stats.summaries,
-                    stats.frontier
+                Ok(line)
+            }),
+        ),
+        (
+            "--serve",
+            "serve journal",
+            Box::new(move |text| {
+                let s = ule_serve::metrics::validate_serve(text, serve_min_gain)?;
+                let mut line = format!(
+                    "{} serve points, {} summaries, {} frontier points, 0 mismatches",
+                    s.points, s.summaries, s.frontier
                 );
-                if stats.min_gain_ops.is_finite() {
-                    print!(", min batching gain {:.2}x", stats.min_gain_ops);
+                if s.min_gain_ops.is_finite() {
+                    line += &format!(", min batching gain {:.2}x", s.min_gain_ops);
                 }
-                println!();
-            }
+                Ok(line)
+            }),
+        ),
+        (
+            "--sla",
+            "SLA journal",
+            Box::new(move |text| {
+                let s = ule_serve::metrics::validate_sla(text, max_p99)?;
+                Ok(format!(
+                    "{} runs, {} latency records, {} SLA summaries, worst p99 {} cycles",
+                    s.runs, s.latency_records, s.summaries, s.max_p99
+                ))
+            }),
+        ),
+        (
+            "--flight-dump",
+            "flight dump",
+            Box::new(|text| {
+                let s = ule_obs::flight::validate_dump(text)?;
+                Ok(format!(
+                    "{} threads, {} events, {} dropped{}",
+                    s.threads,
+                    s.events,
+                    s.dropped,
+                    if s.wrapped { " (wrapped)" } else { "" }
+                ))
+            }),
+        ),
+    ];
+    let mut failed = false;
+    for (flag, what, validate) in &validators {
+        let Some(p) = file(flag) else { continue };
+        match validate(&read_or_die(p)) {
+            Ok(summary) => println!("{}: {summary}", p.display()),
             Err(e) => {
-                eprintln!("{}: INVALID serve journal: {e}", p.display());
-                failed = true;
-            }
-        }
-    }
-    if let Some(p) = &sla {
-        match ule_serve::metrics::validate_sla(&read(p), max_p99) {
-            Ok(stats) => println!(
-                "{}: {} runs, {} latency records, {} SLA summaries, worst p99 {} cycles",
-                p.display(),
-                stats.runs,
-                stats.latency_records,
-                stats.summaries,
-                stats.max_p99
-            ),
-            Err(e) => {
-                eprintln!("{}: INVALID SLA journal: {e}", p.display());
-                failed = true;
-            }
-        }
-    }
-    if let Some(p) = &flight_dump {
-        match ule_obs::flight::validate_dump(&read(p)) {
-            Ok(stats) => println!(
-                "{}: {} threads, {} events, {} dropped{}",
-                p.display(),
-                stats.threads,
-                stats.events,
-                stats.dropped,
-                if stats.wrapped { " (wrapped)" } else { "" }
-            ),
-            Err(e) => {
-                eprintln!("{}: INVALID flight dump: {e}", p.display());
+                eprintln!("{}: INVALID {what}: {e}", p.display());
                 failed = true;
             }
         }
@@ -508,8 +413,8 @@ fn run_check(args: impl Iterator<Item = String>) -> ! {
 /// attached and print the per-routine energy attribution table. The
 /// profile is the same on either engine tier (`--tier reference` runs
 /// the differential oracle).
-fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
-    let mut curve = ule_curves::params::CurveId::P256;
+fn run_profile(mut args: Args, obs: ObsOptions) -> ! {
+    let mut curve = CurveId::P256;
     let mut arch = Arch::IsaExt;
     let mut workload = Workload::Sign;
     let mut tier = EngineTier::Fast;
@@ -517,71 +422,23 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
     let mut flame: Option<PathBuf> = None;
     let mut flame_weight = FlameWeight::Cycles;
     let mut trace: Option<PathBuf> = None;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < args_v.len() {
-        let take = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args_v.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
-        match args_v[i].as_str() {
-            "--curve" => {
-                let v = take(&mut i, "--curve");
-                curve = ule_verify::parse_curve(&v).unwrap_or_else(|| {
-                    eprintln!("unknown curve {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--arch" => {
-                let v = take(&mut i, "--arch");
-                arch = parse_arch(&v).unwrap_or_else(|| {
-                    eprintln!("unknown arch {v:?} (baseline|isa_ext|monte|billie)");
-                    std::process::exit(2);
-                });
-            }
-            "--workload" => {
-                let v = take(&mut i, "--workload");
-                workload = parse_workload(&v).unwrap_or_else(|| {
-                    eprintln!("unknown workload {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--tier" => {
-                let v = take(&mut i, "--tier");
-                tier = EngineTier::parse(&v).unwrap_or_else(|| {
-                    eprintln!("--tier expects `fast` or `reference`, got {v:?}");
-                    std::process::exit(2);
-                });
-            }
-            "--top" => {
-                let v = take(&mut i, "--top");
-                top = v.parse().unwrap_or_else(|_| {
-                    eprintln!("--top expects a non-negative integer");
-                    std::process::exit(2);
-                });
-            }
-            "--flame" => flame = Some(PathBuf::from(take(&mut i, "--flame"))),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--curve" => curve = args.value(&arg),
+            "--arch" => arch = args.value(&arg),
+            "--workload" => workload = args.value(&arg),
+            "--tier" => tier = args.value(&arg),
+            "--top" => top = args.value_with(&arg, "a non-negative integer", |v| v.parse().ok()),
+            "--flame" => flame = Some(args.value(&arg)),
             "--flame-weight" => {
-                let v = take(&mut i, "--flame-weight");
-                flame_weight = parse_flame_weight(&v).unwrap_or_else(|| {
-                    eprintln!("--flame-weight expects `cycles` or `nj`");
-                    std::process::exit(2);
-                });
+                flame_weight = args.value_with(&arg, FLAME_WEIGHTS, parse_flame_weight)
             }
-            "--trace-events" => trace = Some(PathBuf::from(take(&mut i, "--trace-events"))),
-            other => {
-                eprintln!("unknown profile option {other:?}");
-                std::process::exit(2);
-            }
+            "--trace-events" => trace = Some(args.value(&arg)),
+            other => Args::unknown("profile", other),
         }
-        i += 1;
     }
     if let Err(e) = ule_core::validate_workload(curve, arch, workload) {
-        eprintln!("{e}");
-        std::process::exit(2);
+        usage_error(e);
     }
     obs.install();
     let config = SystemConfig::new(curve, arch);
@@ -621,8 +478,8 @@ fn run_profile(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
 /// records plus — behind `--sla-out` — `serve_latency`/`sla_summary`
 /// latency records (schema v5). Exit 1 iff any batch verdict disagreed
 /// with `verify_prehashed`.
-fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
-    let mut curves: Vec<ule_curves::params::CurveId> = Vec::new();
+fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
+    let mut curves: Vec<CurveId> = Vec::new();
     let mut batch_sizes: Vec<usize> = Vec::new();
     let mut shards = 4usize;
     let mut requests = 256usize;
@@ -632,99 +489,36 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
     let mut metrics_path: Option<PathBuf> = None;
     let mut sla_path: Option<PathBuf> = None;
     let mut trace_events_path: Option<PathBuf> = None;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    while i < args_v.len() {
-        let take = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args_v.get(*i).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            })
-        };
-        match args_v[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--curve" => {
-                let v = take(&mut i, "--curve");
-                match ule_verify::parse_curve(&v) {
-                    Some(c) if !c.is_mont() => curves.push(c),
-                    Some(_) => {
-                        eprintln!("serve is an ECDSA service model; {v} carries no signatures");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("unknown curve {v:?}");
-                        std::process::exit(2);
-                    }
+                let c: CurveId = args.value(&arg);
+                if c.is_mont() {
+                    usage_error(format!(
+                        "serve is an ECDSA service model; {} carries no signatures",
+                        c.name()
+                    ));
                 }
+                curves.push(c);
             }
-            "--batch-size" => {
-                let v = take(&mut i, "--batch-size");
-                match v.parse::<usize>().ok().filter(|&b| b > 0) {
-                    Some(b) => batch_sizes.push(b),
-                    None => {
-                        eprintln!("--batch-size expects a positive integer");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--shards" => {
-                let v = take(&mut i, "--shards");
-                shards = v
-                    .parse()
-                    .ok()
-                    .filter(|&s: &usize| s > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--shards expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--requests" => {
-                let v = take(&mut i, "--requests");
-                requests = v
-                    .parse()
-                    .ok()
-                    .filter(|&r: &usize| r > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--requests expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--seed" => seed = ule_verify::parse_seed(&take(&mut i, "--seed")),
-            "--arch" => {
-                let v = take(&mut i, "--arch");
-                arch = parse_arch(&v).unwrap_or_else(|| {
-                    eprintln!("unknown arch {v:?} (baseline|isa_ext|monte|billie)");
-                    std::process::exit(2);
-                });
-            }
+            "--batch-size" => batch_sizes.push(args.positive(&arg)),
+            "--shards" => shards = args.positive(&arg),
+            "--requests" => requests = args.positive(&arg),
+            "--seed" => seed = ule_verify::parse_seed(&args.value::<String>(&arg)),
+            "--arch" => arch = args.value(&arg),
             "--arrival-rate" => {
-                let v = take(&mut i, "--arrival-rate");
-                arrival_rate = v
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--arrival-rate expects a positive number");
-                        std::process::exit(2);
-                    });
+                arrival_rate = args.value_with(&arg, "a positive number", |v| {
+                    v.parse::<f64>().ok().filter(|r| r.is_finite() && *r > 0.0)
+                })
             }
-            "--metrics-out" => metrics_path = Some(PathBuf::from(take(&mut i, "--metrics-out"))),
-            "--sla-out" => sla_path = Some(PathBuf::from(take(&mut i, "--sla-out"))),
-            "--trace-events" => {
-                trace_events_path = Some(PathBuf::from(take(&mut i, "--trace-events")))
-            }
-            other => {
-                eprintln!("unknown serve option {other:?}");
-                std::process::exit(2);
-            }
+            "--metrics-out" => metrics_path = Some(args.value(&arg)),
+            "--sla-out" => sla_path = Some(args.value(&arg)),
+            "--trace-events" => trace_events_path = Some(args.value(&arg)),
+            other => Args::unknown("serve", other),
         }
-        i += 1;
     }
     if curves.is_empty() {
-        curves = vec![
-            ule_curves::params::CurveId::P256,
-            ule_curves::params::CurveId::K163,
-        ];
+        curves = vec![CurveId::P256, CurveId::K163];
     }
     if batch_sizes.is_empty() {
         batch_sizes = vec![1, 4, 16];
@@ -740,33 +534,26 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
         ule_obs::progress::start("repro serve");
     }
     let engine = SweepEngine::new();
-    let arch_label = |a: Arch| match a {
-        Arch::Baseline => "baseline",
-        Arch::IsaExt => "isa_ext",
-        Arch::Monte => "monte",
-        Arch::Billie => "billie",
-    };
     // Per-verification simulated costs for the energy projection: the
     // valid accelerator set differs by family (Monte fronts the prime
     // datapath, Billie the binary one).
-    let sim_costs =
-        |curve: ule_curves::params::CurveId, archs: &[Arch]| -> Vec<ule_serve::metrics::SimCosts> {
-            let jobs: Vec<Job> = archs
-                .iter()
-                .map(|&a| (SystemConfig::new(curve, a), Workload::Verify))
-                .collect();
-            let reports = engine.run_batch(&jobs);
-            archs
-                .iter()
-                .zip(&reports)
-                .map(|(&a, r)| ule_serve::metrics::SimCosts {
-                    arch: arch_label(a).to_owned(),
-                    cycles: r.cycles,
-                    energy_uj: r.energy.total_uj(),
-                    area_kge: ule_core::space::area_kge(&SystemConfig::new(curve, a)),
-                })
-                .collect()
-        };
+    let sim_costs = |curve: CurveId, archs: &[Arch]| -> Vec<ule_serve::metrics::SimCosts> {
+        let jobs: Vec<Job> = archs
+            .iter()
+            .map(|&a| (SystemConfig::new(curve, a), Workload::Verify))
+            .collect();
+        let reports = engine.run_batch(&jobs);
+        archs
+            .iter()
+            .zip(&reports)
+            .map(|(&a, r)| ule_serve::metrics::SimCosts {
+                arch: a.key().to_owned(),
+                cycles: r.cycles,
+                energy_uj: r.energy.total_uj(),
+                area_kge: ule_core::space::area_kge(&SystemConfig::new(curve, a)),
+            })
+            .collect()
+    };
     let mut registry = ule_obs::record::MetricsRegistry::new();
     let mut sla_registry = ule_obs::record::MetricsRegistry::new();
     let mut trace_buf = ule_obs::trace_events::TraceEventsBuf::new();
@@ -774,29 +561,27 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
     let mut mismatches_total = 0usize;
     let mut history_gains: Vec<String> = Vec::new();
     for &curve in &curves {
-        let family_archs: &[Arch] = if curve.is_binary() {
-            &[Arch::Baseline, Arch::IsaExt, Arch::Billie]
-        } else {
-            &[Arch::Baseline, Arch::IsaExt, Arch::Monte]
-        };
+        let family_archs: Vec<Arch> = Arch::ALL
+            .into_iter()
+            .filter(|&a| ule_core::space::arch_supports_curve(a, curve))
+            .collect();
         if !family_archs.contains(&arch) {
-            eprintln!(
+            usage_error(format!(
                 "arch {} is not valid on {} (family accelerator mismatch)",
-                arch_label(arch),
+                arch.key(),
                 curve.name()
-            );
-            std::process::exit(2);
+            ));
         }
-        let costs = sim_costs(curve, family_archs);
+        let costs = sim_costs(curve, &family_archs);
         let point_costs = costs
             .iter()
-            .find(|c| c.arch == arch_label(arch))
+            .find(|c| c.arch == arch.key())
             .expect("requested arch simulated")
             .clone();
         println!(
             "{}: {requests} requests, {shards} shards, seed {seed:#x}, arch {}",
             curve.name(),
-            arch_label(arch)
+            arch.key()
         );
         let mut runs: Vec<(ule_serve::ServeOutcome, f64)> = Vec::new();
         for &batch in &batch_sizes {
@@ -867,19 +652,14 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
             runs.push((outcome, scale));
         }
         let summary = ule_serve::metrics::serve_summary_record(&runs);
-        let gain_ops = summary.get("gain_ops").and_then(|v| match v {
-            ule_obs::Value::F64(g) => Some(*g),
-            _ => None,
-        });
-        let gain_sps = summary.get("gain_sps").and_then(|v| match v {
-            ule_obs::Value::F64(g) => Some(*g),
-            _ => None,
-        });
+        let gain = |key: &str| match summary.get(key) {
+            Some(ule_obs::Value::F64(g)) => *g,
+            _ => 0.0,
+        };
+        let (gain_sps, gain_ops) = (gain("gain_sps"), gain("gain_ops"));
         println!(
-            "  batch {} vs 1: {:.2}x sig/s, {:.2}x fewer host ops",
+            "  batch {} vs 1: {gain_sps:.2}x sig/s, {gain_ops:.2}x fewer host ops",
             batch_sizes.last().unwrap(),
-            gain_sps.unwrap_or(0.0),
-            gain_ops.unwrap_or(0.0),
         );
         // p99 of the largest-batch run: the latency the gain is
         // bought at (absent in pre-v5 history lines).
@@ -888,10 +668,8 @@ fn run_serve(args: impl Iterator<Item = String>, obs: ObsOptions) -> ! {
             .map(|(o, _)| o.telemetry.fleet_hist.percentile(99.0))
             .unwrap_or(0);
         history_gains.push(format!(
-            "{{\"curve\":\"{}\",\"gain_sps\":{:.4},\"gain_ops\":{:.4},\"p99_latency_cycles\":{p99}}}",
+            "{{\"curve\":\"{}\",\"gain_sps\":{gain_sps:.4},\"gain_ops\":{gain_ops:.4},\"p99_latency_cycles\":{p99}}}",
             curve.name(),
-            gain_sps.unwrap_or(0.0),
-            gain_ops.unwrap_or(0.0)
         ));
         registry.push(summary);
         let (_, frontier) = ule_serve::metrics::frontier_records(&costs, &runs);
@@ -959,120 +737,34 @@ fn run_selftest_flight(obs: &ObsOptions) -> ! {
 /// `repro verify …`: run a differential campaign and exit. Exit code 0
 /// means the campaign matched expectations (zero divergences, or — with
 /// `--inject-fault` — exactly the injected fault was caught).
-fn run_verify(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
+fn run_verify(mut args: Args, mut obs: ObsOptions) -> ! {
     let mut campaign = ule_verify::Campaign::new(ule_verify::parse_seed("0xULE"), 16);
-    let mut curves: Vec<ule_curves::params::CurveId> = Vec::new();
+    let mut curves: Vec<CurveId> = Vec::new();
     let mut batch_oracle = false;
     let mut batch_cases = 24usize;
     let mut max_batch = 20usize;
     let mut batch_case: Option<usize> = None;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    let take = |i: &mut usize, args_v: &[String], flag: &str| -> String {
-        *i += 1;
-        match args_v.get(*i) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            }
-        }
-    };
-    while i < args_v.len() {
-        match args_v[i].as_str() {
-            "--seed" => campaign.seed = ule_verify::parse_seed(&take(&mut i, &args_v, "--seed")),
-            "--iters" => {
-                let v = take(&mut i, &args_v, "--iters");
-                campaign.iters = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--iters expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--curve" => {
-                let v = take(&mut i, &args_v, "--curve");
-                match ule_verify::parse_curve(&v) {
-                    Some(id) => curves.push(id),
-                    None => {
-                        eprintln!("unknown curve {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--config" => {
-                let v = take(&mut i, &args_v, "--config");
-                match ule_verify::ConfigKind::parse(&v) {
-                    Some(c) => campaign.only_config = Some(c),
-                    None => {
-                        eprintln!("unknown config {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--case" => {
-                let v = take(&mut i, &args_v, "--case");
-                match ule_verify::CaseSelector::parse(&v) {
-                    Some(s) => campaign.only_case = Some(s),
-                    None => {
-                        eprintln!("bad case selector {v:?} (random:N, edge:NAME, negative:N)");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--tier" => {
-                let v = take(&mut i, &args_v, "--tier");
-                match ule_verify::TierPolicy::parse(&v) {
-                    Some(t) => campaign.tier = t,
-                    None => {
-                        eprintln!("--tier expects fast, reference, or alternate");
-                        std::process::exit(2);
-                    }
-                }
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--seed" => campaign.seed = ule_verify::parse_seed(&args.value::<String>(&arg)),
+            "--iters" => campaign.iters = args.positive(&arg),
+            "--curve" => curves.push(args.value(&arg)),
+            "--config" => campaign.only_config = Some(args.value(&arg)),
+            "--case" => campaign.only_case = Some(args.value(&arg)),
+            "--tier" => campaign.tier = args.value(&arg),
             "--no-edge" => campaign.edge = false,
             "--no-negative" => campaign.negative = false,
             "--inject-fault" => campaign.inject_fault = true,
             "--batch-oracle" => batch_oracle = true,
-            "--batch-cases" => {
-                let v = take(&mut i, &args_v, "--batch-cases");
-                batch_cases = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--batch-cases expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--max-batch" => {
-                let v = take(&mut i, &args_v, "--max-batch");
-                max_batch = v
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--max-batch expects a positive integer");
-                        std::process::exit(2);
-                    });
-            }
+            "--batch-cases" => batch_cases = args.positive(&arg),
+            "--max-batch" => max_batch = args.positive(&arg),
             "--batch-case" => {
-                let v = take(&mut i, &args_v, "--batch-case");
-                batch_case = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--batch-case expects a case index");
-                    std::process::exit(2);
-                }));
+                batch_case = Some(args.value_with(&arg, "a case index", |v| v.parse().ok()))
             }
             "--progress" => obs.progress = Some(true),
             "--no-progress" => obs.progress = Some(false),
-            other => {
-                eprintln!("unknown verify option {other:?}");
-                std::process::exit(2);
-            }
+            other => Args::unknown("verify", other),
         }
-        i += 1;
     }
     if !curves.is_empty() {
         campaign.curves = curves;
@@ -1117,140 +809,83 @@ fn run_verify(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
 /// through the memoizing engine, and print the Pareto frontier. With
 /// `--report`, skip exploration and render the frontier table of an
 /// existing journal instead.
-fn run_explore(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
+fn run_explore(mut args: Args, mut obs: ObsOptions) -> ! {
     let mut space_arg: Option<String> = None;
-    let mut strategy_arg = String::from("grid");
+    let mut strategy = ule_dse::StrategyKind::Grid;
     let mut seed = ule_verify::parse_seed("0xULE");
     let mut out: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
     let mut report = false;
-    let args_v: Vec<String> = args.collect();
-    let mut i = 0;
-    let take = |i: &mut usize, args_v: &[String], flag: &str| -> String {
-        *i += 1;
-        match args_v.get(*i) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("{flag} expects a value");
-                std::process::exit(2);
-            }
-        }
-    };
-    while i < args_v.len() {
-        match args_v[i].as_str() {
-            "--space" => space_arg = Some(take(&mut i, &args_v, "--space")),
-            "--strategy" => strategy_arg = take(&mut i, &args_v, "--strategy"),
-            "--seed" => seed = ule_verify::parse_seed(&take(&mut i, &args_v, "--seed")),
-            "--out" => out = Some(PathBuf::from(take(&mut i, &args_v, "--out"))),
-            "--threads" => {
-                let v = take(&mut i, &args_v, "--threads");
-                threads = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!("--threads expects a positive integer");
-                            std::process::exit(2);
-                        }),
-                );
-            }
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--space" => space_arg = Some(args.value(&arg)),
+            "--strategy" => strategy = args.value(&arg),
+            "--seed" => seed = ule_verify::parse_seed(&args.value::<String>(&arg)),
+            "--out" => out = Some(args.value(&arg)),
+            "--threads" => threads = Some(args.positive(&arg)),
             "--report" => report = true,
             "--progress" => obs.progress = Some(true),
             "--no-progress" => obs.progress = Some(false),
-            other => {
-                eprintln!("unknown explore option {other:?}");
-                std::process::exit(2);
-            }
+            other => Args::unknown("explore", other),
         }
-        i += 1;
     }
     let mut engine = SweepEngine::new();
     if let Some(n) = threads {
         engine = engine.with_threads(n);
     }
 
-    if report {
+    let outcome = if report {
         let Some(path) = &out else {
-            eprintln!("--report renders an existing journal: pass its path via --out");
-            std::process::exit(2);
+            usage_error("--report renders an existing journal: pass its path via --out");
         };
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let outcome = ule_dse::explore::outcome_from_journal(&text).unwrap_or_else(|e| {
-            eprintln!("{}: {e}", path.display());
-            std::process::exit(2);
-        });
-        match ule_dse::explore::render_report(&engine, &outcome) {
-            Ok(table) => {
-                print!("{table}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("report: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-
-    let Some(space_str) = space_arg else {
-        eprintln!(
-            "explore needs --space: one of {}, or a space-file path",
-            ule_dse::spaces::BUILTIN_NAMES.join(", ")
-        );
-        std::process::exit(2);
-    };
-    let space = match ule_dse::spaces::builtin(&space_str) {
-        Some(s) => s,
-        None => {
+        ule_dse::explore::outcome_from_journal(&read_or_die(path))
+            .unwrap_or_else(|e| usage_error(format!("{}: {e}", path.display())))
+    } else {
+        let Some(space_str) = space_arg else {
+            usage_error(format!(
+                "explore needs --space: one of {}, or a space-file path",
+                ule_dse::spaces::BUILTIN_NAMES.join(", ")
+            ));
+        };
+        let space = ule_dse::spaces::builtin(&space_str).unwrap_or_else(|| {
             let text = std::fs::read_to_string(&space_str).unwrap_or_else(|e| {
-                eprintln!(
+                usage_error(format!(
                     "--space {space_str:?} is neither a built-in ({}) nor a readable file: {e}",
                     ule_dse::spaces::BUILTIN_NAMES.join(", ")
-                );
-                std::process::exit(2);
+                ))
             });
-            ule_dse::spaces::parse_space_file(&text).unwrap_or_else(|e| {
-                eprintln!("{space_str}: {e}");
-                std::process::exit(2);
-            })
-        }
-    };
-    let mut strategy: Box<dyn ule_dse::Strategy> = match strategy_arg.as_str() {
-        "grid" => Box::new(ule_dse::Grid::new()),
-        "greedy" => Box::new(ule_dse::Greedy::new(seed)),
-        other => {
-            eprintln!("--strategy expects `grid` or `greedy`, got {other:?}");
-            std::process::exit(2);
-        }
-    };
-    obs.install();
-    if obs.progress_on() {
-        ule_obs::progress::start("repro explore");
-    }
-    let outcome = ule_dse::explore(&engine, &space, strategy.as_mut(), seed, out.as_deref())
-        .unwrap_or_else(|e| {
-            eprintln!("explore: {e}");
-            std::process::exit(1);
+            ule_dse::spaces::parse_space_file(&text)
+                .unwrap_or_else(|e| usage_error(format!("{space_str}: {e}")))
         });
-    ule_obs::progress::finish();
-    println!(
-        "space {} ({}): {} lattice points, {} pruned, {} evaluated \
-         ({} resumed, {} simulated), frontier {}",
-        outcome.space,
-        ule_core::metrics::workload_key(outcome.workload),
-        outcome.lattice_points,
-        outcome.pruned,
-        outcome.evaluated,
-        outcome.resumed,
-        outcome.simulated,
-        outcome.frontier.len()
-    );
-    if let Some(path) = &out {
-        eprintln!("wrote journal to {}", path.display());
-    }
-    println!();
+        obs.install();
+        if obs.progress_on() {
+            ule_obs::progress::start("repro explore");
+        }
+        let mut strategy = strategy.build(seed);
+        let outcome = ule_dse::explore(&engine, &space, strategy.as_mut(), seed, out.as_deref())
+            .unwrap_or_else(|e| {
+                eprintln!("explore: {e}");
+                std::process::exit(1);
+            });
+        ule_obs::progress::finish();
+        println!(
+            "space {} ({}): {} lattice points, {} pruned, {} evaluated \
+             ({} resumed, {} simulated), frontier {}",
+            outcome.space,
+            outcome.workload.key(),
+            outcome.lattice_points,
+            outcome.pruned,
+            outcome.evaluated,
+            outcome.resumed,
+            outcome.simulated,
+            outcome.frontier.len()
+        );
+        if let Some(path) = &out {
+            eprintln!("wrote journal to {}", path.display());
+        }
+        println!();
+        outcome
+    };
     match ule_dse::explore::render_report(&engine, &outcome) {
         Ok(table) => print!("{table}"),
         Err(e) => {
@@ -1261,26 +896,14 @@ fn run_explore(args: impl Iterator<Item = String>, mut obs: ObsOptions) -> ! {
     std::process::exit(0)
 }
 
-fn usage() -> ! {
-    eprintln!("usage: repro [options] <experiment-id>... | all | --list");
-    eprintln!("run `repro --help` for the option list");
-    eprintln!("ids: {}", id_list());
-    std::process::exit(2);
-}
-
 fn id_list() -> String {
     let names: Vec<&str> = ExperimentId::VARIANTS.iter().map(|id| id.name()).collect();
     names.join(" ")
 }
 
-enum Format {
-    Text,
-    Json,
-}
-
 fn main() {
     let mut threads: Option<usize> = None;
-    let mut format = Format::Text;
+    let mut json = false;
     let mut metrics_path: Option<PathBuf> = None;
     let mut obs = ObsOptions::default();
     let mut profile = false;
@@ -1288,7 +911,7 @@ fn main() {
     let mut flame_weight = FlameWeight::Cycles;
     let mut trace_events_path: Option<PathBuf> = None;
     let mut selected: Vec<ExperimentId> = Vec::new();
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "-h" | "--help" => {
@@ -1302,70 +925,25 @@ fn main() {
                 println!("all");
                 return;
             }
-            "--threads" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads expects a positive integer");
-                        std::process::exit(2);
-                    });
-                threads = Some(n);
+            "--threads" => threads = Some(args.positive(&arg)),
+            "--format" => {
+                json = args.value_with(&arg, "`text` or `json`", |v| match v {
+                    "text" => Some(false),
+                    "json" => Some(true),
+                    _ => None,
+                })
             }
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                _ => {
-                    eprintln!("--format expects `text` or `json`");
-                    std::process::exit(2);
-                }
-            },
-            "--metrics-out" => match args.next() {
-                Some(p) => metrics_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--metrics-out expects a path");
-                    std::process::exit(2);
-                }
-            },
-            "--trace" => match args.next() {
-                Some(p) => obs.trace = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--trace expects a path");
-                    std::process::exit(2);
-                }
-            },
-            "--flight-dump" => match args.next() {
-                Some(p) => obs.flight_dump = PathBuf::from(p),
-                None => {
-                    eprintln!("--flight-dump expects a path");
-                    std::process::exit(2);
-                }
-            },
+            "--metrics-out" => metrics_path = Some(args.value(&arg)),
+            "--trace" => obs.trace = Some(args.value(&arg)),
+            "--flight-dump" => obs.flight_dump = args.value(&arg),
             "--progress" => obs.progress = Some(true),
             "--no-progress" => obs.progress = Some(false),
             "--profile" => profile = true,
-            "--flame" => match args.next() {
-                Some(p) => flame_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--flame expects a path");
-                    std::process::exit(2);
-                }
-            },
-            "--flame-weight" => match args.next().as_deref().and_then(parse_flame_weight) {
-                Some(w) => flame_weight = w,
-                None => {
-                    eprintln!("--flame-weight expects `cycles` or `nj`");
-                    std::process::exit(2);
-                }
-            },
-            "--trace-events" => match args.next() {
-                Some(p) => trace_events_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("--trace-events expects a path");
-                    std::process::exit(2);
-                }
-            },
+            "--flame" => flame_path = Some(args.value(&arg)),
+            "--flame-weight" => {
+                flame_weight = args.value_with(&arg, FLAME_WEIGHTS, parse_flame_weight)
+            }
+            "--trace-events" => trace_events_path = Some(args.value(&arg)),
             // Subcommands own the rest of the argument list.
             "verify" => run_verify(args, obs),
             "diff" => run_diff(args),
@@ -1377,20 +955,19 @@ fn main() {
             "all" => selected.extend(ExperimentId::ALL),
             other => match ExperimentId::from_str(other) {
                 Ok(id) => selected.push(id),
-                Err(e) => {
-                    eprintln!("{e}");
-                    eprintln!("valid ids: {} (or: all)", id_list());
-                    std::process::exit(2);
-                }
+                Err(e) => usage_error(format!("{e}\nvalid ids: {} (or: all)", id_list())),
             },
         }
     }
     if selected.is_empty() {
-        usage();
+        usage_error(format!(
+            "usage: repro [options] <experiment-id>... | all | --list\n\
+             run `repro --help` for the option list\nids: {}",
+            id_list()
+        ));
     }
     if flame_path.is_some() && !profile {
-        eprintln!("--flame needs --profile (the call graph is only built on profiled runs)");
-        std::process::exit(2);
+        usage_error("--flame needs --profile (the call graph is only built on profiled runs)");
     }
 
     // Observability is configured once, before any simulation: the
@@ -1417,15 +994,12 @@ fn main() {
     }
     let reports = engine.run_batch(&jobs);
     ule_obs::progress::finish();
-    match format {
-        Format::Text => {
-            for id in &selected {
-                print!("{}", id.run(&engine));
-            }
-        }
-        Format::Json => {
-            let reg = metrics_out::metrics_registry(&jobs, &reports, &engine);
-            print!("{}", reg.to_jsonl());
+    if json {
+        let reg = metrics_out::metrics_registry(&jobs, &reports, &engine);
+        print!("{}", reg.to_jsonl());
+    } else {
+        for id in &selected {
+            print!("{}", id.run(&engine));
         }
     }
     if let Some(path) = &metrics_path {

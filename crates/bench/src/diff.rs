@@ -13,11 +13,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ule_obs::json::{self, Json};
+use ule_obs::json;
 
-// The join keys live in `ule-core` next to the record writer, so the
-// writer and every reader (diff, the dse journal) share one source.
-pub use ule_core::metrics::IDENTITY_KEYS;
+// The join key is the identity codec of `ule-core`, next to the record
+// writer, so the writer and every reader (diff, the dse journal) share
+// one source.
+use ule_core::metrics::identity_of;
 
 /// Relative drift thresholds (fractions, not percent). The defaults are
 /// zero: the simulator is deterministic, so any drift is a change.
@@ -157,18 +158,6 @@ struct Point {
     energy_uj: f64,
 }
 
-fn fmt_value(v: &Json) -> String {
-    match v {
-        Json::Null => "null".to_owned(),
-        Json::Bool(b) => b.to_string(),
-        Json::U64(n) => n.to_string(),
-        Json::I64(n) => n.to_string(),
-        Json::F64(n) => n.to_string(),
-        Json::Str(s) => s.clone(),
-        Json::Arr(_) | Json::Obj(_) => "<nested>".to_owned(),
-    }
-}
-
 /// Parses the `design_point` records of a metrics JSONL document.
 /// Other record kinds — `engine_summary`, an exploration journal's
 /// `frontier`/`dse_summary`, anything from a future schema — are
@@ -195,13 +184,7 @@ fn parse_points(
             *skipped.entry(kind.to_owned()).or_insert(0) += 1;
             continue;
         }
-        let mut identity = String::new();
-        for key in IDENTITY_KEYS {
-            let v = doc
-                .get(key)
-                .ok_or_else(|| format!("{name}:{n}: design point missing {key:?}"))?;
-            identity.push_str(&format!("{key}={}|", fmt_value(v)));
-        }
+        let identity = identity_of(&doc).map_err(|e| format!("{name}:{n}: design point {e}"))?;
         let get_str = |key: &str| {
             doc.get(key)
                 .and_then(|v| v.as_str())

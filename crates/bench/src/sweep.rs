@@ -91,13 +91,8 @@ impl ConfigKey {
         let mut s = format!(
             "{}/{}/{}",
             c.curve.name(),
-            match c.arch {
-                Arch::Baseline => "baseline",
-                Arch::IsaExt => "isa_ext",
-                Arch::Monte => "monte",
-                Arch::Billie => "billie",
-            },
-            ule_core::metrics::workload_key(self.workload),
+            c.arch.key(),
+            self.workload.key()
         );
         if let Some(ic) = c.icache {
             s.push_str(&format!(

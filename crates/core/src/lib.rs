@@ -67,6 +67,22 @@ pub enum MultVariant {
 }
 
 impl MultVariant {
+    /// Every variant, the paper's design point first.
+    pub const ALL: [MultVariant; 3] = [
+        MultVariant::Karatsuba,
+        MultVariant::OperandScan,
+        MultVariant::Parallel,
+    ];
+
+    /// The metrics-schema spelling (`"operand_scan"`, …).
+    pub fn key(self) -> &'static str {
+        match self {
+            MultVariant::Karatsuba => "karatsuba",
+            MultVariant::OperandScan => "operand_scan",
+            MultVariant::Parallel => "parallel",
+        }
+    }
+
     /// Core-power factor relative to the Karatsuba design point (§7.8).
     ///
     /// This is the single source of the §7.8 constants — harness code
@@ -220,6 +236,30 @@ pub enum Workload {
 }
 
 impl Workload {
+    /// Every workload, in declaration order.
+    pub const ALL: [Workload; 7] = [
+        Workload::Sign,
+        Workload::Verify,
+        Workload::SignVerify,
+        Workload::ScalarMul,
+        Workload::FieldMul,
+        Workload::Xdh,
+        Workload::Handshake,
+    ];
+
+    /// The metrics-schema spelling (`"sign_verify"`, …).
+    pub fn key(self) -> &'static str {
+        match self {
+            Workload::Sign => "sign",
+            Workload::Verify => "verify",
+            Workload::SignVerify => "sign_verify",
+            Workload::ScalarMul => "scalar_mul",
+            Workload::FieldMul => "field_mul",
+            Workload::Xdh => "xdh",
+            Workload::Handshake => "handshake",
+        }
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -237,6 +277,24 @@ impl Workload {
     /// image (and therefore need an RFC 7748 curve).
     pub fn is_ladder(self) -> bool {
         matches!(self, Workload::Xdh | Workload::Handshake)
+    }
+}
+
+impl std::str::FromStr for Workload {
+    type Err = String;
+
+    /// Any spelling of a key under [`ule_curves::params::spells`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        ule_curves::params::parse_name("workload", s, &Workload::ALL, Workload::key)
+    }
+}
+
+impl std::str::FromStr for MultVariant {
+    type Err = String;
+
+    /// Any spelling of a key under [`ule_curves::params::spells`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        ule_curves::params::parse_name("mult_variant", s, &MultVariant::ALL, MultVariant::key)
     }
 }
 

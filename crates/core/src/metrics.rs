@@ -8,58 +8,21 @@
 //! exporting it here is a compile error, not a silently-dropped
 //! counter. The exact key set is pinned by the golden-file test in
 //! `ule-bench`.
+//!
+//! The design-point identity codec lives here and nowhere else:
+//! [`push_identity`] writes a point's [`IDENTITY_KEYS`],
+//! [`identity_of`] reads its identity string back from a parsed line,
+//! and [`config_from_record`] rebuilds the config from it.
 
-use crate::{MultVariant, RawStats, RunReport, SystemConfig, Workload};
-use ule_energy::report::{Component, EnergyBreakdown, Gating, RoutineActivity};
-use ule_obs::json::JsonBuf;
+use crate::{RawStats, RunReport, SystemConfig, Workload};
+use ule_energy::report::{Component, EnergyBreakdown, RoutineActivity};
+use ule_obs::json::{Json, JsonBuf};
 use ule_obs::record::Record;
 use ule_pete::cop::CopStats;
 use ule_pete::cpu::Counters;
 use ule_pete::icache::CacheStats;
 use ule_pete::mem::MemStats;
 use ule_pete::profile::RoutineProfile;
-use ule_swlib::builder::Arch;
-
-/// Stable identifier for an architecture.
-pub fn arch_key(a: Arch) -> &'static str {
-    match a {
-        Arch::Baseline => "baseline",
-        Arch::IsaExt => "isa_ext",
-        Arch::Monte => "monte",
-        Arch::Billie => "billie",
-    }
-}
-
-/// Stable identifier for a §7.8 multiplier variant.
-pub fn mult_variant_key(v: MultVariant) -> &'static str {
-    match v {
-        MultVariant::Karatsuba => "karatsuba",
-        MultVariant::OperandScan => "operand_scan",
-        MultVariant::Parallel => "parallel",
-    }
-}
-
-/// Stable identifier for a gating strategy.
-pub fn gating_key(g: Gating) -> &'static str {
-    match g {
-        Gating::None => "none",
-        Gating::Clock => "clock",
-        Gating::Power => "power",
-    }
-}
-
-/// Stable identifier for a workload.
-pub fn workload_key(w: Workload) -> &'static str {
-    match w {
-        Workload::Sign => "sign",
-        Workload::Verify => "verify",
-        Workload::SignVerify => "sign_verify",
-        Workload::ScalarMul => "scalar_mul",
-        Workload::FieldMul => "field_mul",
-        Workload::Xdh => "xdh",
-        Workload::Handshake => "handshake",
-    }
-}
 
 /// The record keys that identify a design point. Two records with
 /// equal values for all of these describe the same configuration ×
@@ -84,91 +47,22 @@ pub const IDENTITY_KEYS: [&str; 15] = [
 ];
 
 /// The canonical identity string of one design point: every
-/// [`IDENTITY_KEYS`] entry as `key=value|`, in key order, with values
-/// formatted exactly as they round-trip through a serialized
-/// [`design_point_record`] (so an identity built from a live config and
-/// one re-parsed from a journal line compare equal byte-for-byte).
+/// [`IDENTITY_KEYS`] entry as `key=value|`, in key order. It is built
+/// by reading back the keys [`push_identity`] writes, so an identity
+/// from a live config and one [`identity_of`] a journal or metrics line
+/// compare equal byte-for-byte.
 pub fn config_identity(config: &SystemConfig, workload: Workload) -> String {
-    let SystemConfig {
-        curve,
-        arch,
-        icache,
-        monte,
-        billie_digit,
-        mult_variant,
-        gating,
-        billie_sram_rf,
-    } = *config;
-    let mut s = String::new();
-    let mut kv = |k: &str, v: &str| {
-        s.push_str(k);
-        s.push('=');
-        s.push_str(v);
-        s.push('|');
-    };
-    kv("curve", curve.name());
-    kv("arch", arch_key(arch));
-    kv("workload", workload_key(workload));
-    kv(
-        "icache_present",
-        if icache.is_some() { "true" } else { "false" },
-    );
-    kv(
-        "icache_size_bytes",
-        &icache.map(|c| c.size_bytes as u64).unwrap_or(0).to_string(),
-    );
-    kv(
-        "icache_prefetch",
-        if icache.map(|c| c.prefetch).unwrap_or(false) {
-            "true"
-        } else {
-            "false"
-        },
-    );
-    kv(
-        "icache_ideal",
-        if icache.map(|c| c.ideal).unwrap_or(false) {
-            "true"
-        } else {
-            "false"
-        },
-    );
-    kv(
-        "icache_miss_penalty",
-        &icache
-            .map(|c| c.miss_penalty as u64)
-            .unwrap_or(0)
-            .to_string(),
-    );
-    kv(
-        "monte_double_buffer",
-        if monte.double_buffer { "true" } else { "false" },
-    );
-    kv(
-        "monte_forwarding",
-        if monte.forwarding { "true" } else { "false" },
-    );
-    kv("monte_queue_depth", &(monte.queue_depth as u64).to_string());
-    kv("billie_digit", &(billie_digit as u64).to_string());
-    kv("mult_variant", mult_variant_key(mult_variant));
-    kv("gating", gating_key(gating));
-    kv(
-        "billie_sram_rf",
-        if billie_sram_rf { "true" } else { "false" },
-    );
-    s
+    let mut r = Record::new("design_point");
+    push_identity(&mut r, config, workload);
+    let doc = ule_obs::json::parse(&r.to_json()).expect("a record is valid JSON");
+    identity_of(&doc).expect("push_identity writes every identity key")
 }
 
-/// Flattens one design point (config + workload + simulation report)
-/// into a `design_point` record — one JSONL line of `--metrics-out`.
-pub fn design_point_record(
-    config: &SystemConfig,
-    workload: Workload,
-    report: &RunReport,
-) -> Record {
-    let mut r = Record::new("design_point");
-
-    // Configuration. Exhaustive: a new config knob must be exported.
+/// Pushes the [`IDENTITY_KEYS`] of one design point onto a record, in
+/// key order: the one writer of a point's identity, shared by
+/// `design_point` records and the explorer's `frontier` records.
+pub fn push_identity(r: &mut Record, config: &SystemConfig, workload: Workload) {
+    // Exhaustive: a new config knob must be exported.
     let SystemConfig {
         curve,
         arch,
@@ -179,9 +73,9 @@ pub fn design_point_record(
         gating,
         billie_sram_rf,
     } = *config;
-    r.push("curve", curve.name());
-    r.push("arch", arch_key(arch));
-    r.push("workload", workload_key(workload));
+    r.push("curve", curve.key());
+    r.push("arch", arch.key());
+    r.push("workload", workload.key());
     r.push("icache_present", icache.is_some());
     r.push(
         "icache_size_bytes",
@@ -200,9 +94,74 @@ pub fn design_point_record(
     r.push("monte_forwarding", monte.forwarding);
     r.push("monte_queue_depth", monte.queue_depth as u64);
     r.push("billie_digit", billie_digit as u64);
-    r.push("mult_variant", mult_variant_key(mult_variant));
-    r.push("gating", gating_key(gating));
+    r.push("mult_variant", mult_variant.key());
+    r.push("gating", gating.key());
     r.push("billie_sram_rf", billie_sram_rf);
+}
+
+/// The identity string of a parsed record (see [`config_identity`]):
+/// the join key of `repro diff` and of the explorer's journal resume.
+/// Errors name the first identity key that is missing or not a
+/// boolean, integer or string.
+pub fn identity_of(doc: &Json) -> Result<String, String> {
+    let mut s = String::new();
+    for key in IDENTITY_KEYS {
+        let value = match doc.get(key) {
+            Some(Json::Bool(b)) => b.to_string(),
+            Some(Json::U64(n)) => n.to_string(),
+            Some(Json::Str(t)) => t.clone(),
+            Some(_) => return Err(format!("identity key {key:?} is not a scalar")),
+            None => return Err(format!("missing {key:?}")),
+        };
+        s.push_str(key);
+        s.push('=');
+        s.push_str(&value);
+        s.push('|');
+    }
+    Ok(s)
+}
+
+/// Reconstructs the configuration and workload a record's identity
+/// keys describe: the inverse of [`push_identity`]. Names are read with
+/// the same `FromStr` as the CLI, so any accepted spelling parses.
+pub fn config_from_record(doc: &Json) -> Result<(SystemConfig, Workload), String> {
+    let ctx = "record";
+    let mut config = SystemConfig::new(
+        doc.req_str(ctx, "curve")?.parse()?,
+        doc.req_str(ctx, "arch")?.parse()?,
+    );
+    config.icache = if doc.req_bool(ctx, "icache_present")? {
+        Some(ule_pete::icache::CacheConfig {
+            size_bytes: doc.req_u64(ctx, "icache_size_bytes")? as u32,
+            prefetch: doc.req_bool(ctx, "icache_prefetch")?,
+            ideal: doc.req_bool(ctx, "icache_ideal")?,
+            miss_penalty: doc.req_u64(ctx, "icache_miss_penalty")? as u32,
+        })
+    } else {
+        None
+    };
+    config.monte = ule_monte::MonteConfig {
+        double_buffer: doc.req_bool(ctx, "monte_double_buffer")?,
+        forwarding: doc.req_bool(ctx, "monte_forwarding")?,
+        queue_depth: doc.req_u64(ctx, "monte_queue_depth")? as usize,
+    };
+    config.billie_digit = doc.req_u64(ctx, "billie_digit")? as usize;
+    config.mult_variant = doc.req_str(ctx, "mult_variant")?.parse()?;
+    config.gating = doc.req_str(ctx, "gating")?.parse()?;
+    config.billie_sram_rf = doc.req_bool(ctx, "billie_sram_rf")?;
+    Ok((config, doc.req_str(ctx, "workload")?.parse()?))
+}
+
+/// Flattens one design point (config + workload + simulation report)
+/// into a `design_point` record — one JSONL line of `--metrics-out`.
+pub fn design_point_record(
+    config: &SystemConfig,
+    workload: Workload,
+    report: &RunReport,
+) -> Record {
+    let mut r = Record::new("design_point");
+
+    push_identity(&mut r, config, workload);
 
     // Headline results (area is a pure function of the config — the
     // third objective of the `ule-dse` Pareto frontiers).
@@ -375,6 +334,7 @@ mod tests {
     use crate::{RunOptions, System, Workload};
     use ule_curves::params::CurveId;
     use ule_obs::json::is_valid;
+    use ule_swlib::builder::Arch;
 
     #[test]
     fn design_point_record_is_flat_valid_json() {
@@ -399,18 +359,62 @@ mod tests {
         let report = System::new(cfg).run_with(RunOptions::new(Workload::ScalarMul));
         let rec = design_point_record(&cfg, Workload::ScalarMul, &report);
         let doc = ule_obs::json::parse(&rec.to_json()).unwrap();
-        let mut reparsed = String::new();
-        for key in IDENTITY_KEYS {
-            let v = doc.get(key).unwrap();
-            let s = match v {
-                ule_obs::json::Json::Bool(b) => b.to_string(),
-                ule_obs::json::Json::U64(n) => n.to_string(),
-                ule_obs::json::Json::Str(s) => s.clone(),
-                other => panic!("unexpected identity value {other:?}"),
-            };
-            reparsed.push_str(&format!("{key}={s}|"));
+        assert_eq!(
+            identity_of(&doc),
+            Ok(config_identity(&cfg, Workload::ScalarMul))
+        );
+        assert_eq!(config_from_record(&doc), Ok((cfg, Workload::ScalarMul)));
+    }
+
+    #[test]
+    fn every_name_round_trips_through_its_schema_key() {
+        use ule_energy::report::Gating;
+        use ule_pete::cpu::EngineTier;
+        fn check<T>(all: &[T], key: fn(T) -> &'static str, pinned: &[&str])
+        where
+            T: Copy + PartialEq + std::fmt::Debug + std::str::FromStr<Err = String>,
+        {
+            assert_eq!(all.len(), pinned.len());
+            for (&v, &want) in all.iter().zip(pinned) {
+                assert_eq!(key(v), want);
+                assert_eq!(want.parse(), Ok(v));
+                assert_eq!(want.to_uppercase().replace('_', "-").parse(), Ok(v));
+            }
+            assert!("no-such-name".parse::<T>().is_err());
         }
-        assert_eq!(config_identity(&cfg, Workload::ScalarMul), reparsed);
+        check(
+            &Arch::ALL,
+            Arch::key,
+            &["baseline", "isa_ext", "monte", "billie"],
+        );
+        check(
+            &Workload::ALL,
+            Workload::key,
+            &[
+                "sign",
+                "verify",
+                "sign_verify",
+                "scalar_mul",
+                "field_mul",
+                "xdh",
+                "handshake",
+            ],
+        );
+        check(
+            &crate::MultVariant::ALL,
+            crate::MultVariant::key,
+            &["karatsuba", "operand_scan", "parallel"],
+        );
+        check(&Gating::ALL, Gating::key, &["none", "clock", "power"]);
+        check(
+            &[EngineTier::Fast, EngineTier::Reference],
+            EngineTier::key,
+            &["fast", "reference"],
+        );
+        assert_eq!("ref".parse(), Ok(EngineTier::Reference));
+        let curves: Vec<CurveId> = CurveId::ALL.into_iter().chain(CurveId::XCURVES).collect();
+        let keys: Vec<&str> = curves.iter().map(|c| c.name()).collect();
+        check(&curves, CurveId::key, &keys);
     }
 
     #[test]

@@ -108,6 +108,11 @@ impl CurveId {
         }
     }
 
+    /// The metrics-schema spelling: the same string as [`CurveId::name`].
+    pub fn key(self) -> &'static str {
+        self.name()
+    }
+
     /// Field size in bits (the "key size" axis of every figure).
     pub fn bits(self) -> usize {
         match self {
@@ -236,6 +241,47 @@ pub struct Curve {
     cofactor: u64,
     order_field: PrimeField,
     provenance: Provenance,
+}
+
+/// Whether `input` spells the name `key` under the one policy every
+/// design-space name follows: ASCII case is ignored, and `-`, `_` and
+/// no separator are the same (`P192`, `p-192` and `P_192` all spell
+/// `P-192`; `isa-ext` spells `isa_ext`).
+pub fn spells(input: &str, key: &str) -> bool {
+    let fold = |s: &str| {
+        s.bytes()
+            .filter(|b| !matches!(b, b'-' | b'_'))
+            .map(|b| b.to_ascii_lowercase())
+            .collect::<Vec<u8>>()
+    };
+    fold(input) == fold(key)
+}
+
+/// The member of `all` whose `key` the input [`spells`], or an error
+/// that lists the accepted keys: the one `FromStr` behind every
+/// design-space name (curve, arch, workload, multiplier variant).
+pub fn parse_name<T: Copy>(
+    what: &str,
+    input: &str,
+    all: &[T],
+    key: fn(T) -> &'static str,
+) -> Result<T, String> {
+    all.iter()
+        .copied()
+        .find(|&v| spells(input, key(v)))
+        .ok_or_else(|| {
+            let keys: Vec<&str> = all.iter().map(|&v| key(v)).collect();
+            format!("unknown {what} {input:?} (expected {})", keys.join("|"))
+        })
+}
+
+impl std::str::FromStr for CurveId {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let all = [CurveId::ALL.as_slice(), &CurveId::XCURVES].concat();
+        parse_name("curve", s, &all, CurveId::key)
+    }
 }
 
 impl Curve {
@@ -679,5 +725,32 @@ mod tests {
     fn mont_accessor_panics_on_prime() {
         let c = CurveId::P192.curve();
         let _ = c.mont();
+    }
+
+    #[test]
+    fn curve_names_round_trip_under_the_spelling_policy() {
+        let pinned = [
+            "P-192", "P-224", "P-256", "P-384", "P-521", "K-163", "K-233", "K-283", "K-409",
+            "K-571", "X25519", "X448",
+        ];
+        let all: Vec<CurveId> = CurveId::ALL.into_iter().chain(CurveId::XCURVES).collect();
+        for (id, key) in all.into_iter().zip(pinned) {
+            assert_eq!(id.key(), key);
+            assert_eq!(id.key().parse(), Ok(id));
+        }
+        for (input, id) in [
+            ("P-192", CurveId::P192),
+            ("P192", CurveId::P192),
+            ("p_192", CurveId::P192),
+            ("k571", CurveId::K571),
+            ("x25519", CurveId::X25519),
+            ("X-448", CurveId::X448),
+        ] {
+            assert_eq!(input.parse(), Ok(id), "{input}");
+        }
+        for bad in ["x12345", "P 192", "", "P-1920"] {
+            let err = bad.parse::<CurveId>().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

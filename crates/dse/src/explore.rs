@@ -8,7 +8,7 @@ use crate::Evaluator;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
-use ule_core::metrics::config_identity;
+use ule_core::metrics::{config_from_record, config_identity};
 use ule_core::space::{area_kge, SpaceError, SpaceSpec};
 use ule_core::{SystemConfig, Workload};
 
@@ -254,10 +254,9 @@ fn rank_frontier(front: &ParetoFront) -> Vec<(usize, Objectives)> {
 /// A compact human label for a configuration: curve + arch plus only
 /// the knobs that depart from the defaults of `SystemConfig::new`.
 pub fn label(config: &SystemConfig) -> String {
-    use ule_core::metrics::{arch_key, gating_key, mult_variant_key};
     use ule_energy::report::Gating;
     use ule_swlib::builder::Arch;
-    let mut s = format!("{} {}", config.curve.name(), arch_key(config.arch));
+    let mut s = format!("{} {}", config.curve.name(), config.arch.key());
     if let Some(c) = config.icache {
         s.push_str(&format!(
             " i${}{}{}",
@@ -291,10 +290,10 @@ pub fn label(config: &SystemConfig) -> String {
         }
     }
     if config.mult_variant != ule_core::MultVariant::Karatsuba {
-        s.push_str(&format!(" {}", mult_variant_key(config.mult_variant)));
+        s.push_str(&format!(" {}", config.mult_variant.key()));
     }
     if config.gating != Gating::None {
-        s.push_str(&format!(" {}-gated", gating_key(config.gating)));
+        s.push_str(&format!(" {}-gated", config.gating.key()));
     }
     s
 }
@@ -312,54 +311,30 @@ pub fn outcome_from_journal(text: &str) -> Result<ExploreOutcome, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = json::parse(line).ok_or_else(|| format!("line {}: not valid JSON", n + 1))?;
+        let ctx = format!("line {}", n + 1);
+        let doc = json::parse(line).ok_or_else(|| format!("{ctx}: not valid JSON"))?;
         match doc.get("record").and_then(|v| v.as_str()) {
             Some("frontier") => {
-                let rank = doc
-                    .get("rank")
-                    .and_then(|v| v.as_u64())
-                    .ok_or_else(|| format!("line {}: frontier without rank", n + 1))?;
-                let (config, _workload) = journal::config_from_record(&doc)?;
-                let objectives = Objectives {
-                    cycles: doc
-                        .get("cycles")
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| format!("line {}: frontier without cycles", n + 1))?,
-                    energy_uj: doc
-                        .get("energy_uj")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| format!("line {}: frontier without energy_uj", n + 1))?,
-                    area_kge: doc
-                        .get("area_kge")
-                        .and_then(|v| v.as_f64())
-                        .ok_or_else(|| format!("line {}: frontier without area_kge", n + 1))?,
-                };
+                let (config, _workload) = config_from_record(&doc)?;
                 frontier.push(FrontierEntry {
-                    rank: rank as usize,
+                    rank: doc.req_u64(&ctx, "rank")? as usize,
                     config,
-                    objectives,
+                    objectives: Objectives {
+                        cycles: doc.req_u64(&ctx, "cycles")?,
+                        energy_uj: doc.req_f64(&ctx, "energy_uj")?,
+                        area_kge: doc.req_f64(&ctx, "area_kge")?,
+                    },
                 });
             }
             Some("dse_summary") => {
-                let get_str = |key: &str| {
-                    doc.get(key)
-                        .and_then(|v| v.as_str())
-                        .map(str::to_owned)
-                        .ok_or_else(|| format!("line {}: summary missing {key:?}", n + 1))
-                };
-                let get_u64 = |key: &str| {
-                    doc.get(key)
-                        .and_then(|v| v.as_u64())
-                        .ok_or_else(|| format!("line {}: summary missing {key:?}", n + 1))
-                };
                 summary = Some(ExploreOutcome {
-                    space: get_str("space")?,
-                    workload: crate::spaces::parse_workload(&get_str("workload")?)?,
-                    strategy: get_str("strategy")?,
-                    seed: get_u64("seed")?,
-                    lattice_points: get_u64("lattice_points")? as usize,
-                    pruned: get_u64("pruned")? as usize,
-                    evaluated: get_u64("evaluated")? as usize,
+                    space: doc.req_str(&ctx, "space")?.to_owned(),
+                    workload: doc.req_str(&ctx, "workload")?.parse()?,
+                    strategy: doc.req_str(&ctx, "strategy")?.to_owned(),
+                    seed: doc.req_u64(&ctx, "seed")?,
+                    lattice_points: doc.req_u64(&ctx, "lattice_points")? as usize,
+                    pruned: doc.req_u64(&ctx, "pruned")? as usize,
+                    evaluated: doc.req_u64(&ctx, "evaluated")? as usize,
                     resumed: 0,
                     simulated: 0,
                     frontier: Vec::new(),

@@ -16,50 +16,10 @@
 
 use crate::pareto::Objectives;
 use std::collections::HashMap;
-use ule_core::metrics::{arch_key, gating_key, mult_variant_key, workload_key, IDENTITY_KEYS};
+use ule_core::metrics::{identity_of, push_identity};
 use ule_core::{SystemConfig, Workload};
-use ule_obs::json::{self, Json};
+use ule_obs::json;
 use ule_obs::record::Record;
-
-/// Pushes the 15 identity keys of one design point onto a record, in
-/// [`IDENTITY_KEYS`] order with the same value formatting as
-/// `design_point_record`.
-pub fn push_identity(r: &mut Record, config: &SystemConfig, workload: Workload) {
-    let SystemConfig {
-        curve,
-        arch,
-        icache,
-        monte,
-        billie_digit,
-        mult_variant,
-        gating,
-        billie_sram_rf,
-    } = *config;
-    r.push("curve", curve.name());
-    r.push("arch", arch_key(arch));
-    r.push("workload", workload_key(workload));
-    r.push("icache_present", icache.is_some());
-    r.push(
-        "icache_size_bytes",
-        icache.map(|c| c.size_bytes as u64).unwrap_or(0),
-    );
-    r.push(
-        "icache_prefetch",
-        icache.map(|c| c.prefetch).unwrap_or(false),
-    );
-    r.push("icache_ideal", icache.map(|c| c.ideal).unwrap_or(false));
-    r.push(
-        "icache_miss_penalty",
-        icache.map(|c| c.miss_penalty as u64).unwrap_or(0),
-    );
-    r.push("monte_double_buffer", monte.double_buffer);
-    r.push("monte_forwarding", monte.forwarding);
-    r.push("monte_queue_depth", monte.queue_depth as u64);
-    r.push("billie_digit", billie_digit as u64);
-    r.push("mult_variant", mult_variant_key(mult_variant));
-    r.push("gating", gating_key(gating));
-    r.push("billie_sram_rf", billie_sram_rf);
-}
 
 /// One `frontier` record: rank, the point's identity, and its three
 /// objectives. Strategy-free on purpose — grid and greedy journals for
@@ -98,7 +58,7 @@ pub fn dse_summary_record(
 ) -> Record {
     let mut r = Record::new("dse_summary");
     r.push("space", space);
-    r.push("workload", workload_key(workload));
+    r.push("workload", workload.key());
     r.push("strategy", strategy);
     r.push("seed", seed);
     r.push("lattice_points", lattice_points as u64);
@@ -106,53 +66,6 @@ pub fn dse_summary_record(
     r.push("evaluated", evaluated as u64);
     r.push("frontier_size", frontier_size as u64);
     r
-}
-
-/// Reconstructs the configuration and workload a record's identity
-/// keys describe — the inverse of [`push_identity`], used by
-/// `repro explore --report` to rebuild frontier configs from a journal
-/// without re-running the exploration.
-pub fn config_from_record(doc: &Json) -> Result<(SystemConfig, Workload), String> {
-    let get_str = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("record: missing string {key:?}"))
-    };
-    let get_u64 = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("record: missing integer {key:?}"))
-    };
-    let get_bool = |key: &str| {
-        doc.get(key)
-            .and_then(|v| v.as_bool())
-            .ok_or_else(|| format!("record: missing boolean {key:?}"))
-    };
-    let curve = crate::spaces::parse_curve(get_str("curve")?)?;
-    let arch = crate::spaces::parse_arch(get_str("arch")?)?;
-    let workload = crate::spaces::parse_workload(get_str("workload")?)?;
-    let icache = if get_bool("icache_present")? {
-        Some(ule_pete::icache::CacheConfig {
-            size_bytes: get_u64("icache_size_bytes")? as u32,
-            prefetch: get_bool("icache_prefetch")?,
-            ideal: get_bool("icache_ideal")?,
-            miss_penalty: get_u64("icache_miss_penalty")? as u32,
-        })
-    } else {
-        None
-    };
-    let mut config = SystemConfig::new(curve, arch);
-    config.icache = icache;
-    config.monte = ule_monte::MonteConfig {
-        double_buffer: get_bool("monte_double_buffer")?,
-        forwarding: get_bool("monte_forwarding")?,
-        queue_depth: get_u64("monte_queue_depth")? as usize,
-    };
-    config.billie_digit = get_u64("billie_digit")? as usize;
-    config.mult_variant = crate::spaces::parse_mult_variant(get_str("mult_variant")?)?;
-    config.gating = crate::spaces::parse_gating(get_str("gating")?)?;
-    config.billie_sram_rf = get_bool("billie_sram_rf")?;
-    Ok((config, workload))
 }
 
 /// One design point recovered from a journal.
@@ -167,20 +80,6 @@ pub struct ResumedPoint {
     /// canonical rewrite so a resumed journal stays byte-identical to a
     /// fresh one.
     pub line: String,
-}
-
-fn identity_of(doc: &Json) -> Option<String> {
-    let mut s = String::new();
-    for key in IDENTITY_KEYS {
-        let v = doc.get(key)?;
-        match v {
-            Json::Bool(b) => s.push_str(&format!("{key}={b}|")),
-            Json::U64(n) => s.push_str(&format!("{key}={n}|")),
-            Json::Str(t) => s.push_str(&format!("{key}={t}|")),
-            _ => return None,
-        }
-    }
-    Some(s)
 }
 
 /// Parses the `design_point` lines of a (possibly torn or partial)
@@ -199,7 +98,7 @@ pub fn parse_design_points(text: &str) -> (HashMap<String, ResumedPoint>, usize)
                 return None;
             }
             Some((
-                identity_of(&doc)?,
+                identity_of(&doc).ok()?,
                 ResumedPoint {
                     cycles: doc.get("cycles")?.as_u64()?,
                     energy_uj: doc.get("energy_uj")?.as_f64()?,
@@ -231,11 +130,6 @@ pub struct JournalStats {
     pub unknown: usize,
 }
 
-fn require<'a>(doc: &'a Json, ctx: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{ctx}: missing {key:?}"))
-}
-
 /// Structurally validates an exploration journal (`repro check
 /// --journal`): every line is valid JSON with a record kind and schema
 /// version; design points carry their identity and objectives;
@@ -253,60 +147,43 @@ pub fn validate_journal(text: &str) -> Result<JournalStats, String> {
             continue;
         }
         let doc = json::parse(line).ok_or_else(|| format!("line {n}: not valid JSON"))?;
-        let kind = require(&doc, &format!("line {n}"), "record")?
-            .as_str()
-            .ok_or_else(|| format!("line {n}: \"record\" must be a string"))?
-            .to_owned();
-        require(&doc, &format!("line {n}"), "schema_version")?
-            .as_u64()
-            .ok_or_else(|| format!("line {n}: \"schema_version\" must be an integer"))?;
+        let kind = doc.req_str(&format!("line {n}"), "record")?.to_owned();
+        doc.req_u64(&format!("line {n}"), "schema_version")?;
         let ctx = format!("line {n} ({kind})");
+        let identity = || identity_of(&doc).map_err(|e| format!("{ctx}: identity: {e}"));
         match kind.as_str() {
             "design_point" => {
-                let id =
-                    identity_of(&doc).ok_or_else(|| format!("{ctx}: incomplete identity keys"))?;
-                require(&doc, &ctx, "cycles")?;
-                require(&doc, &ctx, "energy_uj")?;
-                design_identities.push(id);
+                design_identities.push(identity()?);
+                doc.req_u64(&ctx, "cycles")?;
+                doc.req_f64(&ctx, "energy_uj")?;
                 stats.design_points += 1;
             }
             "frontier" => {
-                require(&doc, &ctx, "space")?;
-                let rank = require(&doc, &ctx, "rank")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"rank\" must be an integer"))?;
+                doc.req_str(&ctx, "space")?;
+                let rank = doc.req_u64(&ctx, "rank")?;
                 if rank as usize != frontier_identities.len() {
                     return Err(format!(
                         "{ctx}: rank {rank} out of order (expected {})",
                         frontier_identities.len()
                     ));
                 }
-                let id =
-                    identity_of(&doc).ok_or_else(|| format!("{ctx}: incomplete identity keys"))?;
-                require(&doc, &ctx, "cycles")?;
-                require(&doc, &ctx, "energy_uj")?;
-                require(&doc, &ctx, "area_kge")?;
-                frontier_identities.push(id);
+                frontier_identities.push(identity()?);
+                doc.req_u64(&ctx, "cycles")?;
+                doc.req_f64(&ctx, "energy_uj")?;
+                doc.req_f64(&ctx, "area_kge")?;
                 stats.frontier_points += 1;
             }
             "dse_summary" => {
-                for key in [
-                    "space",
-                    "workload",
-                    "strategy",
-                    "seed",
-                    "lattice_points",
-                    "pruned",
-                ] {
-                    require(&doc, &ctx, key)?;
+                for key in ["space", "workload", "strategy"] {
+                    doc.req_str(&ctx, key)?;
                 }
-                let evaluated = require(&doc, &ctx, "evaluated")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"evaluated\" must be an integer"))?;
-                let frontier_size = require(&doc, &ctx, "frontier_size")?
-                    .as_u64()
-                    .ok_or_else(|| format!("{ctx}: \"frontier_size\" must be an integer"))?;
-                summary = Some((evaluated, frontier_size));
+                for key in ["seed", "lattice_points", "pruned"] {
+                    doc.req_u64(&ctx, key)?;
+                }
+                summary = Some((
+                    doc.req_u64(&ctx, "evaluated")?,
+                    doc.req_u64(&ctx, "frontier_size")?,
+                ));
                 stats.summaries += 1;
             }
             _ => stats.unknown += 1,

@@ -62,4 +62,4 @@ pub trait Evaluator {
 
 pub use explore::{explore, ExploreError, ExploreOutcome, FrontierEntry};
 pub use pareto::{dominates, Objectives, ParetoFront};
-pub use strategy::{Greedy, Grid, Strategy};
+pub use strategy::{Greedy, Grid, Strategy, StrategyKind};

@@ -18,6 +18,7 @@
 //! optional array per axis (see [`parse_space_file`]); omitted axes
 //! keep the single-point default of [`SpaceSpec::new`].
 
+use std::str::FromStr;
 use ule_core::space::{Axis, SpaceSpec};
 use ule_core::{MultVariant, Workload};
 use ule_curves::params::CurveId;
@@ -41,11 +42,7 @@ pub fn builtin(name: &str) -> Option<SpaceSpec> {
                 .axis(Axis::Curves(vec![CurveId::K163]))
                 .axis(Axis::Archs(vec![Arch::Billie]))
                 .axis(Axis::BillieDigits((1..=16).collect()))
-                .axis(Axis::MultVariants(vec![
-                    MultVariant::Karatsuba,
-                    MultVariant::OperandScan,
-                    MultVariant::Parallel,
-                ])),
+                .axis(Axis::MultVariants(MultVariant::ALL.to_vec())),
         ),
         "monte-gating" => Some(
             SpaceSpec::new("monte-gating", Workload::ScalarMul)
@@ -79,66 +76,19 @@ pub fn builtin(name: &str) -> Option<SpaceSpec> {
                 .axis(Axis::Curves(vec![CurveId::P192]))
                 .axis(Axis::Archs(vec![Arch::Baseline, Arch::IsaExt]))
                 .axis(Axis::Icaches(vec![None, Some(CacheConfig::best())]))
-                .axis(Axis::MultVariants(vec![
-                    MultVariant::Karatsuba,
-                    MultVariant::OperandScan,
-                    MultVariant::Parallel,
-                ])),
+                .axis(Axis::MultVariants(MultVariant::ALL.to_vec())),
         ),
         _ => None,
     }
 }
 
-pub(crate) fn parse_workload(s: &str) -> Result<Workload, String> {
-    Ok(match s {
-        "sign" => Workload::Sign,
-        "verify" => Workload::Verify,
-        "sign_verify" => Workload::SignVerify,
-        "scalar_mul" => Workload::ScalarMul,
-        "field_mul" => Workload::FieldMul,
-        "xdh" => Workload::Xdh,
-        "handshake" => Workload::Handshake,
-        other => return Err(format!("unknown workload {other:?}")),
-    })
-}
-
-pub(crate) fn parse_curve(s: &str) -> Result<CurveId, String> {
-    CurveId::ALL
-        .into_iter()
-        .chain(CurveId::XCURVES)
-        .find(|c| c.name() == s)
-        .ok_or_else(|| format!("unknown curve {s:?}"))
-}
-
-pub(crate) fn parse_arch(s: &str) -> Result<Arch, String> {
-    Ok(match s {
-        "baseline" => Arch::Baseline,
-        "isa_ext" => Arch::IsaExt,
-        "monte" => Arch::Monte,
-        "billie" => Arch::Billie,
-        other => return Err(format!("unknown arch {other:?}")),
-    })
-}
-
-pub(crate) fn parse_mult_variant(s: &str) -> Result<MultVariant, String> {
-    Ok(match s {
-        "karatsuba" => MultVariant::Karatsuba,
-        "operand_scan" => MultVariant::OperandScan,
-        "parallel" => MultVariant::Parallel,
-        other => return Err(format!("unknown mult_variant {other:?}")),
-    })
-}
-
-pub(crate) fn parse_gating(s: &str) -> Result<Gating, String> {
-    Ok(match s {
-        "none" => Gating::None,
-        "clock" => Gating::Clock,
-        "power" => Gating::Power,
-        other => return Err(format!("unknown gating {other:?}")),
-    })
-}
-
-fn str_items<'a>(doc: &'a Json, key: &str) -> Result<Option<Vec<&'a str>>, String> {
+/// The optional array `key` of a space file, every entry read by
+/// `item`.
+fn array<T>(
+    doc: &Json,
+    key: &str,
+    item: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
     let Some(v) = doc.get(key) else {
         return Ok(None);
     };
@@ -146,24 +96,14 @@ fn str_items<'a>(doc: &'a Json, key: &str) -> Result<Option<Vec<&'a str>>, Strin
         .as_array()
         .ok_or_else(|| format!("space file: {key:?} must be an array"))?;
     arr.iter()
-        .map(|e| {
-            e.as_str()
-                .ok_or_else(|| format!("space file: {key:?} entries must be strings"))
-        })
-        .collect::<Result<Vec<_>, _>>()
+        .map(|e| item(e).map_err(|err| format!("space file: {key:?}: {err}")))
+        .collect::<Result<_, _>>()
         .map(Some)
 }
 
-fn req_bool(obj: &Json, ctx: &str, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(|v| v.as_bool())
-        .ok_or_else(|| format!("space file: {ctx} needs boolean {key:?}"))
-}
-
-fn req_u64(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("space file: {ctx} needs integer {key:?}"))
+/// A name entry, in any spelling its `FromStr` accepts.
+fn name<T: FromStr<Err = String>>(e: &Json) -> Result<T, String> {
+    e.as_str().ok_or("entries must be strings")?.parse()
 }
 
 /// Parses a JSON space file. Supported keys: `name` (string, required),
@@ -173,113 +113,70 @@ fn req_u64(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
 /// `{"size_bytes": …, "prefetch": …}` with optional `ideal`/
 /// `miss_penalty`), and `montes` (entries `{"double_buffer": …,
 /// "forwarding": …, "queue_depth": …}`). Omitted axes keep the
-/// defaults of [`SpaceSpec::new`]. Identifiers use the same stable keys
-/// as the metrics schema (`"billie"`, `"operand_scan"`, `"clock"`,
-/// `"P-192"`, …).
+/// defaults of [`SpaceSpec::new`]. Names are the metrics-schema keys
+/// (`"billie"`, `"operand_scan"`, `"clock"`, `"P-192"`, …) in any
+/// spelling the CLI accepts (`"P192"`, `"isa-ext"`, …).
 pub fn parse_space_file(text: &str) -> Result<SpaceSpec, String> {
     let doc = json::parse(text).ok_or("space file: not valid JSON")?;
-    let name = doc
-        .get("name")
-        .and_then(|v| v.as_str())
-        .ok_or("space file: missing string \"name\"")?;
-    let workload = parse_workload(
-        doc.get("workload")
-            .and_then(|v| v.as_str())
-            .ok_or("space file: missing string \"workload\"")?,
-    )?;
-    let mut space = SpaceSpec::new(name, workload);
-
-    if let Some(items) = str_items(&doc, "curves")? {
-        let v = items
-            .into_iter()
-            .map(parse_curve)
-            .collect::<Result<_, _>>()?;
+    let mut space = SpaceSpec::new(
+        doc.req_str("space file", "name")?,
+        doc.req_str("space file", "workload")?
+            .parse()
+            .map_err(|e| format!("space file: {e}"))?,
+    );
+    if let Some(v) = array(&doc, "curves", name)? {
         space = space.axis(Axis::Curves(v));
     }
-    if let Some(items) = str_items(&doc, "archs")? {
-        let v = items
-            .into_iter()
-            .map(parse_arch)
-            .collect::<Result<_, _>>()?;
+    if let Some(v) = array(&doc, "archs", name)? {
         space = space.axis(Axis::Archs(v));
     }
-    if let Some(items) = str_items(&doc, "mult_variants")? {
-        let v = items
-            .into_iter()
-            .map(parse_mult_variant)
-            .collect::<Result<_, _>>()?;
+    if let Some(v) = array(&doc, "mult_variants", name)? {
         space = space.axis(Axis::MultVariants(v));
     }
-    if let Some(items) = str_items(&doc, "gatings")? {
-        let v = items
-            .into_iter()
-            .map(parse_gating)
-            .collect::<Result<_, _>>()?;
+    if let Some(v) = array(&doc, "gatings", name)? {
         space = space.axis(Axis::Gatings(v));
     }
-    if let Some(v) = doc.get("billie_digits") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"billie_digits\" must be an array")?;
-        let digits = arr
-            .iter()
-            .map(|e| {
-                e.as_u64().map(|d| d as usize).ok_or_else(|| {
-                    "space file: \"billie_digits\" entries must be integers".to_owned()
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::BillieDigits(digits));
+    let digit = |e: &Json| {
+        e.as_u64()
+            .map(|d| d as usize)
+            .ok_or_else(|| "entries must be integers".to_owned())
+    };
+    if let Some(v) = array(&doc, "billie_digits", digit)? {
+        space = space.axis(Axis::BillieDigits(v));
     }
-    if let Some(v) = doc.get("billie_sram_rf") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"billie_sram_rf\" must be an array")?;
-        let flags = arr
-            .iter()
-            .map(|e| {
-                e.as_bool().ok_or_else(|| {
-                    "space file: \"billie_sram_rf\" entries must be booleans".to_owned()
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        space = space.axis(Axis::BillieSramRf(flags));
+    let flag = |e: &Json| {
+        e.as_bool()
+            .ok_or_else(|| "entries must be booleans".to_owned())
+    };
+    if let Some(v) = array(&doc, "billie_sram_rf", flag)? {
+        space = space.axis(Axis::BillieSramRf(v));
     }
-    if let Some(v) = doc.get("icaches") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"icaches\" must be an array")?;
-        let mut caches = Vec::new();
-        for e in arr {
-            if matches!(e, Json::Null) {
-                caches.push(None);
-                continue;
-            }
-            let size = req_u64(e, "icache entry", "size_bytes")? as u32;
-            let mut c = CacheConfig::real(size, req_bool(e, "icache entry", "prefetch")?);
-            if let Some(ideal) = e.get("ideal").and_then(|v| v.as_bool()) {
-                c.ideal = ideal;
-            }
-            if let Some(p) = e.get("miss_penalty").and_then(|v| v.as_u64()) {
-                c.miss_penalty = p as u32;
-            }
-            caches.push(Some(c));
+    let icache = |e: &Json| {
+        if matches!(e, Json::Null) {
+            return Ok(None);
         }
-        space = space.axis(Axis::Icaches(caches));
-    }
-    if let Some(v) = doc.get("montes") {
-        let arr = v
-            .as_array()
-            .ok_or("space file: \"montes\" must be an array")?;
-        let mut montes = Vec::new();
-        for e in arr {
-            montes.push(MonteConfig {
-                double_buffer: req_bool(e, "monte entry", "double_buffer")?,
-                forwarding: req_bool(e, "monte entry", "forwarding")?,
-                queue_depth: req_u64(e, "monte entry", "queue_depth")? as usize,
-            });
+        let prefetch = e.req_bool("icache entry", "prefetch")?;
+        let mut c = CacheConfig::real(e.req_u64("icache entry", "size_bytes")? as u32, prefetch);
+        if let Some(ideal) = e.get("ideal").and_then(|v| v.as_bool()) {
+            c.ideal = ideal;
         }
-        space = space.axis(Axis::Montes(montes));
+        if let Some(p) = e.get("miss_penalty").and_then(|v| v.as_u64()) {
+            c.miss_penalty = p as u32;
+        }
+        Ok(Some(c))
+    };
+    if let Some(v) = array(&doc, "icaches", icache)? {
+        space = space.axis(Axis::Icaches(v));
+    }
+    let monte = |e: &Json| {
+        Ok(MonteConfig {
+            double_buffer: e.req_bool("monte entry", "double_buffer")?,
+            forwarding: e.req_bool("monte entry", "forwarding")?,
+            queue_depth: e.req_u64("monte entry", "queue_depth")? as usize,
+        })
+    };
+    if let Some(v) = array(&doc, "montes", monte)? {
+        space = space.axis(Axis::Montes(v));
     }
     space.validate().map_err(|e| format!("space file: {e}"))?;
     Ok(space)
@@ -291,10 +188,26 @@ mod tests {
 
     #[test]
     fn builtins_enumerate() {
+        // Identity codec round trip on every built-in lattice point. The
+        // identity keys do not depend on the report, so one cheap
+        // simulation serves every record.
+        use ule_core::metrics::{config_from_record, config_identity, design_point_record};
+        let cfg = ule_core::SystemConfig::new(CurveId::P192, Arch::Baseline);
+        let report =
+            ule_core::System::new(cfg).run_with(ule_core::RunOptions::new(Workload::FieldMul));
         for name in BUILTIN_NAMES {
             let space = builtin(name).unwrap();
             let lattice = space.enumerate().unwrap();
             assert!(!lattice.is_empty(), "{name}");
+            for config in lattice {
+                let rec = design_point_record(&config, space.workload, &report);
+                let doc = json::parse(&rec.to_json()).unwrap();
+                assert_eq!(config_from_record(&doc), Ok((config, space.workload)));
+                assert_eq!(
+                    ule_core::metrics::identity_of(&doc),
+                    Ok(config_identity(&config, space.workload))
+                );
+            }
         }
         assert!(builtin("no-such-space").is_none());
         // The Fig 7.14 axis: 16 digits × 3 variants.
@@ -342,6 +255,13 @@ mod tests {
         assert_eq!(space.name, "custom");
         // 2 curves × 2 digits × 2 rf × 2 gatings.
         assert_eq!(space.enumerate().unwrap().len(), 16);
+        // The CLI spellings name the same space.
+        let cli = text
+            .replace("K-163", "k163")
+            .replace("\"billie\"", "\"Billie\"")
+            .replace("scalar_mul", "scalar-mul")
+            .replace("karatsuba", "KARATSUBA");
+        assert_eq!(parse_space_file(&cli).unwrap(), space);
     }
 
     #[test]

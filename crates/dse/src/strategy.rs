@@ -254,6 +254,37 @@ impl Strategy for Greedy {
     }
 }
 
+/// The built-in strategies by name (`repro explore --strategy`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StrategyKind {
+    /// [`Grid`].
+    Grid,
+    /// [`Greedy`].
+    Greedy,
+}
+
+impl StrategyKind {
+    /// A fresh strategy of this kind; `seed` orders greedy's schedule.
+    pub fn build(self, seed: u64) -> Box<dyn Strategy> {
+        match self {
+            StrategyKind::Grid => Box::new(Grid::new()),
+            StrategyKind::Greedy => Box::new(Greedy::new(seed)),
+        }
+    }
+}
+
+impl std::str::FromStr for StrategyKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "grid" => Ok(StrategyKind::Grid),
+            "greedy" => Ok(StrategyKind::Greedy),
+            _ => Err(format!("unknown strategy {s:?} (expected grid|greedy)")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -92,6 +92,35 @@ pub enum Gating {
     Power,
 }
 
+impl Gating {
+    /// Every strategy, the study's design point first.
+    pub const ALL: [Gating; 3] = [Gating::None, Gating::Clock, Gating::Power];
+
+    /// The metrics-schema spelling (`"none"`, `"clock"`, `"power"`).
+    pub fn key(self) -> &'static str {
+        match self {
+            Gating::None => "none",
+            Gating::Clock => "clock",
+            Gating::Power => "power",
+        }
+    }
+}
+
+impl std::str::FromStr for Gating {
+    type Err = String;
+
+    /// The design-space spelling policy (`ule_curves::params::spells`:
+    /// ASCII case and `-`/`_` separators ignored), here over keys that
+    /// have no separator.
+    fn from_str(s: &str) -> Result<Self, String> {
+        let folded = s.replace(['-', '_'], "");
+        Gating::ALL
+            .into_iter()
+            .find(|g| folded.eq_ignore_ascii_case(g.key()))
+            .ok_or_else(|| format!("unknown gating {s:?} (expected none|clock|power)"))
+    }
+}
+
 /// Accelerator activity for the energy model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CopActivity {

@@ -259,6 +259,42 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Member `key` as an unsigned integer, or an error prefixed by
+    /// `ctx` (`"line 3 (frontier)"`, `"space file: monte entry"`, …).
+    /// The `req_*` family is the one required-field reader of every
+    /// record validator and loader.
+    pub fn req_u64(&self, ctx: &str, key: &str) -> Result<u64, String> {
+        self.req(ctx, key, "an integer", Json::as_u64)
+    }
+
+    /// Member `key` as a number (see [`Json::req_u64`]).
+    pub fn req_f64(&self, ctx: &str, key: &str) -> Result<f64, String> {
+        self.req(ctx, key, "a number", Json::as_f64)
+    }
+
+    /// Member `key` as a string (see [`Json::req_u64`]).
+    pub fn req_str(&self, ctx: &str, key: &str) -> Result<&str, String> {
+        self.req(ctx, key, "a string", Json::as_str)
+    }
+
+    /// Member `key` as a boolean (see [`Json::req_u64`]).
+    pub fn req_bool(&self, ctx: &str, key: &str) -> Result<bool, String> {
+        self.req(ctx, key, "a boolean", Json::as_bool)
+    }
+
+    fn req<'a, T>(
+        &'a self,
+        ctx: &str,
+        key: &str,
+        what: &str,
+        as_t: fn(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.get(key) {
+            Some(v) => as_t(v).ok_or_else(|| format!("{ctx}: {key:?} must be {what}")),
+            None => Err(format!("{ctx}: missing {key:?}")),
+        }
+    }
 }
 
 /// Parses one complete JSON value (with optional surrounding
@@ -524,6 +560,21 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn required_field_readers_name_the_key() {
+        let doc = parse(r#"{"n":3,"x":1.5,"s":"a","b":true}"#).unwrap();
+        assert_eq!(doc.req_u64("ctx", "n"), Ok(3));
+        assert_eq!(doc.req_f64("ctx", "x"), Ok(1.5));
+        assert_eq!(doc.req_f64("ctx", "n"), Ok(3.0));
+        assert_eq!(doc.req_str("ctx", "s"), Ok("a"));
+        assert_eq!(doc.req_bool("ctx", "b"), Ok(true));
+        assert_eq!(doc.req_u64("ctx", "q"), Err("ctx: missing \"q\"".into()));
+        assert_eq!(
+            doc.req_u64("ctx", "s"),
+            Err("ctx: \"s\" must be an integer".into())
+        );
+    }
 
     #[test]
     fn objects_arrays_and_escapes() {

@@ -199,19 +199,24 @@ pub enum EngineTier {
 
 impl EngineTier {
     /// CLI spelling (`--tier fast` …).
-    pub fn label(self) -> &'static str {
+    pub fn key(self) -> &'static str {
         match self {
             EngineTier::Fast => "fast",
             EngineTier::Reference => "reference",
         }
     }
+}
 
-    /// Parses the CLI spelling; `ref` is accepted for `reference`.
-    pub fn parse(s: &str) -> Option<EngineTier> {
-        match s.to_ascii_lowercase().as_str() {
-            "fast" => Some(EngineTier::Fast),
-            "reference" | "ref" => Some(EngineTier::Reference),
-            _ => None,
+impl std::str::FromStr for EngineTier {
+    type Err = String;
+
+    /// The design-space spelling policy (ASCII case and `-`/`_`
+    /// separators ignored); `ref` is accepted for `reference`.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.replace(['-', '_'], "").to_ascii_lowercase().as_str() {
+            "fast" => Ok(EngineTier::Fast),
+            "reference" | "ref" => Ok(EngineTier::Reference),
+            _ => Err(format!("unknown tier {s:?} (expected fast|reference)")),
         }
     }
 }

@@ -299,18 +299,6 @@ pub struct ServeCheck {
     pub min_gain_ops: f64,
 }
 
-fn require_u64(doc: &Json, ctx: &str, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing/non-integer key {key:?}"))
-}
-
-fn require_f64(doc: &Json, ctx: &str, key: &str) -> Result<f64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("{ctx}: missing/non-numeric key {key:?}"))
-}
-
 /// Validates a serve journal (JSONL text): well-formed records of the
 /// v4 schema, zero verdict mismatches, and — when `min_gain_ops` is
 /// given — every summary's deterministic batching gain at or above it.
@@ -340,31 +328,31 @@ pub fn validate_serve(text: &str, min_gain_ops: Option<f64>) -> Result<ServeChec
                     "fallback_batches",
                     "host_weighted_ops",
                 ] {
-                    require_u64(&doc, &ctx, key)?;
+                    doc.req_u64(&ctx, key)?;
                 }
                 for key in [
                     "op_scale",
                     "signatures_per_sec",
                     "energy_uj_per_million_requests",
                 ] {
-                    require_f64(&doc, &ctx, key)?;
+                    doc.req_f64(&ctx, key)?;
                 }
-                let m = require_u64(&doc, &ctx, "mismatches")?;
+                let m = doc.req_u64(&ctx, "mismatches")?;
                 if m != 0 {
                     return Err(format!(
                         "{ctx}: {m} verdict mismatches — batch verifier diverged from verify_prehashed"
                     ));
                 }
-                let accepted = require_u64(&doc, &ctx, "accepted")?;
-                let rejected = require_u64(&doc, &ctx, "rejected")?;
-                if accepted + rejected != require_u64(&doc, &ctx, "requests")? {
+                let accepted = doc.req_u64(&ctx, "accepted")?;
+                let rejected = doc.req_u64(&ctx, "rejected")?;
+                if accepted + rejected != doc.req_u64(&ctx, "requests")? {
                     return Err(format!("{ctx}: accepted + rejected != requests"));
                 }
                 check.points += 1;
             }
             "serve_summary" => {
-                let gain = require_f64(&doc, &ctx, "gain_ops")?;
-                if require_u64(&doc, &ctx, "mismatches")? != 0 {
+                let gain = doc.req_f64(&ctx, "gain_ops")?;
+                if doc.req_u64(&ctx, "mismatches")? != 0 {
                     return Err(format!("{ctx}: nonzero mismatches"));
                 }
                 if let Some(floor) = min_gain_ops {
@@ -378,9 +366,9 @@ pub fn validate_serve(text: &str, min_gain_ops: Option<f64>) -> Result<ServeChec
                 check.summaries += 1;
             }
             "serve_frontier" => {
-                require_u64(&doc, &ctx, "batch_size")?;
-                require_f64(&doc, &ctx, "energy_uj")?;
-                require_f64(&doc, &ctx, "area_kge")?;
+                doc.req_u64(&ctx, "batch_size")?;
+                doc.req_f64(&ctx, "energy_uj")?;
+                doc.req_f64(&ctx, "area_kge")?;
                 check.frontier += 1;
             }
             _ => {} // foreign record kinds are fine in a shared journal
@@ -481,11 +469,7 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
         };
         match kind {
             "serve_latency" => {
-                let scope = doc
-                    .get("scope")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("{ctx}: missing scope"))?;
-                let shard = match scope {
+                let shard = match doc.req_str(&ctx, "scope")? {
                     "fleet" => -1i64,
                     "shard" => doc
                         .get("shard")
@@ -499,17 +483,17 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
                 let entry = LatencyLine {
                     line: n,
                     shard,
-                    shards: require_u64(&doc, &ctx, "shards")?,
-                    count: require_u64(&doc, &ctx, "count")?,
+                    shards: doc.req_u64(&ctx, "shards")?,
+                    count: doc.req_u64(&ctx, "count")?,
                     hist,
                     percentiles: [
-                        (50.0, require_u64(&doc, &ctx, "p50_cycles")?),
-                        (95.0, require_u64(&doc, &ctx, "p95_cycles")?),
-                        (99.0, require_u64(&doc, &ctx, "p99_cycles")?),
-                        (99.9, require_u64(&doc, &ctx, "p999_cycles")?),
+                        (50.0, doc.req_u64(&ctx, "p50_cycles")?),
+                        (95.0, doc.req_u64(&ctx, "p95_cycles")?),
+                        (99.0, doc.req_u64(&ctx, "p99_cycles")?),
+                        (99.9, doc.req_u64(&ctx, "p999_cycles")?),
                     ],
-                    min: require_u64(&doc, &ctx, "min_cycles")?,
-                    max: require_u64(&doc, &ctx, "max_cycles")?,
+                    min: doc.req_u64(&ctx, "min_cycles")?,
+                    max: doc.req_u64(&ctx, "max_cycles")?,
                 };
                 if entry.hist.count() != entry.count {
                     return Err(format!(
@@ -544,15 +528,15 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
                 check.latency_records += 1;
             }
             "sla_summary" => {
-                let accepted = require_u64(&doc, &ctx, "accepted")?;
-                let rejected = require_u64(&doc, &ctx, "rejected")?;
-                let p99 = require_u64(&doc, &ctx, "p99_latency_cycles")?;
-                let depth_max = require_u64(&doc, &ctx, "queue_depth_max")?;
-                let depth_mean = require_f64(&doc, &ctx, "queue_depth_mean")?;
+                let accepted = doc.req_u64(&ctx, "accepted")?;
+                let rejected = doc.req_u64(&ctx, "rejected")?;
+                let p99 = doc.req_u64(&ctx, "p99_latency_cycles")?;
+                let depth_max = doc.req_u64(&ctx, "queue_depth_max")?;
+                let depth_mean = doc.req_f64(&ctx, "queue_depth_mean")?;
                 if depth_mean > depth_max as f64 {
                     return Err(format!("{ctx}: mean queue depth exceeds the max"));
                 }
-                let shards = require_u64(&doc, &ctx, "shards")?;
+                let shards = doc.req_u64(&ctx, "shards")?;
                 let util = doc
                     .get("shard_utilization")
                     .and_then(Json::as_array)

@@ -44,6 +44,9 @@ pub enum Arch {
 }
 
 impl Arch {
+    /// Every architecture, in Fig 1.1 order.
+    pub const ALL: [Arch; 4] = [Arch::Baseline, Arch::IsaExt, Arch::Monte, Arch::Billie];
+
     /// Display name used in reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -52,6 +55,25 @@ impl Arch {
             Arch::Monte => "w/ Monte",
             Arch::Billie => "w/ Billie",
         }
+    }
+
+    /// The metrics-schema spelling (`"isa_ext"`, …).
+    pub fn key(self) -> &'static str {
+        match self {
+            Arch::Baseline => "baseline",
+            Arch::IsaExt => "isa_ext",
+            Arch::Monte => "monte",
+            Arch::Billie => "billie",
+        }
+    }
+}
+
+impl std::str::FromStr for Arch {
+    type Err = String;
+
+    /// Any spelling of a key under [`ule_curves::params::spells`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        ule_curves::params::parse_name("arch", s, &Arch::ALL, Arch::key)
     }
 }
 

@@ -52,18 +52,22 @@ pub enum CaseSelector {
     Negative(usize),
 }
 
-impl CaseSelector {
+impl std::str::FromStr for CaseSelector {
+    type Err = String;
+
     /// Parses the CLI form (a case label).
-    pub fn parse(s: &str) -> Option<CaseSelector> {
-        let (kind, rest) = s.split_once(':')?;
-        match kind {
+    fn from_str(s: &str) -> Result<Self, String> {
+        let selector = s.split_once(':').and_then(|(kind, rest)| match kind {
             "random" => rest.parse().ok().map(CaseSelector::Random),
             "edge" => Some(CaseSelector::Edge(rest.to_string())),
             "negative" => rest.parse().ok().map(CaseSelector::Negative),
             _ => None,
-        }
+        });
+        selector.ok_or_else(|| format!("bad case selector {s:?} (random:N, edge:NAME, negative:N)"))
     }
+}
 
+impl CaseSelector {
     pub(crate) fn matches(&self, label: &str) -> bool {
         match self {
             CaseSelector::Random(i) => label == format!("random:{i}"),

@@ -81,16 +81,21 @@ impl ConfigKind {
             }
         }
     }
+}
 
-    /// Parses a CLI label (either family's coprocessor name works).
-    pub fn parse(s: &str) -> Option<ConfigKind> {
-        match s {
-            "baseline" => Some(ConfigKind::Baseline),
-            "baseline+ic" => Some(ConfigKind::BaselineIcache),
-            "isa-ext" => Some(ConfigKind::IsaExt),
-            "isa-ext+ic" => Some(ConfigKind::IsaExtIcache),
-            "monte" | "billie" | "coproc" => Some(ConfigKind::Coproc),
-            _ => None,
+impl std::str::FromStr for ConfigKind {
+    type Err = String;
+
+    /// Parses a CLI label (either family's coprocessor name works),
+    /// ignoring ASCII case and `-`/`_` separators like every name.
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.replace(['-', '_'], "").to_ascii_lowercase().as_str() {
+            "baseline" => Ok(ConfigKind::Baseline),
+            "baseline+ic" => Ok(ConfigKind::BaselineIcache),
+            "isaext" => Ok(ConfigKind::IsaExt),
+            "isaext+ic" => Ok(ConfigKind::IsaExtIcache),
+            "monte" | "billie" | "coproc" => Ok(ConfigKind::Coproc),
+            _ => Err(format!("unknown config {s:?}")),
         }
     }
 }
@@ -142,14 +147,20 @@ impl TierPolicy {
             TierPolicy::Alternate => "alternate",
         }
     }
+}
 
-    /// Parses the CLI spelling.
-    pub fn parse(s: &str) -> Option<TierPolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "fast" => Some(TierPolicy::Fast),
-            "reference" | "ref" => Some(TierPolicy::Reference),
-            "alternate" | "alt" => Some(TierPolicy::Alternate),
-            _ => None,
+impl std::str::FromStr for TierPolicy {
+    type Err = String;
+
+    /// Parses the CLI spelling (ASCII case and `-`/`_` ignored).
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s.replace(['-', '_'], "").to_ascii_lowercase().as_str() {
+            "fast" => Ok(TierPolicy::Fast),
+            "reference" | "ref" => Ok(TierPolicy::Reference),
+            "alternate" | "alt" => Ok(TierPolicy::Alternate),
+            _ => Err(format!(
+                "unknown tier {s:?} (expected fast|reference|alternate)"
+            )),
         }
     }
 }

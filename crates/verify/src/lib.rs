@@ -294,20 +294,6 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
     report
 }
 
-/// Parses a curve name as the CLI accepts it: `P-192`, `p192`, `K571`,
-/// `x25519`…
-pub fn parse_curve(s: &str) -> Option<CurveId> {
-    let norm: String = s
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_uppercase();
-    CurveId::ALL
-        .into_iter()
-        .chain(CurveId::XCURVES)
-        .find(|id| id.name().replace('-', "") == norm)
-}
-
 /// Parses a campaign seed: hex (`0x…`), decimal, or — for anything
 /// else, like the conventional `0xULE` — a splitmix64 hash of the
 /// string bytes, so any token is a valid, deterministic seed.
@@ -343,12 +329,11 @@ mod tests {
     }
 
     #[test]
-    fn curve_parsing() {
-        assert_eq!(parse_curve("P-192"), Some(CurveId::P192));
-        assert_eq!(parse_curve("k571"), Some(CurveId::K571));
-        assert_eq!(parse_curve("x25519"), Some(CurveId::X25519));
-        assert_eq!(parse_curve("X-448"), Some(CurveId::X448));
-        assert_eq!(parse_curve("x12345"), None);
+    fn cli_labels_follow_the_spelling_policy() {
+        assert_eq!("isa_ext+IC".parse(), Ok(ConfigKind::IsaExtIcache));
+        assert_eq!("isa-ext".parse(), Ok(ConfigKind::IsaExt));
+        assert_eq!("Alternate".parse(), Ok(TierPolicy::Alternate));
+        assert!("isa".parse::<ConfigKind>().is_err());
     }
 
     #[test]

@@ -189,7 +189,7 @@ pub fn shrink(rig: &CurveRig, d: &Divergence, seed: u64) -> ShrunkDivergence {
         rig.id.name(),
         d.case.label(),
         config.label(binary),
-        tier.label(),
+        tier.key(),
     );
     ShrunkDivergence {
         original: d.clone(),
