@@ -39,9 +39,8 @@ pub mod space;
 use ule_billie::{Billie, BillieConfig};
 use ule_curves::binary::AffinePoint2m;
 use ule_curves::ecdsa::{self, Keypair, PublicKey};
-use ule_curves::params::{Curve, CurveId, CurveKind};
+use ule_curves::params::{Curve, CurveId};
 use ule_curves::prime::AffinePoint;
-use ule_curves::scalar;
 use ule_energy::report::Gating;
 use ule_energy::{Activity, CopActivity, CopKind, EnergyBreakdown, IcacheActivity};
 use ule_monte::{Monte, MonteConfig};
@@ -699,7 +698,7 @@ impl System {
         let d_limbs = inp.keys.private().to_limbs(k);
         let e_limbs = inp.e.to_limbs(k);
         let k_limbs = inp.nonce.to_limbs(k);
-        let (qx, qy) = public_xy(&self.curve, &inp.keys.public(), k);
+        let (qx, qy) = public_xy(&inp.keys.public(), k);
         match workload {
             Workload::Sign | Workload::SignVerify => {
                 let mut m = self.machine(profile);
@@ -744,7 +743,7 @@ impl System {
             write_buf(&mut m, &self.suite.program, "arg_k", &k_limbs);
             self.sim_entry(&mut m, "main_scalar_mul", tier);
             let gx = read_buf(&m, &self.suite.program, "out_r", k);
-            let expect = host_mul_g(&self.curve, &inp.nonce, k);
+            let expect = public_xy(&self.curve.mul_g(&inp.nonce), k);
             assert_eq!(gx, expect.0, "simulated kG mismatch");
             total.add(&mut m);
         }
@@ -810,27 +809,13 @@ fn limb_bytes(limbs: &[u32]) -> Vec<u8> {
     limbs.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-fn public_xy(_curve: &Curve, public: &PublicKey, k: usize) -> (Vec<u32>, Vec<u32>) {
+fn public_xy(public: &PublicKey, k: usize) -> (Vec<u32>, Vec<u32>) {
     match public {
         PublicKey::Prime(AffinePoint::Point { x, y }) => (x.limbs().to_vec(), y.limbs().to_vec()),
         PublicKey::Binary(AffinePoint2m::Point { x, y }) => {
             (x.limbs().to_vec(), y.limbs().to_vec())
         }
         _ => (vec![0; k], vec![0; k]),
-    }
-}
-
-fn host_mul_g(curve: &Curve, s: &Mp, k: usize) -> (Vec<u32>, Vec<u32>) {
-    match curve.kind() {
-        CurveKind::Prime(c) => match scalar::mul_window(c, s, &c.generator()) {
-            AffinePoint::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-            AffinePoint::Infinity => (vec![0; k], vec![0; k]),
-        },
-        CurveKind::Binary(c) => match scalar::mul_window(c, s, &c.generator()) {
-            AffinePoint2m::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-            AffinePoint2m::Infinity => (vec![0; k], vec![0; k]),
-        },
-        CurveKind::Mont(_) => unreachable!("ECDSA workloads are validated off ladder curves"),
     }
 }
 

@@ -51,11 +51,7 @@ impl Keypair {
     /// Panics if `d` is zero or `>= n`.
     pub fn from_private(curve: &Curve, d: Mp) -> Keypair {
         assert!(!d.is_zero() && &d < curve.n(), "private key out of range");
-        let public = match curve.kind() {
-            CurveKind::Prime(c) => PublicKey::Prime(scalar::mul_window(c, &d, &c.generator())),
-            CurveKind::Binary(c) => PublicKey::Binary(scalar::mul_window(c, &d, &c.generator())),
-            CurveKind::Mont(c) => panic!("{}: ECDSA needs a Weierstraß curve", c.id().name()),
-        };
+        let public = curve.mul_g(&d);
         Keypair { d, public }
     }
 
@@ -159,16 +155,11 @@ pub fn sign_with_nonce_recoverable(
 ) -> Option<(Signature, PublicKey)> {
     assert!(!k.is_zero() && k < curve.n(), "nonce out of range");
     let nf = curve.order_field();
-    let (x_int, point) = match curve.kind() {
-        CurveKind::Prime(c) => {
-            let p = scalar::mul_window(c, k, &c.generator());
-            (c.x_as_integer(&p)?, PublicKey::Prime(p))
-        }
-        CurveKind::Binary(c) => {
-            let p = scalar::mul_window(c, k, &c.generator());
-            (c.x_as_integer(&p)?, PublicKey::Binary(p))
-        }
-        CurveKind::Mont(c) => panic!("{}: ECDSA needs a Weierstraß curve", c.id().name()),
+    let point = curve.mul_g(k);
+    let x_int = match (curve.kind(), &point) {
+        (CurveKind::Prime(c), PublicKey::Prime(p)) => c.x_as_integer(p)?,
+        (CurveKind::Binary(c), PublicKey::Binary(p)) => c.x_as_integer(p)?,
+        _ => unreachable!("mul_g answers in the curve's own family"),
     };
     let r = x_int.rem(curve.n());
     if r.is_zero() {

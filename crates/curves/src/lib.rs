@@ -11,7 +11,8 @@
 //! * **scalar point multiplication** — sliding-window with precomputed odd
 //!   multiples for signing, twin (simultaneous) multiplication for
 //!   verification, plus the Montgomery ladder evaluated (and rejected) for
-//!   the binary coprocessor (§4.1, Fig 7.14);
+//!   the binary coprocessor (§4.1, Fig 7.14); the host itself computes
+//!   `k·G` with a fixed-base comb ([`Curve::mul_g`]);
 //! * **ECDSA** — signature and verification, including the protocol
 //!   arithmetic modulo the group order (§4.1).
 //!

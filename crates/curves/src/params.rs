@@ -14,9 +14,11 @@
 //! interval, and `n·G = ∞`.
 
 use crate::binary::BinaryCurve;
+use crate::ecdsa::PublicKey;
 use crate::montgomery::MontCurve;
 use crate::prime::PrimeCurve;
-use crate::scalar;
+use crate::scalar::{self, FixedBase};
+use std::sync::OnceLock;
 use ule_mpmath::f2m::BinaryField;
 use ule_mpmath::fp::PrimeField;
 use ule_mpmath::mp::Mp;
@@ -241,6 +243,15 @@ pub struct Curve {
     cofactor: u64,
     order_field: PrimeField,
     provenance: Provenance,
+    /// G's fixed-base comb, built on the first [`Curve::mul_g`].
+    g_comb: OnceLock<GComb>,
+}
+
+/// The table behind [`Curve::mul_g`], one variant per Weierstraß family.
+#[derive(Clone, Debug)]
+enum GComb {
+    Prime(FixedBase<PrimeCurve>),
+    Binary(FixedBase<BinaryCurve>),
 }
 
 /// Whether `input` spells the name `key` under the one policy every
@@ -322,6 +333,7 @@ impl Curve {
             cofactor: h,
             order_field,
             provenance: Provenance::Nist,
+            g_comb: OnceLock::new(),
         }
     }
 
@@ -342,6 +354,7 @@ impl Curve {
             cofactor: 1,
             order_field,
             provenance: Provenance::Nist,
+            g_comb: OnceLock::new(),
         }
     }
 
@@ -395,6 +408,7 @@ impl Curve {
             cofactor: h,
             order_field,
             provenance: Provenance::Derived,
+            g_comb: OnceLock::new(),
         }
     }
 
@@ -466,6 +480,26 @@ impl Curve {
     /// Where the parameters came from.
     pub fn provenance(&self) -> Provenance {
         self.provenance
+    }
+
+    /// `k·G` through G's fixed-base comb, the host's one path for
+    /// multiples of the generator. The first call on a curve builds the
+    /// table; later calls reuse it. `k = 0` gives infinity.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a Montgomery curve: ECDSA needs a Weierstraß curve.
+    pub fn mul_g(&self, k: &Mp) -> PublicKey {
+        let comb = self.g_comb.get_or_init(|| match &self.kind {
+            CurveKind::Prime(c) => GComb::Prime(FixedBase::new(c, &c.generator(), &self.n)),
+            CurveKind::Binary(c) => GComb::Binary(FixedBase::new(c, &c.generator(), &self.n)),
+            CurveKind::Mont(_) => panic!("{}: ECDSA needs a Weierstraß curve", self.id.name()),
+        });
+        match (&self.kind, comb) {
+            (CurveKind::Prime(c), GComb::Prime(t)) => PublicKey::Prime(t.mul(c, k)),
+            (CurveKind::Binary(c), GComb::Binary(t)) => PublicKey::Binary(t.mul(c, k)),
+            _ => unreachable!("the comb is built for the curve's own family"),
+        }
     }
 
     /// Full self-validation of the parameter set.

@@ -1,7 +1,7 @@
 //! Scalar point multiplication — the elliptic-curve one-way function
 //! (§2.1.5, §4.1).
 //!
-//! Three algorithms are implemented, generically over both curve families
+//! Four algorithms are implemented, generically over both curve families
 //! via the [`GroupOps`] trait:
 //!
 //! * [`mul_binary`] — right-to-left binary double-and-add (Algorithm 1 of
@@ -10,6 +10,9 @@
 //! * [`mul_window`] — the left-to-right **sliding-window** method with
 //!   precomputed small odd multiples, the algorithm the paper uses for a
 //!   signature's single scalar multiplication (§4.1);
+//! * [`FixedBase`] — a Lim–Lee **fixed-base comb** over a table built
+//!   once per point, the host's `k·G` (the group-level form of the
+//!   paper's comb, §4.2.2);
 //! * [`twin_mul`] — **twin (simultaneous) multiplication**
 //!   `u1*P + u2*Q` with precomputed `P+Q` and `P-Q`, the algorithm the
 //!   paper uses for verification, costing less than two single
@@ -218,6 +221,98 @@ pub fn mul_window_counted<C: GroupOps>(curve: &C, x: &Mp, p: &C::Aff) -> (C::Aff
 /// Sliding-window scalar multiplication, result only.
 pub fn mul_window<C: GroupOps>(curve: &C, x: &Mp, p: &C::Aff) -> C::Aff {
     mul_window_counted(curve, x, p).0
+}
+
+/// Teeth of the fixed-base comb: [`FixedBase`] cuts a scalar into this
+/// many rows of `d = ⌈bits(n)/4⌉` bits and indexes its table with one
+/// column of bits, one bit per row.
+pub const COMB_TEETH: usize = 4;
+
+/// Lim–Lee fixed-base comb (CRYPTO '94) for a point `P` of prime order
+/// `n`: the group-level form of the comb the paper uses for binary-field
+/// multiplication (§4.2.2, Algorithm 6). Built once per point, it trades
+/// [`mul_window`]'s `bits(n)` doublings and per-call table for `d`
+/// doublings and at most `d` mixed additions against 15 stored points.
+///
+/// The host computes `k·G` through it. The simulated suite and its
+/// [`OpCount`] keep the paper's sliding window, so no census comes from
+/// here.
+#[derive(Clone, Debug)]
+pub struct FixedBase<C: GroupOps> {
+    /// Comb spacing `d`: tooth `t` reads scalar bit `i + t·d`.
+    d: usize,
+    /// Order of `P`; scalars wider than the comb are reduced by it.
+    n: Mp,
+    /// `table[u - 1] = Σ_t u_t·2^(t·d)·P` for `u ∈ [1, 2^COMB_TEETH)`.
+    table: Vec<C::Aff>,
+}
+
+impl<C: GroupOps> FixedBase<C> {
+    /// Builds the comb table for `p` of order `n`: three runs of `d`
+    /// doublings give the rows `2^(t·d)·P`, and 11 additions fill in the
+    /// remaining sums. Every entry is normalised to affine.
+    pub fn new(curve: &C, p: &C::Aff, n: &Mp) -> Self {
+        let d = n.bit_len().div_ceil(COMB_TEETH);
+        let mut rows = vec![p.clone()];
+        for t in 1..COMB_TEETH {
+            let mut q = curve.from_affine(&rows[t - 1]);
+            for _ in 0..d {
+                q = curve.double(&q);
+            }
+            rows.push(curve.to_affine(&q));
+        }
+        // The build is not part of any census; the count is discarded.
+        let mut ops = OpCount::default();
+        let mut table: Vec<C::Aff> = Vec::with_capacity((1 << COMB_TEETH) - 1);
+        for u in 1usize..1 << COMB_TEETH {
+            let top = u.ilog2() as usize;
+            let rest = u ^ (1 << top);
+            table.push(if rest == 0 {
+                rows[top].clone()
+            } else {
+                affine_add_counted(curve, &table[rest - 1], &rows[top], &mut ops)
+            });
+        }
+        FixedBase {
+            d,
+            n: n.clone(),
+            table,
+        }
+    }
+
+    /// The comb spacing `d = ⌈bits(n)/4⌉`.
+    pub fn spacing(&self) -> usize {
+        self.d
+    }
+
+    /// The 15 table points, `table()[u - 1] = Σ_t u_t·2^(t·d)·P`.
+    pub fn table(&self) -> &[C::Aff] {
+        &self.table
+    }
+
+    /// `k·P` by the comb: `d` doublings, at most `d` mixed additions and
+    /// one inversion. `k = 0` gives infinity, as in [`mul_window`]; a
+    /// scalar wider than `4d` bits is first reduced modulo `n`.
+    pub fn mul(&self, curve: &C, k: &Mp) -> C::Aff {
+        if k.is_zero() {
+            return curve.affine_infinity();
+        }
+        if k.bit_len() > COMB_TEETH * self.d {
+            return self.mul(curve, &k.rem(&self.n));
+        }
+        let inf = curve.affine_infinity();
+        let mut q = curve.identity();
+        for i in (0..self.d).rev() {
+            q = curve.double(&q);
+            let u = (0..COMB_TEETH).fold(0, |u, t| u | (k.bit(i + t * self.d) as usize) << t);
+            // An infinity entry (`Σ u_t·2^(t·d) ≡ 0 mod n`, possible only
+            // on toy curves) adds nothing; the mixed add cannot take it.
+            if u != 0 && self.table[u - 1] != inf {
+                q = curve.add_affine(&q, &self.table[u - 1]);
+            }
+        }
+        curve.to_affine(&q)
+    }
 }
 
 /// Twin scalar multiplication `u1*P + u2*Q` by simultaneous scanning with

@@ -4,7 +4,7 @@
 //! exercises the same reproducible operand set.
 
 use ule_curves::ecdsa::{self, Keypair};
-use ule_curves::params::CurveId;
+use ule_curves::params::{CurveId, CurveKind};
 use ule_curves::scalar;
 use ule_mpmath::mp::Mp;
 use ule_testkit::Rng;
@@ -35,6 +35,67 @@ fn window_equals_binary_oracle_k163() {
         let k = scalar_bits(&mut rng, 96);
         assert_eq!(scalar::mul_window(c, &k, &g), scalar::mul_binary(c, &k, &g));
     }
+}
+
+/// The fixed-base comb against the sliding window and double-and-add
+/// on one curve: the edge scalars, one bit under each tooth, the widest
+/// scalar the comb takes unreduced (and one bit wider), and 64 random
+/// scalars below `n`. No table entry may be infinity.
+fn comb_agrees<C: scalar::GroupOps>(name: &str, c: &C, g: &C::Aff, n: &Mp, rng: &mut Rng)
+where
+    C::Aff: std::fmt::Debug,
+{
+    let comb = scalar::FixedBase::new(c, g, n);
+    let inf = c.affine_infinity();
+    assert!(
+        comb.table().iter().all(|p| *p != inf),
+        "{name}: infinity in the comb table"
+    );
+    let d = comb.spacing();
+    let full = Mp::one().shl(scalar::COMB_TEETH * d);
+    let mut ks = vec![
+        Mp::zero(),
+        Mp::one(),
+        Mp::from_u64(2),
+        n.sub(&Mp::from_u64(2)),
+        n.sub(&Mp::one()),
+        full.sub(&Mp::one()),
+        full,
+    ];
+    ks.extend((0..scalar::COMB_TEETH).map(|t| Mp::one().shl(t * d)));
+    ks.extend((0..64).map(|_| scalar_bits(rng, n.bit_len()).rem(n)));
+    for k in &ks {
+        let want = scalar::mul_binary(c, k, g);
+        assert_eq!(scalar::mul_window(c, k, g), want, "{name}: window, k={k}");
+        assert_eq!(comb.mul(c, k), want, "{name}: comb, k={k}");
+    }
+}
+
+/// Runs [`comb_agrees`] on every ECDSA curve of one family (two tests,
+/// so the two families run side by side).
+fn comb_agrees_on(binary: bool) {
+    let mut rng = Rng::new(0xc0b);
+    for id in CurveId::ALL
+        .into_iter()
+        .filter(|id| id.is_binary() == binary)
+    {
+        let curve = id.curve();
+        match curve.kind() {
+            CurveKind::Prime(c) => comb_agrees(id.name(), c, &c.generator(), curve.n(), &mut rng),
+            CurveKind::Binary(c) => comb_agrees(id.name(), c, &c.generator(), curve.n(), &mut rng),
+            CurveKind::Mont(_) => unreachable!("CurveId::ALL holds the ECDSA curves"),
+        }
+    }
+}
+
+#[test]
+fn comb_equals_window_and_binary_oracle_prime() {
+    comb_agrees_on(false);
+}
+
+#[test]
+fn comb_equals_window_and_binary_oracle_binary() {
+    comb_agrees_on(true);
 }
 
 #[test]

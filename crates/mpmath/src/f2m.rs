@@ -456,16 +456,12 @@ impl BinaryField {
             }
             if du >= dv {
                 let j = du - dv;
-                let vs = v.clone();
-                let gs = g2.clone();
-                xor_shifted(&mut u, &vs, j);
-                xor_shifted(&mut g1, &gs, j);
+                xor_shifted(&mut u, &v, j);
+                xor_shifted(&mut g1, &g2, j);
             } else {
                 let j = dv - du;
-                let us = u.clone();
-                let gs = g1.clone();
-                xor_shifted(&mut v, &us, j);
-                xor_shifted(&mut g2, &gs, j);
+                xor_shifted(&mut v, &u, j);
+                xor_shifted(&mut g2, &g1, j);
             }
         }
         debug_assert_eq!(mp::bit_len(&u), 1);

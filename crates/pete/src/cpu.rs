@@ -38,21 +38,8 @@ use crate::xlate::{
 use ule_isa::asm::Program;
 use ule_isa::instr::Instr;
 use ule_isa::reg::Reg;
-
-/// Carry-less 32x32 multiply (the `MULGF2` datapath primitive).
-fn clmul32(a: u32, b: u32) -> u64 {
-    let mut acc = 0u64;
-    let mut a64 = a as u64;
-    let mut b = b;
-    while b != 0 {
-        if b & 1 == 1 {
-            acc ^= a64;
-        }
-        a64 <<= 1;
-        b >>= 1;
-    }
-    acc
-}
+// The `MULGF2` datapath primitive: the host field's carry-less multiply.
+use ule_mpmath::f2m::clmul32;
 
 /// Configuration of a simulated machine.
 #[derive(Clone, Copy, Debug)]
@@ -1817,22 +1804,47 @@ mod tests {
         assert_eq!(m.reg(Reg::T5), 2);
     }
 
+    /// `MULGF2`/`MADDGF2` on both tiers against a bit-serial carry-less
+    /// product, on small and edge operands (`0`, `1`, `0xffff_ffff`).
     #[test]
     fn carry_less_extensions() {
-        let mut a = Asm::new();
-        a.label("main");
-        a.li(Reg::T0, 0b11);
-        a.li(Reg::T1, 0b11);
-        a.mulgf2(Reg::T0, Reg::T1); // (x+1)^2 = x^2+1 = 0b101
-        a.mflo(Reg::T2);
-        a.li(Reg::T3, 0b10);
-        a.li(Reg::T4, 0b111);
-        a.maddgf2(Reg::T3, Reg::T4); // acc ^= 0b1110
-        a.mflo(Reg::T5);
-        a.brk(0);
-        let m = run(a);
-        assert_eq!(m.reg(Reg::T2), 0b101);
-        assert_eq!(m.reg(Reg::T5), 0b101 ^ 0b1110);
+        let serial = |a: u32, b: u32| {
+            (0..32)
+                .filter(|i| (b >> i) & 1 == 1)
+                .fold(0u64, |acc, i| acc ^ ((a as u64) << i))
+        };
+        let ops = [0u32, 1, 0b11, 0xffff_ffff];
+        let addends = [
+            (0b10u32, 0b111u32),
+            (0xffff_ffff, 0xffff_ffff),
+            (1, 0xffff_ffff),
+            (0, 1),
+        ];
+        for &a0 in &ops {
+            for &b0 in &ops {
+                for &(a1, b1) in &addends {
+                    let mut asm = Asm::new();
+                    asm.label("main");
+                    asm.li(Reg::T0, a0 as i64);
+                    asm.li(Reg::T1, b0 as i64);
+                    asm.mulgf2(Reg::T0, Reg::T1);
+                    asm.mfhi(Reg::T2);
+                    asm.mflo(Reg::T3);
+                    asm.li(Reg::T4, a1 as i64);
+                    asm.li(Reg::T5, b1 as i64);
+                    asm.maddgf2(Reg::T4, Reg::T5);
+                    asm.mfhi(Reg::T6);
+                    asm.mflo(Reg::T7);
+                    asm.brk(0);
+                    let m = run(asm);
+                    let mul = serial(a0, b0);
+                    let madd = mul ^ serial(a1, b1);
+                    let hi_lo = |hi: Reg, lo: Reg| ((m.reg(hi) as u64) << 32) | m.reg(lo) as u64;
+                    assert_eq!(hi_lo(Reg::T2, Reg::T3), mul, "mulgf2 {a0:#x} {b0:#x}");
+                    assert_eq!(hi_lo(Reg::T6, Reg::T7), madd, "maddgf2 {a1:#x} {b1:#x}");
+                }
+            }
+        }
     }
 
     #[test]

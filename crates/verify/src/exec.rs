@@ -3,6 +3,7 @@
 //! against the host reference model.
 
 use ule_curves::binary::AffinePoint2m;
+use ule_curves::ecdsa::PublicKey;
 use ule_curves::params::{Curve, CurveId, CurveKind};
 use ule_curves::prime::AffinePoint;
 use ule_curves::scalar;
@@ -241,16 +242,14 @@ impl CurveRig {
     /// simulator's `(0, 0)` sentinel.
     pub fn mul_g(&self, d: &Mp) -> (Vec<u32>, Vec<u32>) {
         let k = self.k;
-        match self.curve.kind() {
-            CurveKind::Prime(c) => match scalar::mul_window(c, d, &c.generator()) {
-                AffinePoint::Infinity => (vec![0; k], vec![0; k]),
-                AffinePoint::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-            },
-            CurveKind::Binary(c) => match scalar::mul_window(c, d, &c.generator()) {
-                AffinePoint2m::Infinity => (vec![0; k], vec![0; k]),
-                AffinePoint2m::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-            },
-            CurveKind::Mont(_) => unreachable!("ladder curves use the ladder corpus"),
+        match self.curve.mul_g(d) {
+            PublicKey::Prime(AffinePoint::Point { x, y }) => {
+                (x.limbs().to_vec(), y.limbs().to_vec())
+            }
+            PublicKey::Binary(AffinePoint2m::Point { x, y }) => {
+                (x.limbs().to_vec(), y.limbs().to_vec())
+            }
+            _ => (vec![0; k], vec![0; k]),
         }
     }
 
@@ -280,10 +279,10 @@ impl CurveRig {
     /// The x-coordinate of `d*G` as a plain integer (what `ecd_x` holds
     /// after a signature's `fout`), `None` for the identity.
     pub fn x_of_mul_g(&self, d: &Mp) -> Option<Mp> {
-        match self.curve.kind() {
-            CurveKind::Prime(c) => c.x_as_integer(&scalar::mul_window(c, d, &c.generator())),
-            CurveKind::Binary(c) => c.x_as_integer(&scalar::mul_window(c, d, &c.generator())),
-            CurveKind::Mont(_) => unreachable!("ladder curves use the ladder corpus"),
+        match (self.curve.kind(), self.curve.mul_g(d)) {
+            (CurveKind::Prime(c), PublicKey::Prime(p)) => c.x_as_integer(&p),
+            (CurveKind::Binary(c), PublicKey::Binary(p)) => c.x_as_integer(&p),
+            _ => unreachable!("mul_g answers in the curve's own family"),
         }
     }
 }
