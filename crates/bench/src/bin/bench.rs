@@ -12,9 +12,9 @@
 //! (`sim_cycles_total`, `sim_energy_uj_total` over the distinct design
 //! points — CI gates on these exactly), batch wall-clock, engine
 //! memoization counters, per-experiment job counts, and the per-job
-//! simulation wall-clock (descending, one entry per simulation executed,
-//! labelled with its timing point), all under the metrics
-//! `schema_version`.
+//! simulation wall-clock (descending, one entry per entry simulation
+//! executed, labelled with its timing point and entry, e.g.
+//! `K-571/baseline/sign`), all under the metrics `schema_version`.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -154,9 +154,9 @@ fn main() {
     // The pre-fast baseline is a full sweep, so the ratio is only
     // apples-to-apples when this run covered every experiment. Its base
     // is recorded beside it: the baseline simulated every design point,
-    // while this engine prices energy-only siblings from a shared
-    // simulation, so part of the ratio is fewer simulations rather than
-    // faster ones.
+    // while this engine prices energy-only siblings from shared
+    // simulations and simulates each (timing point, entry) once, so part
+    // of the ratio is fewer simulations rather than faster ones.
     let full_sweep = selected.len() == ExperimentId::ALL.len();
     match prefast_base(&out) {
         Some((baseline_ms, baseline_sims)) if full_sweep && sim_wall_ms_total > 0.0 => {
@@ -183,7 +183,7 @@ fn main() {
     }
 
     eprintln!(
-        "bench: {} jobs ({} cold) in {:.1} ms on {} threads -> {}",
+        "bench: {} jobs ({} entry simulations) in {:.1} ms on {} threads -> {}",
         jobs.len(),
         stats.simulations,
         batch_wall.as_secs_f64() * 1e3,

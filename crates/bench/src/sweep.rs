@@ -1,4 +1,4 @@
-//! The thread-safe sweep engine: every (timing point, workload) pair is
+//! The thread-safe sweep engine: every (timing point, entry) pair is
 //! simulated at most once per engine, concurrently callable from any
 //! number of threads, with a scoped-thread fan-out for batch sweeps.
 //!
@@ -8,19 +8,33 @@
 //! — 6 configurations × 10 curves × icache/digit/front-end ablations,
 //! every point independent of every other — so the memo cache is a
 //! sharded `Mutex<HashMap<ConfigKey, _>>` keyed by
-//! `(SystemConfig::timing(), Workload)`, with per-key *in-flight
-//! de-duplication*: two threads asking for the same timing point never
+//! `(SystemConfig::timing(), entry)`, with per-key *in-flight
+//! de-duplication*: two threads asking for the same entry never
 //! simulate it twice; the second blocks until the first publishes.
+//!
+//! **Workloads are entry sums.** A workload is a fixed list of program
+//! entries ([`Workload::entries`]): `SignVerify` is `main_sign` then
+//! `main_verify`, and `Handshake` is `main_xdh` plus the pair curve's
+//! `main_sign` and `main_verify`. The engine simulates each entry once
+//! and a workload's report is its entries' [`Simulation::sum`] priced
+//! once, so `Sign`, `Verify` and `SignVerify` of one point share two
+//! simulations, and a handshake shares its companion with the pair
+//! curve's `SignVerify`.
 //!
 //! **Simulate once, price per sibling.** Configurations that differ only
 //! in an energy-only knob (gating, Billie's SRAM register file, the §7.8
-//! multiplier variant) share one key. The first request simulates; every
-//! sibling, then or later, is priced from the stored
-//! [`ule_core::Simulation`] with one energy-model call and memoized, so
-//! identical full configurations still return the same `Arc<RunReport>`.
+//! multiplier variant) share their entry keys. Every sibling, then or
+//! later, is priced from the stored entry simulations with one
+//! energy-model call and memoized, so identical full configurations
+//! still return the same `Arc<RunReport>`.
 //!
-//! Determinism: a simulation is a pure function of its
-//! `(timing, workload)` key and a report of its full configuration, so
+//! **One curve context per curve.** Every system the engine builds on a
+//! curve shares one [`CurveContext`], built on first use: one `Curve`
+//! (and so one k·G comb table) and one host reference, the expected
+//! value every simulated output is compared against.
+//!
+//! Determinism: an entry simulation is a pure function of its
+//! `(timing, entry)` key and a report of its full configuration, so
 //! every energy/cycle number is independent of thread count and
 //! submission order — parallel sweeps are bit-for-bit equal to serial
 //! ones, and equal to a fresh [`System::run_with`] on every point.
@@ -46,9 +60,12 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-use ule_core::{MultVariant, RunOptions, RunReport, Simulation, System, SystemConfig, Workload};
+use ule_core::{
+    CurveContext, Entry, MultVariant, RunReport, Simulation, System, SystemConfig, Workload,
+};
 use ule_curves::params::CurveId;
 use ule_monte::MonteConfig;
+use ule_pete::cpu::EngineTier;
 use ule_pete::icache::CacheConfig;
 use ule_swlib::builder::Arch;
 
@@ -65,9 +82,10 @@ pub type Job = (SystemConfig, Workload);
 /// `format!`-based system key and the hand-maintained ad-hoc `Key`
 /// struct, which silently dropped any knob nobody remembered to add.
 ///
-/// The engine's memo uses keys whose config is a
-/// [`SystemConfig::timing`] value: equal such keys mean identical
-/// simulations, and its [`JobSpan`]s carry them.
+/// The engine's entry memo uses keys whose config is a
+/// [`SystemConfig::timing`] value and whose workload is an entry's
+/// single-entry workload ([`Entry::workload`]): equal such keys mean
+/// identical entry simulations, and its [`JobSpan`]s carry them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ConfigKey {
     /// The design point.
@@ -84,8 +102,9 @@ impl ConfigKey {
 
     /// Compact human/machine label, e.g.
     /// `P-192/monte/sign_verify` with non-default knobs appended
-    /// (`ic1024p`, `d4`, …) — used by trace events and the engine
-    /// summary of `--metrics-out`.
+    /// (`ic1024p`, `nodb`, `q2`, `d4`, `operand_scan`, `clock`, …) —
+    /// used by trace events and the engine summary of `--metrics-out`.
+    /// Names print through their `key()` spelling.
     pub fn label(&self) -> String {
         let c = &self.config;
         let mut s = format!(
@@ -108,14 +127,17 @@ impl ConfigKey {
         if !c.monte.forwarding {
             s.push_str("/nofwd");
         }
+        if c.monte.queue_depth != MonteConfig::default().queue_depth {
+            s.push_str(&format!("/q{}", c.monte.queue_depth));
+        }
         if c.billie_digit != 3 {
             s.push_str(&format!("/d{}", c.billie_digit));
         }
         if c.mult_variant != MultVariant::Karatsuba {
-            s.push_str(&format!("/{:?}", c.mult_variant));
+            s.push_str(&format!("/{}", c.mult_variant.key()));
         }
         if c.gating != ule_energy::report::Gating::None {
-            s.push_str(&format!("/{:?}", c.gating));
+            s.push_str(&format!("/{}", c.gating.key()));
         }
         if c.billie_sram_rf {
             s.push_str("/sramrf");
@@ -178,26 +200,7 @@ impl InFlight {
 
 enum Slot {
     InFlight(Arc<InFlight>),
-    Done(Box<Priced>),
-}
-
-/// A finished simulation and the reports priced from it so far, one per
-/// full configuration asked for (at most a few energy-only siblings).
-struct Priced {
-    sim: Simulation,
-    reports: Vec<(SystemConfig, Arc<RunReport>)>,
-}
-
-impl Priced {
-    /// The memoized report for `config`, priced on first request.
-    fn report(&mut self, config: SystemConfig) -> Arc<RunReport> {
-        if let Some((_, r)) = self.reports.iter().find(|(c, _)| *c == config) {
-            return r.clone();
-        }
-        let r = Arc::new(self.sim.report(&config));
-        self.reports.push((config, r.clone()));
-        r
-    }
+    Done(Arc<Simulation>),
 }
 
 /// Locks a mutex, ignoring poisoning: shard maps stay structurally
@@ -214,13 +217,18 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// from a scope). See the [module docs](self) for the caching and
 /// determinism contract.
 pub struct SweepEngine {
-    /// Sharded simulation memo, keyed by timing point — `SHARDS`
-    /// independent locks so unrelated points never contend.
-    shards: Vec<Mutex<HashMap<ConfigKey, Slot>>>,
-    /// Built systems, shared across the workloads of one timing point
-    /// (`System::simulate` takes `&self`, so concurrent runs share one
-    /// program image).
+    /// Sharded entry-simulation memo, keyed by (timing point, entry) —
+    /// `SHARDS` independent locks so unrelated entries never contend.
+    entries: Vec<Mutex<HashMap<ConfigKey, Slot>>>,
+    /// Sharded report memo, keyed by full (configuration, workload).
+    reports: Vec<Mutex<HashMap<ConfigKey, Arc<RunReport>>>>,
+    /// Built systems, shared across the entries of one timing point
+    /// (`System::simulate_entry` takes `&self`, so concurrent runs share
+    /// one program image).
     systems: Mutex<HashMap<SystemConfig, Arc<System>>>,
+    /// One curve context per curve, built on first use and shared by
+    /// every system on that curve.
+    curves: Mutex<HashMap<CurveId, Arc<CurveContext>>>,
     threads: usize,
     simulations: AtomicU64,
     requests: AtomicU64,
@@ -228,17 +236,19 @@ pub struct SweepEngine {
     inflight_waits: AtomicU64,
     /// Engine construction time — the zero point of job-span starts.
     epoch: Instant,
-    /// One span per simulation executed, in completion order (memo hits
-    /// and priced siblings don't append).
+    /// One span per entry simulation executed, in completion order
+    /// (memo hits and priced siblings don't append).
     spans: Mutex<Vec<JobSpan>>,
 }
 
-/// Wall-clock span of one simulation executed, relative to the engine's
-/// construction — the harness-level track of the merged trace export.
+/// Wall-clock span of one entry simulation executed, relative to the
+/// engine's construction — the harness-level track of the merged trace
+/// export.
 #[derive(Clone, Debug)]
 pub struct JobSpan {
-    /// The simulated timing point (its config is a
-    /// [`SystemConfig::timing`] value, whichever sibling asked first).
+    /// The simulated (timing point, entry): its config is a
+    /// [`SystemConfig::timing`] value, whichever sibling asked first,
+    /// and its workload the entry's single-entry workload.
     pub key: ConfigKey,
     /// Start offset from engine construction.
     pub start: Duration,
@@ -254,13 +264,14 @@ pub struct JobSpan {
 pub struct EngineStats {
     /// Total `run` calls (batch jobs included).
     pub requests: u64,
-    /// Requests answered from a finished simulation: the memoized
-    /// report, or a report priced from a sibling's simulation.
+    /// Requests that neither simulated nor waited: the memoized report,
+    /// or a report priced from finished entry simulations.
     pub memo_hits: u64,
-    /// Requests that blocked on another thread's in-flight simulation.
+    /// Waits on another thread's in-flight entry simulation.
     pub inflight_waits: u64,
-    /// Simulations actually executed (one per distinct timing point
-    /// and workload).
+    /// Entry simulations executed (one per distinct timing point and
+    /// entry). A single-entry request counts once in exactly one of
+    /// `memo_hits`, `inflight_waits` and `simulations`.
     pub simulations: u64,
 }
 
@@ -297,8 +308,10 @@ impl SweepEngine {
             Err(_) => default_threads(),
         };
         SweepEngine {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            entries: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            reports: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             systems: Mutex::new(HashMap::new()),
+            curves: Mutex::new(HashMap::new()),
             threads,
             simulations: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -320,9 +333,8 @@ impl SweepEngine {
         self.threads
     }
 
-    /// Number of simulations executed so far (memo misses). Memo hits,
-    /// priced siblings and in-flight waits don't count — the difference
-    /// between this and the number of requests is what the cache saved.
+    /// Number of entry simulations executed so far (memo misses). Memo
+    /// hits, priced siblings and in-flight waits don't count.
     pub fn simulations(&self) -> u64 {
         self.simulations.load(Ordering::Relaxed)
     }
@@ -337,10 +349,11 @@ impl SweepEngine {
         }
     }
 
-    /// Wall-clock of every simulation executed so far, `(key,
-    /// duration)`, in completion order. The key is the simulated timing
-    /// point; memo hits, priced siblings and in-flight waits don't
-    /// appear, so a key occurs at most once.
+    /// Wall-clock of every entry simulation executed so far, `(key,
+    /// duration)`, in completion order. The key is the simulated (timing
+    /// point, entry) as a [`JobSpan`] holds it; memo hits, priced
+    /// siblings and in-flight waits don't appear, so a key occurs at
+    /// most once.
     pub fn job_timings(&self) -> Vec<(ConfigKey, Duration)> {
         lock(&self.spans).iter().map(|s| (s.key, s.wall)).collect()
     }
@@ -352,53 +365,86 @@ impl SweepEngine {
         lock(&self.spans).clone()
     }
 
-    /// The shared built system for one timing point.
+    /// The shared built system for one timing point, on its curve's
+    /// shared context.
     fn system(&self, config: SystemConfig) -> Arc<System> {
         if let Some(s) = lock(&self.systems).get(&config) {
             return s.clone();
         }
+        let ctx = lock(&self.curves)
+            .entry(config.curve)
+            .or_insert_with(|| Arc::new(CurveContext::new(config.curve)))
+            .clone();
         // Built outside the lock: suite codegen is much cheaper than a
         // simulation, so a racing duplicate build is preferable to
         // serializing every build behind one lock. First insert wins.
-        let sys = Arc::new(System::new(config));
+        let sys = Arc::new(System::with_context(config, ctx));
         lock(&self.systems).entry(config).or_insert(sys).clone()
     }
 
     /// Runs (or recalls) one workload on one configuration.
     ///
     /// Concurrent calls with the same key return the *same*
-    /// `Arc<RunReport>`; at most one call per timing point simulates,
-    /// and the rest are priced from its [`Simulation`].
+    /// `Arc<RunReport>`. Each of the workload's entries is simulated at
+    /// most once per timing point, and the report is priced from their
+    /// [`Simulation::sum`].
     pub fn run(&self, config: SystemConfig, workload: Workload) -> Arc<RunReport> {
-        let key = ConfigKey::new(config.timing(), workload);
+        let key = ConfigKey::new(config, workload);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let label = ConfigKey::new(config, workload).label();
+        let label = key.label();
         // Progress hooks are process-global no-ops unless the CLI
         // started a reporter; token 0 makes `job_done` a no-op too.
         let progress = ule_obs::progress::job_started(&label);
-        let shard = &self.shards[key.shard()];
+        let shard = &self.reports[key.shard()];
+        let memoized = lock(shard).get(&key).cloned();
+        let mut cold = false;
+        let report = match memoized {
+            Some(report) => report,
+            None => {
+                let timing = config.timing();
+                // Read once per request, as `System::simulate` does.
+                let profile = ule_obs::profiling_enabled();
+                let parts: Vec<Arc<Simulation>> = workload
+                    .entries(config.curve)
+                    .into_iter()
+                    .map(|(curve, entry)| {
+                        let (sim, cold_entry) =
+                            self.entry(SystemConfig { curve, ..timing }, entry, profile);
+                        cold |= cold_entry;
+                        sim
+                    })
+                    .collect();
+                let sum = Simulation::sum(parts.iter().map(|p| Simulation::clone(p)));
+                let report = Arc::new(sum.report(&config));
+                lock(shard).entry(key).or_insert(report).clone()
+            }
+        };
+        if !cold {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            ule_obs::obs_event!("sweep.memo_hit", job = label.as_str());
+            ule_obs::progress::memo_hit();
+        }
+        ule_obs::progress::job_done(progress);
+        report
+    }
+
+    /// The simulation of one entry at one timing point, and whether this
+    /// call simulated it or waited for it.
+    fn entry(&self, timing: SystemConfig, entry: Entry, profile: bool) -> (Arc<Simulation>, bool) {
+        let key = ConfigKey::new(timing, entry.workload());
+        let shard = &self.entries[key.shard()];
         let mut waited = false;
         let flight = loop {
             let mut map = lock(shard);
-            match map.get_mut(&key) {
-                Some(Slot::Done(priced)) => {
-                    let report = priced.report(config);
-                    drop(map);
-                    if !waited {
-                        self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                        ule_obs::obs_event!("sweep.memo_hit", job = label.as_str());
-                        ule_obs::progress::memo_hit();
-                    }
-                    ule_obs::progress::job_done(progress);
-                    return report;
-                }
+            match map.get(&key) {
+                Some(Slot::Done(sim)) => return (sim.clone(), waited),
                 Some(Slot::InFlight(f)) => {
                     let f = f.clone();
                     drop(map);
                     self.inflight_waits.fetch_add(1, Ordering::Relaxed);
-                    ule_obs::obs_event!("sweep.inflight_wait", job = label.as_str());
+                    ule_obs::obs_event!("sweep.inflight_wait", job = key.label());
                     // Panics if the simulation did; on success the slot
-                    // is `Done` and the next lookup prices from it.
+                    // is `Done` and the next lookup returns it.
                     f.wait();
                     waited = true;
                 }
@@ -419,9 +465,12 @@ impl SweepEngine {
             armed: true,
         };
         let started = Instant::now();
-        let sim = self.system(key.config).simulate(RunOptions::new(workload));
+        let sim = Arc::new(self.system(timing).simulate_entry(
+            entry,
+            profile,
+            EngineTier::default(),
+        ));
         let wall = started.elapsed();
-        let report = Arc::new(sim.report(&config));
         self.simulations.fetch_add(1, Ordering::Relaxed);
         lock(&self.spans).push(JobSpan {
             key,
@@ -436,17 +485,12 @@ impl SweepEngine {
             "sweep.job",
             job = key.label(),
             wall_us = wall.as_micros() as u64,
-            cycles = report.cycles,
+            cycles = sim.counters.cycles,
         );
         guard.armed = false; // infallible from here on
-        let priced = Priced {
-            sim,
-            reports: vec![(config, report.clone())],
-        };
-        lock(shard).insert(key, Slot::Done(Box::new(priced)));
+        lock(shard).insert(key, Slot::Done(sim.clone()));
         flight.publish(FlightState::Ready);
-        ule_obs::progress::job_done(progress);
-        report
+        (sim, true)
     }
 
     /// Fans `jobs` out across a scoped thread pool and returns their
@@ -585,7 +629,7 @@ struct FlightGuard<'a> {
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            lock(&self.engine.shards[self.key.shard()]).remove(&self.key);
+            lock(&self.engine.entries[self.key.shard()]).remove(&self.key);
             self.flight.publish(FlightState::Poisoned);
         }
     }

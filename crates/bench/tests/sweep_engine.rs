@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Barrier};
 
-use ule_bench::{ConfigKey, ExperimentId, Job, SweepEngine};
+use ule_bench::{metrics_out, ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_core::{MultVariant, RunOptions, RunReport, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
 use ule_energy::report::Gating;
@@ -155,6 +155,143 @@ fn config_key_distinguishes_every_knob() {
 }
 
 #[test]
+fn labels_print_knobs_through_their_keys() {
+    let monte = SystemConfig::new(CurveId::P192, Arch::Monte);
+    assert_eq!(
+        ConfigKey::new(monte.with_gating(Gating::Clock), Workload::SignVerify).label(),
+        "P-192/monte/sign_verify/clock"
+    );
+    assert_eq!(
+        ConfigKey::new(
+            monte.with_mult_variant(MultVariant::OperandScan),
+            Workload::Sign
+        )
+        .label(),
+        "P-192/monte/sign/operand_scan"
+    );
+    // Space-file points that differ only in queue depth get two labels.
+    let shallow = monte.with_monte(MonteConfig {
+        queue_depth: 2,
+        ..MonteConfig::default()
+    });
+    assert_eq!(
+        ConfigKey::new(shallow, Workload::Verify).label(),
+        "P-192/monte/verify/q2"
+    );
+    assert_eq!(
+        ConfigKey::new(monte, Workload::Verify).label(),
+        "P-192/monte/verify"
+    );
+}
+
+/// One point per architecture class, with the workloads run on it.
+fn composition_points() -> Vec<(SystemConfig, Vec<Workload>)> {
+    let ecdsa = vec![Workload::Sign, Workload::Verify, Workload::SignVerify];
+    vec![
+        (
+            SystemConfig::new(CurveId::P192, Arch::Baseline),
+            ecdsa.clone(),
+        ),
+        (
+            SystemConfig::new(CurveId::K233, Arch::IsaExt),
+            ecdsa.clone(),
+        ),
+        (
+            SystemConfig::new(CurveId::K163, Arch::Billie),
+            ecdsa.clone(),
+        ),
+        (SystemConfig::new(CurveId::P256, Arch::Monte), ecdsa),
+        (
+            SystemConfig::new(CurveId::X25519, Arch::Monte),
+            vec![Workload::Handshake],
+        ),
+    ]
+}
+
+/// Asserts two reports agree on every counter, raw stat, cycle and
+/// energy bit.
+fn assert_same_report(got: &RunReport, want: &RunReport, ctx: &str) {
+    assert_eq!(got.cycles, want.cycles, "{ctx}: cycles");
+    assert_eq!(got.counters, want.counters, "{ctx}: counters");
+    assert_eq!(got.raw, want.raw, "{ctx}: raw stats");
+    assert_eq!(
+        got.energy.total_uj().to_bits(),
+        want.energy.total_uj().to_bits(),
+        "{ctx}: energy"
+    );
+    assert_eq!(got, want, "{ctx}: energy breakdown or activity");
+}
+
+#[test]
+fn composed_workloads_equal_a_fresh_system_run() {
+    // The engine prices a workload from its entries' summed simulations,
+    // shared across workloads; a fresh `System` simulates the workload
+    // on its own. Sign and Verify come from the same two entries as
+    // SignVerify, and the handshake's companion from P-256's.
+    let engine = SweepEngine::new().with_threads(1);
+    for (cfg, workloads) in composition_points() {
+        for w in workloads {
+            let ctx = ConfigKey::new(cfg, w).label();
+            let want = System::new(cfg).run_with(RunOptions::new(w));
+            assert_same_report(&engine.run(cfg, w), &want, &ctx);
+        }
+    }
+}
+
+#[test]
+fn each_entry_simulates_once_per_timing_point() {
+    let engine = SweepEngine::new().with_threads(1);
+    // The P-256 points of the monte-sv space: three front ends, two
+    // gatings, so three timing points of two entries each.
+    let d = MonteConfig::default();
+    for monte in [
+        d,
+        MonteConfig {
+            double_buffer: false,
+            ..d
+        },
+        MonteConfig {
+            forwarding: false,
+            ..d
+        },
+    ] {
+        for gating in [Gating::None, Gating::Clock] {
+            let cfg = SystemConfig::new(CurveId::P256, Arch::Monte)
+                .with_monte(monte)
+                .with_gating(gating);
+            engine.run(cfg, Workload::SignVerify);
+        }
+    }
+    assert_eq!(engine.simulations(), 6);
+    // X25519's handshake signs and verifies on P-256: only the ladder
+    // is new.
+    let x25519 = SystemConfig::new(CurveId::X25519, Arch::Monte);
+    engine.run(x25519, Workload::Handshake);
+    assert_eq!(engine.simulations(), 7, "the handshake adds only main_xdh");
+    let (last, _) = *engine.job_timings().last().expect("a simulation ran");
+    assert_eq!(last, ConfigKey::new(x25519, Workload::Xdh));
+
+    // Sign, Verify and SignVerify of one point: two entries in all.
+    let k163 = SystemConfig::new(CurveId::K163, Arch::Billie);
+    for w in [Workload::Sign, Workload::Verify, Workload::SignVerify] {
+        engine.run(k163, w);
+    }
+    assert_eq!(engine.simulations(), 9);
+    let timings = engine.job_timings();
+    let distinct: HashSet<ConfigKey> = timings.iter().map(|(k, _)| *k).collect();
+    assert_eq!(distinct.len(), timings.len(), "an entry simulated twice");
+
+    // The metrics-smoke invariant: one job_wall_us entry per simulation.
+    let rec = metrics_out::engine_summary_record(&engine);
+    let json = ule_obs::json::parse(&rec.to_json()).expect("valid summary");
+    let jobs = json.get("job_wall_us").and_then(|j| j.as_array()).unwrap();
+    assert_eq!(
+        Some(jobs.len() as u64),
+        json.get("simulations").and_then(|s| s.as_u64())
+    );
+}
+
+#[test]
 fn workload_changes_key_but_config_reuses_system() {
     let engine = SweepEngine::new();
     let cfg = SystemConfig::new(CurveId::P192, Arch::Baseline);
@@ -281,8 +418,8 @@ fn mult_variant_factor_is_single_sourced() {
     }
     assert_eq!(
         engine.simulations(),
-        1,
-        "the three variants share one simulation"
+        2,
+        "the three variants share one simulation per entry"
     );
 }
 

@@ -28,6 +28,12 @@
 //! prices it. The energy-only knobs ([`SystemConfig::timing`] lists
 //! them) are read only by the second step, so one simulation prices
 //! every configuration that shares its timing point.
+//!
+//! A workload is a fixed, ordered list of program [`Entry`] points
+//! ([`Workload::entries`]). [`System::simulate_entry`] runs one of them
+//! on a fresh machine, and a workload's [`Simulation`] is the in-order
+//! [`Simulation::sum`] of its entries', so a memo keyed by (timing
+//! point, entry) never simulates one entry twice.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +42,7 @@ pub mod attr;
 pub mod metrics;
 pub mod space;
 
+use std::sync::{Arc, OnceLock};
 use ule_billie::{Billie, BillieConfig};
 use ule_curves::binary::AffinePoint2m;
 use ule_curves::ecdsa::{self, Keypair, PublicKey};
@@ -277,6 +284,69 @@ impl Workload {
     pub fn is_ladder(self) -> bool {
         matches!(self, Workload::Xdh | Workload::Handshake)
     }
+
+    /// The workload's entry simulations on `curve`, in order. Each runs
+    /// on a fresh machine; the workload's [`Simulation`] is their sum.
+    /// `Handshake`'s certifying signature runs on the equivalent-security
+    /// ECDSA curve ([`CurveId::security_pair`]).
+    pub fn entries(self, curve: CurveId) -> Vec<(CurveId, Entry)> {
+        let pair = curve.security_pair();
+        match self {
+            Workload::Sign => vec![(curve, Entry::Sign)],
+            Workload::Verify => vec![(curve, Entry::Verify)],
+            Workload::SignVerify => vec![(curve, Entry::Sign), (curve, Entry::Verify)],
+            Workload::ScalarMul => vec![(curve, Entry::ScalarMul)],
+            Workload::FieldMul => vec![(curve, Entry::FieldMul)],
+            Workload::Xdh => vec![(curve, Entry::Xdh)],
+            Workload::Handshake => vec![
+                (curve, Entry::Xdh),
+                (pair, Entry::Sign),
+                (pair, Entry::Verify),
+            ],
+        }
+    }
+}
+
+/// One program entry point of the suite: the unit the simulator runs on
+/// a fresh machine and checks against the host (see
+/// [`System::simulate_entry`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Entry {
+    /// `main_sign`: one ECDSA signature.
+    Sign,
+    /// `main_verify`: one ECDSA verification.
+    Verify,
+    /// `main_scalar_mul`: one `k·G`.
+    ScalarMul,
+    /// `main_fmul`: one field multiplication.
+    FieldMul,
+    /// `main_xdh`: one X25519/X448 ladder.
+    Xdh,
+}
+
+impl Entry {
+    /// The suite symbol the entry starts at.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            Entry::Sign => "main_sign",
+            Entry::Verify => "main_verify",
+            Entry::ScalarMul => "main_scalar_mul",
+            Entry::FieldMul => "main_fmul",
+            Entry::Xdh => "main_xdh",
+        }
+    }
+
+    /// The single-entry workload that runs exactly this entry (its
+    /// validity rule and its label).
+    pub fn workload(self) -> Workload {
+        match self {
+            Entry::Sign => Workload::Sign,
+            Entry::Verify => Workload::Verify,
+            Entry::ScalarMul => Workload::ScalarMul,
+            Entry::FieldMul => Workload::FieldMul,
+            Entry::Xdh => Workload::Xdh,
+        }
+    }
 }
 
 impl std::str::FromStr for Workload {
@@ -398,10 +468,10 @@ pub enum ProfileMode {
 ///
 /// A [`Simulation`] is the same — bit for bit — whatever the profiling
 /// mode and tier (profiling is observational; the fast engine is
-/// bit-exact), so simulations remain valid memo-cache values keyed only
-/// by `(SystemConfig::timing(), Workload)`, and every report priced from
-/// one is a pure function of its full `SystemConfig` (see `ule-bench`'s
-/// `SweepEngine`).
+/// bit-exact), so entry simulations remain valid memo-cache values keyed
+/// only by `(SystemConfig::timing(), Entry)`, and every report priced
+/// from their sum is a pure function of its full `SystemConfig` (see
+/// `ule-bench`'s `SweepEngine`).
 #[derive(Clone, Copy, Debug)]
 pub struct RunOptions {
     /// The simulated ECDSA workload.
@@ -503,25 +573,69 @@ impl RunReport {
     }
 }
 
+/// The curve-only half of a system, shared by every system on one
+/// curve: the [`Curve`] (so one k·G comb table) and the host reference
+/// of every entry, computed on first use.
+///
+/// The host reference is the deterministic workload input plus the
+/// output each entry must reproduce. It depends on the curve alone, so
+/// systems that share a context share it; every simulated output is
+/// still compared against it. [`System::new`] builds a private context;
+/// a sweep that builds many systems hands them one per curve through
+/// [`System::with_context`].
+pub struct CurveContext {
+    curve: Curve,
+    host: OnceLock<HostRef>,
+}
+
+impl CurveContext {
+    /// Builds the curve; the host reference waits for its first use.
+    pub fn new(id: CurveId) -> Self {
+        CurveContext {
+            curve: id.curve(),
+            host: OnceLock::new(),
+        }
+    }
+
+    /// The host reference at `k` limbs (the suite's width, a function of
+    /// the curve).
+    fn host(&self, k: usize) -> &HostRef {
+        self.host.get_or_init(|| {
+            let _sp = ule_obs::span("sys.host_ref");
+            HostRef::new(&self.curve, k)
+        })
+    }
+}
+
 /// A built system: curve context + program image + configuration.
 pub struct System {
     config: SystemConfig,
-    curve: Curve,
+    ctx: Arc<CurveContext>,
     suite: Suite,
 }
 
 impl System {
-    /// Builds the system (curve construction + suite codegen + link).
+    /// Builds the system on a private curve context (curve construction
+    /// + suite codegen + link).
     pub fn new(config: SystemConfig) -> Self {
+        System::with_context(config, Arc::new(CurveContext::new(config.curve)))
+    }
+
+    /// Builds the system on a shared curve context (suite codegen +
+    /// link only).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context is for another curve.
+    pub fn with_context(config: SystemConfig, ctx: Arc<CurveContext>) -> Self {
+        assert_eq!(ctx.curve.id(), config.curve, "curve context mismatch");
         let mut sp = ule_obs::span("sys.assemble");
         sp.field("curve", config.curve.name())
             .field("arch", format!("{:?}", config.arch));
-        let curve = config.curve.curve();
-        let suite = build_suite(&curve, config.arch);
         System {
+            suite: build_suite(&ctx.curve, config.arch),
             config,
-            curve,
-            suite,
+            ctx,
         }
     }
 
@@ -530,9 +644,9 @@ impl System {
         &self.config
     }
 
-    /// The curve context.
+    /// The curve (shared with every system on its context).
     pub fn curve(&self) -> &Curve {
-        &self.curve
+        &self.ctx.curve
     }
 
     /// The built program image.
@@ -565,26 +679,6 @@ impl System {
         b.instrumentation(instr).build()
     }
 
-    /// Deterministic workload inputs shared by every configuration (so
-    /// cross-architecture comparisons run the very same operation).
-    fn inputs(&self) -> WorkloadInputs {
-        let curve = &self.curve;
-        let keys = Keypair::derive(curve, b"design-space signer");
-        let e = ecdsa::hash_to_scalar(
-            curve,
-            b"the design space of ultra-low energy asymmetric cryptography",
-        );
-        let nonce = ecdsa::derive_scalar(curve, b"bench nonce", b"nonce");
-        let sig = ecdsa::sign_with_nonce(curve, keys.private(), &e, &nonce)
-            .expect("deterministic nonce is valid");
-        WorkloadInputs {
-            keys,
-            e,
-            nonce,
-            sig,
-        }
-    }
-
     /// Runs one workload with the given options, verifying functional
     /// outputs against the host: [`System::simulate`] priced at this
     /// system's configuration.
@@ -602,6 +696,10 @@ impl System {
     /// [`Simulation::report`] at this configuration or at any other that
     /// shares its [`SystemConfig::timing`].
     ///
+    /// This is the in-order [`Simulation::sum`] of the workload's
+    /// [`Workload::entries`], each from [`System::simulate_entry`]; the
+    /// `Handshake` companion runs on a system built for its pair curve.
+    ///
     /// # Panics
     ///
     /// Panics on an invalid `(curve, arch, workload)` triple, and if the
@@ -616,144 +714,91 @@ impl System {
             ProfileMode::On => true,
             ProfileMode::Off => false,
         };
-        let (workload, tier) = (opts.workload, opts.tier);
-        if let Err(e) = validate_workload(self.config.curve, self.config.arch, workload) {
+        if let Err(e) = validate_workload(self.config.curve, self.config.arch, opts.workload) {
             panic!("{e}");
         }
-        let mut total = Simulation::new(self.config.timing());
-        if profile {
-            total.profile = Some(RoutineProfile::default());
-        }
-        if workload.is_ladder() {
-            self.accum_xdh(profile, tier, &mut total);
-            if workload == Workload::Handshake {
-                // The certifying signature rides the equivalent-security
-                // prime curve on the *same* architecture; its counters
-                // merge into this report so the handshake is one design
-                // point. The companion runs a different program image,
-                // so its profile accumulates separately (sign + verify
-                // share one routine table) and is then absorbed under a
-                // `<curve>:` namespace.
-                let pair = self.config.curve.security_pair();
-                let companion = System::new(SystemConfig {
-                    curve: pair,
-                    ..self.config
-                });
-                let mut side = Simulation::new(companion.config.timing());
-                companion.accum_ecdsa(Workload::SignVerify, profile, tier, &mut side);
-                total.counters.accumulate(&side.counters);
-                total.raw.accumulate(&side.raw);
-                if let Some(p) = side.profile {
-                    total
-                        .profile
-                        .get_or_insert_with(RoutineProfile::default)
-                        .absorb(&p, &format!("{}:", pair.name()));
-                }
-            }
-            return total;
-        }
-        self.accum_ecdsa(workload, profile, tier, &mut total);
-        total
+        let mut companion: Option<System> = None;
+        let entries = opts.workload.entries(self.config.curve);
+        Simulation::sum(entries.into_iter().map(|(curve, entry)| {
+            let sys = if curve == self.config.curve {
+                self
+            } else {
+                companion.get_or_insert_with(|| {
+                    System::new(SystemConfig {
+                        curve,
+                        ..self.config
+                    })
+                })
+            };
+            sys.simulate_entry(entry, profile, opts.tier)
+        }))
     }
 
-    /// One full Montgomery ladder (`main_xdh`) with deterministic
-    /// handshake inputs, checked bit-for-bit against the host ladder.
-    fn accum_xdh(&self, profile: bool, tier: EngineTier, total: &mut Simulation) {
-        let k = self.suite.k;
-        let mc = self.curve.mont();
-        // Our static key and the peer's ephemeral key: raw (unclamped)
-        // scalars, deterministic so every configuration agrees on the
-        // exact operation. The peer's public u is itself a host ladder
-        // from the base point — a real ECDHE pairing, so the simulated
-        // shared secret can be cross-checked end to end.
-        let raw_a = xdh_raw_scalar(k, 0xA11C_E000);
-        let raw_b = xdh_raw_scalar(k, 0xB0B0_0000);
-        let peer_u = mc.ladder(&mc.clamp(&limb_bytes(&raw_b)), mc.base_u());
-        let shared = mc.ladder(&mc.clamp(&limb_bytes(&raw_a)), &peer_u);
+    /// Simulates one entry point on a fresh machine at this system's
+    /// timing point, with deterministic inputs, and checks its outputs
+    /// against the host reference (`main_fmul` has none to check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry's single-entry workload is invalid on this
+    /// system ([`validate_workload`]), on a cycle-limit overrun, and if a
+    /// simulated output disagrees with the host.
+    pub fn simulate_entry(&self, entry: Entry, profile: bool, tier: EngineTier) -> Simulation {
+        if let Err(e) = validate_workload(self.config.curve, self.config.arch, entry.workload()) {
+            panic!("{e}");
+        }
+        let (k, prog) = (self.suite.k, &self.suite.program);
+        let host = self.ctx.host(k);
         let mut m = self.machine(profile);
         {
             let _sp = ule_obs::span("sys.load");
-            write_buf(&mut m, &self.suite.program, "arg_k", &raw_a);
-            write_buf(&mut m, &self.suite.program, "arg_qx", peer_u.limbs());
-        }
-        self.sim_entry(&mut m, "main_xdh", tier);
-        assert_eq!(
-            read_buf(&m, &self.suite.program, "out_r", k),
-            shared.limbs(),
-            "simulated shared secret mismatch"
-        );
-        total.add(&mut m);
-    }
-
-    /// The ECDSA workload paths, accumulating into `total`.
-    fn accum_ecdsa(
-        &self,
-        workload: Workload,
-        profile: bool,
-        tier: EngineTier,
-        total: &mut Simulation,
-    ) {
-        let k = self.suite.k;
-        let inp = self.inputs();
-        let d_limbs = inp.keys.private().to_limbs(k);
-        let e_limbs = inp.e.to_limbs(k);
-        let k_limbs = inp.nonce.to_limbs(k);
-        let (qx, qy) = public_xy(&inp.keys.public(), k);
-        match workload {
-            Workload::Sign | Workload::SignVerify => {
-                let mut m = self.machine(profile);
-                {
-                    let _sp = ule_obs::span("sys.load");
-                    write_buf(&mut m, &self.suite.program, "arg_e", &e_limbs);
-                    write_buf(&mut m, &self.suite.program, "arg_d", &d_limbs);
-                    write_buf(&mut m, &self.suite.program, "arg_k", &k_limbs);
+            let args: &[(&str, &[u32])] = match (host, entry) {
+                (HostRef::Ecdsa(h), Entry::Sign) => {
+                    &[("arg_e", &h.e), ("arg_d", &h.d), ("arg_k", &h.nonce)]
                 }
-                self.sim_entry(&mut m, "main_sign", tier);
-                let r = Mp::from_limbs(&read_buf(&m, &self.suite.program, "out_r", k));
-                let s = Mp::from_limbs(&read_buf(&m, &self.suite.program, "out_s", k));
-                assert_eq!(r, inp.sig.r, "simulated r mismatch");
-                assert_eq!(s, inp.sig.s, "simulated s mismatch");
-                total.add(&mut m);
+                (HostRef::Ecdsa(h), Entry::Verify) => &[
+                    ("arg_e", &h.e),
+                    ("arg_r", &h.r),
+                    ("arg_s", &h.s),
+                    ("arg_qx", &h.qx),
+                    ("arg_qy", &h.qy),
+                ],
+                (HostRef::Ecdsa(h), Entry::ScalarMul) => &[("arg_k", &h.nonce)],
+                (HostRef::Ecdsa(h), Entry::FieldMul) => &[("arg_qx", &h.qx), ("arg_qy", &h.qy)],
+                (HostRef::Xdh(h), Entry::Xdh) => &[("arg_k", &h.scalar), ("arg_qx", &h.peer_u)],
+                _ => unreachable!("validated above"),
+            };
+            for (name, value) in args {
+                write_buf(&mut m, prog, name, value);
             }
-            _ => {}
         }
-        match workload {
-            Workload::Verify | Workload::SignVerify => {
-                let mut m = self.machine(profile);
-                {
-                    let _sp = ule_obs::span("sys.load");
-                    write_buf(&mut m, &self.suite.program, "arg_e", &e_limbs);
-                    write_buf(&mut m, &self.suite.program, "arg_r", &inp.sig.r.to_limbs(k));
-                    write_buf(&mut m, &self.suite.program, "arg_s", &inp.sig.s.to_limbs(k));
-                    write_buf(&mut m, &self.suite.program, "arg_qx", &qx);
-                    write_buf(&mut m, &self.suite.program, "arg_qy", &qy);
-                }
-                self.sim_entry(&mut m, "main_verify", tier);
+        self.sim_entry(&mut m, entry.symbol(), tier);
+        match (host, entry) {
+            (HostRef::Ecdsa(h), Entry::Sign) => {
+                assert_eq!(read_buf(&m, prog, "out_r", k), h.r, "simulated r mismatch");
+                assert_eq!(read_buf(&m, prog, "out_s", k), h.s, "simulated s mismatch");
+            }
+            (HostRef::Ecdsa(_), Entry::Verify) => assert_eq!(
+                read_buf(&m, prog, "out_ok", 1),
+                vec![1],
+                "simulated verification rejected a valid signature"
+            ),
+            (HostRef::Ecdsa(h), Entry::ScalarMul) => {
+                let expect = public_xy(&self.ctx.curve.mul_g(&h.nonce_mp), k);
                 assert_eq!(
-                    read_buf(&m, &self.suite.program, "out_ok", 1),
-                    vec![1],
-                    "simulated verification rejected a valid signature"
+                    read_buf(&m, prog, "out_r", k),
+                    expect.0,
+                    "simulated kG mismatch"
                 );
-                total.add(&mut m);
             }
+            (HostRef::Xdh(h), Entry::Xdh) => assert_eq!(
+                read_buf(&m, prog, "out_r", k),
+                h.shared,
+                "simulated shared secret mismatch"
+            ),
             _ => {}
         }
-        if workload == Workload::ScalarMul {
-            let mut m = self.machine(profile);
-            write_buf(&mut m, &self.suite.program, "arg_k", &k_limbs);
-            self.sim_entry(&mut m, "main_scalar_mul", tier);
-            let gx = read_buf(&m, &self.suite.program, "out_r", k);
-            let expect = public_xy(&self.curve.mul_g(&inp.nonce), k);
-            assert_eq!(gx, expect.0, "simulated kG mismatch");
-            total.add(&mut m);
-        }
-        if workload == Workload::FieldMul {
-            let mut m = self.machine(profile);
-            write_buf(&mut m, &self.suite.program, "arg_qx", &qx);
-            write_buf(&mut m, &self.suite.program, "arg_qy", &qy);
-            self.sim_entry(&mut m, "main_fmul", tier);
-            total.add(&mut m);
-        }
+        Simulation::of_machine(self.config.timing(), &mut m)
     }
 
     /// Runs one program entry point, wrapped in a `sys.sim` span.
@@ -779,11 +824,75 @@ impl System {
     }
 }
 
-struct WorkloadInputs {
-    keys: Keypair,
-    e: Mp,
-    nonce: Mp,
-    sig: ecdsa::Signature,
+/// The host reference of one curve, in limbs at the suite's width.
+enum HostRef {
+    Ecdsa(EcdsaRef),
+    Xdh(XdhRef),
+}
+
+/// Deterministic ECDSA inputs shared by every configuration (so
+/// cross-architecture comparisons run the very same operation), with
+/// the signature the simulated `main_sign` must reproduce.
+struct EcdsaRef {
+    e: Vec<u32>,
+    d: Vec<u32>,
+    nonce: Vec<u32>,
+    nonce_mp: Mp,
+    r: Vec<u32>,
+    s: Vec<u32>,
+    qx: Vec<u32>,
+    qy: Vec<u32>,
+}
+
+/// The deterministic handshake inputs of `main_xdh` and the shared
+/// secret it must reproduce.
+struct XdhRef {
+    scalar: Vec<u32>,
+    peer_u: Vec<u32>,
+    shared: Vec<u32>,
+}
+
+impl HostRef {
+    fn new(curve: &Curve, k: usize) -> Self {
+        if curve.id().is_mont() {
+            let mc = curve.mont();
+            // Our static key and the peer's ephemeral key: raw
+            // (unclamped) scalars, deterministic so every configuration
+            // agrees on the exact operation. The peer's public u is
+            // itself a host ladder from the base point — a real ECDHE
+            // pairing, so the simulated shared secret can be
+            // cross-checked end to end.
+            let raw_a = xdh_raw_scalar(k, 0xA11C_E000);
+            let raw_b = xdh_raw_scalar(k, 0xB0B0_0000);
+            let peer_u = mc.ladder(&mc.clamp(&limb_bytes(&raw_b)), mc.base_u());
+            let shared = mc.ladder(&mc.clamp(&limb_bytes(&raw_a)), &peer_u);
+            HostRef::Xdh(XdhRef {
+                scalar: raw_a,
+                peer_u: peer_u.limbs().to_vec(),
+                shared: shared.limbs().to_vec(),
+            })
+        } else {
+            let keys = Keypair::derive(curve, b"design-space signer");
+            let e = ecdsa::hash_to_scalar(
+                curve,
+                b"the design space of ultra-low energy asymmetric cryptography",
+            );
+            let nonce = ecdsa::derive_scalar(curve, b"bench nonce", b"nonce");
+            let sig = ecdsa::sign_with_nonce(curve, keys.private(), &e, &nonce)
+                .expect("deterministic nonce is valid");
+            let (qx, qy) = public_xy(&keys.public(), k);
+            HostRef::Ecdsa(EcdsaRef {
+                e: e.to_limbs(k),
+                d: keys.private().to_limbs(k),
+                nonce: nonce.to_limbs(k),
+                nonce_mp: nonce,
+                r: sig.r.to_limbs(k),
+                s: sig.s.to_limbs(k),
+                qx,
+                qy,
+            })
+        }
+    }
 }
 
 /// Deterministic raw (unclamped) ladder scalar: `k` limbs expanded from
@@ -819,8 +928,8 @@ fn public_xy(public: &PublicKey, k: usize) -> (Vec<u32>, Vec<u32>) {
     }
 }
 
-/// One simulated workload: counters, raw stats and profile summed over
-/// its entry points, with every functional output already checked
+/// One simulated entry point, or a workload's sum of them: counters, raw
+/// stats and profile, with every functional output already checked
 /// against the host. Energy is not part of it — [`Simulation::report`]
 /// prices it.
 #[derive(Clone, Debug, PartialEq)]
@@ -835,12 +944,18 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    fn new(timing: SystemConfig) -> Self {
+    /// The finished machine's counters, stats and profile.
+    fn of_machine(timing: SystemConfig, m: &mut Machine) -> Self {
         Simulation {
             timing,
-            counters: Counters::default(),
-            raw: RawStats::default(),
-            profile: None,
+            counters: m.counters(),
+            raw: RawStats {
+                rom: m.rom_stats(),
+                ram: m.ram_stats(),
+                icache: m.icache_stats(),
+                cop: m.cop_stats(),
+            },
+            profile: m.take_profile(),
         }
     }
 
@@ -850,19 +965,45 @@ impl Simulation {
         self.timing
     }
 
-    fn add(&mut self, m: &mut Machine) {
-        self.counters.accumulate(&m.counters());
-        self.raw.accumulate(&RawStats {
-            rom: m.rom_stats(),
-            ram: m.ram_stats(),
-            icache: m.icache_stats(),
-            cop: m.cop_stats(),
-        });
-        if let Some(p) = m.take_profile() {
-            self.profile
-                .get_or_insert_with(RoutineProfile::default)
-                .merge(&p);
+    /// The in-order sum of a workload's entry simulations
+    /// ([`Workload::entries`]); the first part sets the timing point.
+    ///
+    /// Counters and raw stats add. Profiles of parts on the first
+    /// part's curve merge; parts on another curve (the `Handshake`
+    /// companion) merge into one side profile, which is absorbed under a
+    /// `<curve>:` namespace because it covers another program image.
+    /// Parts are consumed in order, so a lazy iterator holds one entry's
+    /// profile at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty.
+    pub fn sum(parts: impl IntoIterator<Item = Simulation>) -> Simulation {
+        let mut parts = parts.into_iter();
+        let mut total = parts.next().expect("a workload has at least one entry");
+        let (mut side, mut side_curve) = (None, None);
+        for part in parts {
+            total.counters.accumulate(&part.counters);
+            total.raw.accumulate(&part.raw);
+            let Some(p) = part.profile else { continue };
+            let slot = if part.timing.curve == total.timing.curve {
+                &mut total.profile
+            } else {
+                side_curve = Some(part.timing.curve);
+                &mut side
+            };
+            match slot {
+                Some(acc) => acc.merge(&p),
+                None => *slot = Some(p),
+            }
         }
+        if let (Some(curve), Some(p)) = (side_curve, side) {
+            total
+                .profile
+                .get_or_insert_with(RoutineProfile::default)
+                .absorb(&p, &format!("{}:", curve.name()));
+        }
+        total
     }
 
     /// Prices the simulation at `config`: one energy-model call. Any
@@ -969,6 +1110,35 @@ mod tests {
                 assert!(h.energy_uj() > x.energy_uj());
             }
         }
+    }
+
+    #[test]
+    fn workloads_are_the_sums_of_their_entries() {
+        let run = |curve, arch, w| {
+            System::new(SystemConfig::new(curve, arch)).run_with(RunOptions::new(w).profiled())
+        };
+        let sign = run(CurveId::K163, Arch::Billie, Workload::Sign);
+        let verify = run(CurveId::K163, Arch::Billie, Workload::Verify);
+        let sv = run(CurveId::K163, Arch::Billie, Workload::SignVerify);
+        let mut sum = sign.counters;
+        sum.accumulate(&verify.counters);
+        assert_eq!(sv.counters, sum);
+
+        // A handshake is the ladder plus the pair curve's Sign+Verify,
+        // whose profile appears once under the pair's prefix.
+        let xdh = run(CurveId::X25519, Arch::Monte, Workload::Xdh);
+        let pair = run(CurveId::P256, Arch::Monte, Workload::SignVerify);
+        let hs = run(CurveId::X25519, Arch::Monte, Workload::Handshake);
+        let mut sum = xdh.counters;
+        sum.accumulate(&pair.counters);
+        assert_eq!(hs.counters, sum);
+        let routines = &hs.profile.as_ref().unwrap().routines;
+        let prefixed: Vec<_> = routines
+            .iter()
+            .filter(|r| r.name.starts_with("P-256:"))
+            .collect();
+        assert_eq!(prefixed.len(), pair.profile.unwrap().routines.len());
+        assert_eq!(prefixed.iter().map(|r| r.cycles).sum::<u64>(), pair.cycles);
     }
 
     #[test]

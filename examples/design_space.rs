@@ -50,7 +50,8 @@ fn main() {
     let engine = SweepEngine::new();
     engine.run_batch(&jobs);
     eprintln!(
-        "[{} design points simulated on {} thread(s)]\n",
+        "[{} design points from {} entry simulations on {} thread(s)]\n",
+        jobs.len(),
         engine.simulations(),
         engine.threads()
     );
