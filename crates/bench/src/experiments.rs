@@ -794,121 +794,84 @@ pub enum ExperimentId {
     Summary,
 }
 
+/// Renders one experiment's text.
+type Render = fn(&SweepEngine) -> String;
+
+/// Every experiment once, in declaration order: its id, the id string
+/// `repro` accepts, and its renderer. [`ExperimentId::ALL`],
+/// [`ExperimentId::VARIANTS`], [`ExperimentId::name`] and
+/// [`ExperimentId::run`] all read this table.
+const TABLE: [(ExperimentId, &str, Render); 24] = [
+    (ExperimentId::Fig7_1, "fig7_1", fig7_1),
+    (ExperimentId::Fig7_2, "fig7_2", fig7_2),
+    (ExperimentId::Fig7_3, "fig7_3", fig7_3),
+    (ExperimentId::Fig7_4, "fig7_4", fig7_4),
+    (ExperimentId::Fig7_5, "fig7_5", fig7_5),
+    (ExperimentId::Fig7_6, "fig7_6", fig7_6),
+    (ExperimentId::Fig7_7, "fig7_7", fig7_7),
+    (ExperimentId::Fig7_8, "fig7_8", fig7_8),
+    (ExperimentId::Fig7_9, "fig7_9", fig7_9),
+    (ExperimentId::Fig7_10, "fig7_10", fig7_10),
+    (ExperimentId::Fig7_11, "fig7_11", fig7_11),
+    (ExperimentId::Fig7_12, "fig7_12", fig7_12),
+    (ExperimentId::Fig7_13, "fig7_13", fig7_13),
+    (ExperimentId::Fig7_14, "fig7_14", fig7_14),
+    (ExperimentId::Fig7_15, "fig7_15", fig7_15),
+    (ExperimentId::T7_1, "t7_1", t7_1),
+    (ExperimentId::T7_2, "t7_2", t7_2),
+    (ExperimentId::T7_3, "t7_3", t7_3),
+    (ExperimentId::T7_4, "t7_4", t7_4),
+    (ExperimentId::T7_5, "t7_5", t7_5),
+    (ExperimentId::S7_7, "s7_7", s7_7),
+    (ExperimentId::S7_8, "s7_8", s7_8),
+    (ExperimentId::S8Gating, "s8_gating", s8_gating),
+    (ExperimentId::Summary, "summary", summary),
+];
+
+// `name` and `run` index the table by discriminant.
+const _: () = {
+    let mut i = 0;
+    while i < TABLE.len() {
+        assert!(TABLE[i].0 as usize == i, "TABLE is in declaration order");
+        i += 1;
+    }
+};
+
 impl ExperimentId {
     /// Every experiment in `repro -- all` order. (`T7_4` parses and
     /// runs but is excluded: its output *is* `fig7_15`.)
-    pub const ALL: [ExperimentId; 23] = [
-        ExperimentId::Fig7_1,
-        ExperimentId::Fig7_2,
-        ExperimentId::Fig7_3,
-        ExperimentId::Fig7_4,
-        ExperimentId::Fig7_5,
-        ExperimentId::Fig7_6,
-        ExperimentId::Fig7_7,
-        ExperimentId::Fig7_8,
-        ExperimentId::Fig7_9,
-        ExperimentId::Fig7_10,
-        ExperimentId::Fig7_11,
-        ExperimentId::Fig7_12,
-        ExperimentId::Fig7_13,
-        ExperimentId::Fig7_14,
-        ExperimentId::Fig7_15,
-        ExperimentId::T7_1,
-        ExperimentId::T7_2,
-        ExperimentId::T7_3,
-        ExperimentId::T7_5,
-        ExperimentId::S7_7,
-        ExperimentId::S7_8,
-        ExperimentId::S8Gating,
-        ExperimentId::Summary,
-    ];
+    pub const ALL: [ExperimentId; 23] = {
+        let mut ids = [ExperimentId::Fig7_1; 23];
+        let (mut i, mut n) = (0, 0);
+        while i < TABLE.len() {
+            if !matches!(TABLE[i].0, ExperimentId::T7_4) {
+                ids[n] = TABLE[i].0;
+                n += 1;
+            }
+            i += 1;
+        }
+        ids
+    };
 
     /// Every parseable id (ALL plus the `fig7_15` alias `t7_4`).
-    pub const VARIANTS: [ExperimentId; 24] = [
-        ExperimentId::Fig7_1,
-        ExperimentId::Fig7_2,
-        ExperimentId::Fig7_3,
-        ExperimentId::Fig7_4,
-        ExperimentId::Fig7_5,
-        ExperimentId::Fig7_6,
-        ExperimentId::Fig7_7,
-        ExperimentId::Fig7_8,
-        ExperimentId::Fig7_9,
-        ExperimentId::Fig7_10,
-        ExperimentId::Fig7_11,
-        ExperimentId::Fig7_12,
-        ExperimentId::Fig7_13,
-        ExperimentId::Fig7_14,
-        ExperimentId::Fig7_15,
-        ExperimentId::T7_1,
-        ExperimentId::T7_2,
-        ExperimentId::T7_3,
-        ExperimentId::T7_4,
-        ExperimentId::T7_5,
-        ExperimentId::S7_7,
-        ExperimentId::S7_8,
-        ExperimentId::S8Gating,
-        ExperimentId::Summary,
-    ];
+    pub const VARIANTS: [ExperimentId; 24] = {
+        let mut ids = [ExperimentId::Fig7_1; 24];
+        let mut i = 0;
+        while i < TABLE.len() {
+            ids[i] = TABLE[i].0;
+            i += 1;
+        }
+        ids
+    };
 
     /// The id string (what `FromStr` parses and `repro` accepts).
     pub fn name(self) -> &'static str {
-        match self {
-            ExperimentId::Fig7_1 => "fig7_1",
-            ExperimentId::Fig7_2 => "fig7_2",
-            ExperimentId::Fig7_3 => "fig7_3",
-            ExperimentId::Fig7_4 => "fig7_4",
-            ExperimentId::Fig7_5 => "fig7_5",
-            ExperimentId::Fig7_6 => "fig7_6",
-            ExperimentId::Fig7_7 => "fig7_7",
-            ExperimentId::Fig7_8 => "fig7_8",
-            ExperimentId::Fig7_9 => "fig7_9",
-            ExperimentId::Fig7_10 => "fig7_10",
-            ExperimentId::Fig7_11 => "fig7_11",
-            ExperimentId::Fig7_12 => "fig7_12",
-            ExperimentId::Fig7_13 => "fig7_13",
-            ExperimentId::Fig7_14 => "fig7_14",
-            ExperimentId::Fig7_15 => "fig7_15",
-            ExperimentId::T7_1 => "t7_1",
-            ExperimentId::T7_2 => "t7_2",
-            ExperimentId::T7_3 => "t7_3",
-            ExperimentId::T7_4 => "t7_4",
-            ExperimentId::T7_5 => "t7_5",
-            ExperimentId::S7_7 => "s7_7",
-            ExperimentId::S7_8 => "s7_8",
-            ExperimentId::S8Gating => "s8_gating",
-            ExperimentId::Summary => "summary",
-        }
+        TABLE[self as usize].1
     }
 
     /// Regenerates this experiment's text.
     pub fn run(self, r: &SweepEngine) -> String {
-        match self {
-            ExperimentId::Fig7_1 => fig7_1(r),
-            ExperimentId::Fig7_2 => fig7_2(r),
-            ExperimentId::Fig7_3 => fig7_3(r),
-            ExperimentId::Fig7_4 => fig7_4(r),
-            ExperimentId::Fig7_5 => fig7_5(r),
-            ExperimentId::Fig7_6 => fig7_6(r),
-            ExperimentId::Fig7_7 => fig7_7(r),
-            ExperimentId::Fig7_8 => fig7_8(r),
-            ExperimentId::Fig7_9 => fig7_9(r),
-            ExperimentId::Fig7_10 => fig7_10(r),
-            ExperimentId::Fig7_11 => fig7_11(r),
-            ExperimentId::Fig7_12 => fig7_12(r),
-            ExperimentId::Fig7_13 => fig7_13(r),
-            ExperimentId::Fig7_14 => fig7_14(r),
-            ExperimentId::Fig7_15 => fig7_15(r),
-            ExperimentId::T7_1 => t7_1(r),
-            ExperimentId::T7_2 => t7_2(r),
-            ExperimentId::T7_3 => t7_3(r),
-            ExperimentId::T7_4 => t7_4(r),
-            ExperimentId::T7_5 => t7_5(r),
-            ExperimentId::S7_7 => s7_7(r),
-            ExperimentId::S7_8 => s7_8(r),
-            ExperimentId::S8Gating => s8_gating(r),
-            ExperimentId::Summary => summary(r),
-        }
+        (TABLE[self as usize].2)(r)
     }
 
     /// The design points this experiment reads — what `repro` submits

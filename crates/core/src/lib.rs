@@ -44,10 +44,8 @@ pub mod space;
 
 use std::sync::{Arc, OnceLock};
 use ule_billie::{Billie, BillieConfig};
-use ule_curves::binary::AffinePoint2m;
-use ule_curves::ecdsa::{self, Keypair, PublicKey};
+use ule_curves::ecdsa::{self, Keypair};
 use ule_curves::params::{Curve, CurveId};
-use ule_curves::prime::AffinePoint;
 use ule_energy::report::Gating;
 use ule_energy::{Activity, CopActivity, CopKind, EnergyBreakdown, IcacheActivity};
 use ule_monte::{Monte, MonteConfig};
@@ -58,7 +56,7 @@ use ule_pete::icache::{CacheConfig, CacheStats};
 use ule_pete::mem::MemStats;
 use ule_pete::profile::RoutineProfile;
 use ule_swlib::builder::{build_suite, Arch, Suite};
-use ule_swlib::harness::{read_buf, run_entry, write_buf};
+use ule_swlib::harness::{read_buf, run_entry, write_buf, RunError, DEFAULT_MAX_CYCLES};
 
 /// §7.8 multiplier variants (identical timing, different power — the
 /// Karatsuba unit is the design point, §5.1.2).
@@ -597,6 +595,11 @@ impl CurveContext {
         }
     }
 
+    /// The curve.
+    pub fn curve(&self) -> &Curve {
+        &self.curve
+    }
+
     /// The host reference at `k` limbs (the suite's width, a function of
     /// the curve).
     fn host(&self, k: usize) -> &HostRef {
@@ -749,30 +752,26 @@ impl System {
         }
         let (k, prog) = (self.suite.k, &self.suite.program);
         let host = self.ctx.host(k);
-        let mut m = self.machine(profile);
-        {
-            let _sp = ule_obs::span("sys.load");
-            let args: &[(&str, &[u32])] = match (host, entry) {
-                (HostRef::Ecdsa(h), Entry::Sign) => {
-                    &[("arg_e", &h.e), ("arg_d", &h.d), ("arg_k", &h.nonce)]
-                }
-                (HostRef::Ecdsa(h), Entry::Verify) => &[
-                    ("arg_e", &h.e),
-                    ("arg_r", &h.r),
-                    ("arg_s", &h.s),
-                    ("arg_qx", &h.qx),
-                    ("arg_qy", &h.qy),
-                ],
-                (HostRef::Ecdsa(h), Entry::ScalarMul) => &[("arg_k", &h.nonce)],
-                (HostRef::Ecdsa(h), Entry::FieldMul) => &[("arg_qx", &h.qx), ("arg_qy", &h.qy)],
-                (HostRef::Xdh(h), Entry::Xdh) => &[("arg_k", &h.scalar), ("arg_qx", &h.peer_u)],
-                _ => unreachable!("validated above"),
-            };
-            for (name, value) in args {
-                write_buf(&mut m, prog, name, value);
+        let args: &[(&str, &[u32])] = match (host, entry) {
+            (HostRef::Ecdsa(h), Entry::Sign) => {
+                &[("arg_e", &h.e), ("arg_d", &h.d), ("arg_k", &h.nonce)]
             }
-        }
-        self.sim_entry(&mut m, entry.symbol(), tier);
+            (HostRef::Ecdsa(h), Entry::Verify) => &[
+                ("arg_e", &h.e),
+                ("arg_r", &h.r),
+                ("arg_s", &h.s),
+                ("arg_qx", &h.qx),
+                ("arg_qy", &h.qy),
+            ],
+            (HostRef::Ecdsa(h), Entry::ScalarMul) => &[("arg_k", &h.nonce)],
+            (HostRef::Ecdsa(h), Entry::FieldMul) => &[("arg_qx", &h.qx), ("arg_qy", &h.qy)],
+            (HostRef::Xdh(h), Entry::Xdh) => &[("arg_k", &h.scalar), ("arg_qx", &h.peer_u)],
+            _ => unreachable!("validated above"),
+        };
+        let opts = ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier);
+        let mut m = self
+            .run_entry(entry.symbol(), args, opts, profile)
+            .unwrap_or_else(|e| panic!("{e}"));
         match (host, entry) {
             (HostRef::Ecdsa(h), Entry::Sign) => {
                 assert_eq!(read_buf(&m, prog, "out_r", k), h.r, "simulated r mismatch");
@@ -784,7 +783,7 @@ impl System {
                 "simulated verification rejected a valid signature"
             ),
             (HostRef::Ecdsa(h), Entry::ScalarMul) => {
-                let expect = public_xy(&self.ctx.curve.mul_g(&h.nonce_mp), k);
+                let expect = self.ctx.curve.mul_g(&h.nonce_mp).xy_limbs(k);
                 assert_eq!(
                     read_buf(&m, prog, "out_r", k),
                     expect.0,
@@ -801,26 +800,56 @@ impl System {
         Simulation::of_machine(self.config.timing(), &mut m)
     }
 
-    /// Runs one program entry point, wrapped in a `sys.sim` span.
-    fn sim_entry(&self, m: &mut Machine, entry: &'static str, tier: EngineTier) {
+    /// Runs one program entry point on a fresh machine at this system's
+    /// configuration and returns the finished machine: the one place a
+    /// simulated machine is built and run, for published runs
+    /// ([`System::simulate_entry`]) and differential campaigns alike.
+    ///
+    /// `inputs` are `(RAM buffer, limbs)` pairs written before the run;
+    /// `opts` sets the cycle budget and engine tier; `profile` attaches
+    /// the per-routine cycle profiler. Loading and running are timed
+    /// as the `sys.load` and `sys.sim` spans. The caller reads outputs
+    /// back from the machine with [`read_buf`] against
+    /// [`System::suite`]'s program.
+    ///
+    /// # Errors
+    ///
+    /// Returns the harness [`RunError`] if the program has no such
+    /// entry or the entry overruns `opts.max_cycles`; an overrun also
+    /// dumps the flight recorder's event tail (the `cycle_limit`
+    /// incident).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input names a RAM buffer the program lacks.
+    pub fn run_entry(
+        &self,
+        symbol: &str,
+        inputs: &[(&str, &[u32])],
+        opts: ExecOptions,
+        profile: bool,
+    ) -> Result<Machine, RunError> {
+        let prog = &self.suite.program;
+        let mut m = self.machine(profile);
+        {
+            let _sp = ule_obs::span("sys.load");
+            for (name, value) in inputs {
+                write_buf(&mut m, prog, name, value);
+            }
+        }
         let mut sp = ule_obs::span("sys.sim");
-        if let Err(e) = run_entry(
-            m,
-            &self.suite.program,
-            entry,
-            ExecOptions::new(u64::MAX / 2).with_tier(tier),
-        ) {
-            // Post-mortem: dump the flight recorder's event tail before
-            // the panic unwinds (a runaway entry is exactly the case
-            // the last-N-events ring exists for).
-            if matches!(e, ule_swlib::harness::RunError::CycleLimit { .. }) {
+        if let Err(e) = run_entry(&mut m, prog, symbol, opts) {
+            // Post-mortem: a runaway entry is exactly the case the
+            // last-N-events ring exists for.
+            if matches!(e, RunError::CycleLimit { .. }) {
                 ule_obs::flight::note_incident("cycle_limit");
             }
-            panic!("{e}");
+            return Err(e);
         }
-        sp.field("entry", entry)
+        sp.field("entry", symbol)
             .field("curve", self.config.curve.name())
             .field("cycles", m.cycles());
+        Ok(m)
     }
 }
 
@@ -880,7 +909,7 @@ impl HostRef {
             let nonce = ecdsa::derive_scalar(curve, b"bench nonce", b"nonce");
             let sig = ecdsa::sign_with_nonce(curve, keys.private(), &e, &nonce)
                 .expect("deterministic nonce is valid");
-            let (qx, qy) = public_xy(&keys.public(), k);
+            let (qx, qy) = keys.public().xy_limbs(k);
             HostRef::Ecdsa(EcdsaRef {
                 e: e.to_limbs(k),
                 d: keys.private().to_limbs(k),
@@ -916,16 +945,6 @@ fn xdh_raw_scalar(k: usize, seed: u64) -> Vec<u32> {
 /// the host clamp consumes).
 fn limb_bytes(limbs: &[u32]) -> Vec<u8> {
     limbs.iter().flat_map(|w| w.to_le_bytes()).collect()
-}
-
-fn public_xy(public: &PublicKey, k: usize) -> (Vec<u32>, Vec<u32>) {
-    match public {
-        PublicKey::Prime(AffinePoint::Point { x, y }) => (x.limbs().to_vec(), y.limbs().to_vec()),
-        PublicKey::Binary(AffinePoint2m::Point { x, y }) => {
-            (x.limbs().to_vec(), y.limbs().to_vec())
-        }
-        _ => (vec![0; k], vec![0; k]),
-    }
 }
 
 /// One simulated entry point, or a workload's sum of them: counters, raw

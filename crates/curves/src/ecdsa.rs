@@ -30,6 +30,23 @@ pub enum PublicKey {
     Binary(AffinePoint2m),
 }
 
+impl PublicKey {
+    /// The affine coordinates as limb vectors, as the simulated kernels
+    /// read and write them; the identity is the kernels' `(0, 0)`
+    /// sentinel at `k` limbs.
+    pub fn xy_limbs(&self, k: usize) -> (Vec<u32>, Vec<u32>) {
+        match self {
+            PublicKey::Prime(AffinePoint::Point { x, y }) => {
+                (x.limbs().to_vec(), y.limbs().to_vec())
+            }
+            PublicKey::Binary(AffinePoint2m::Point { x, y }) => {
+                (x.limbs().to_vec(), y.limbs().to_vec())
+            }
+            _ => (vec![0; k], vec![0; k]),
+        }
+    }
+}
+
 /// A private/public key pair.
 #[derive(Clone, Debug)]
 pub struct Keypair {

@@ -504,27 +504,6 @@ pub fn twin_mul_tabled<C: GroupOps>(
     (curve.to_affine(&r), count)
 }
 
-/// Batched twin multiplication: computes `u1·P + u2·Q` for every pair,
-/// building the joint [`TwinTables`] grid once. Returns the results in
-/// input order plus the *total* census including the shared precompute
-/// — the amortization the service layer's batch verification banks on.
-pub fn twin_mul_batch<C: GroupOps>(
-    curve: &C,
-    p: &C::Aff,
-    q: &C::Aff,
-    pairs: &[(Mp, Mp)],
-) -> (Vec<C::Aff>, OpCount) {
-    let tables = twin_tables(curve, p, q);
-    let mut count = tables.precompute;
-    let mut out = Vec::with_capacity(pairs.len());
-    for (u1, u2) in pairs {
-        let (r, c) = twin_mul_tabled(curve, u1, u2, &tables);
-        count += c;
-        out.push(r);
-    }
-    (out, count)
-}
-
 /// Straus interleaved multi-scalar multiplication `Σ kᵢ·Pᵢ` with
 /// per-point width-2 tables `[P, 2P, 3P]` and one shared doubling
 /// chain — the workhorse of random-linear-combination batch
@@ -813,7 +792,7 @@ mod tests {
         assert_eq!(lhs, mul_window(&c, &Mp::from_u64(4), &g));
     }
 
-    /// The batched interleaved scan must agree with two independent
+    /// The tabled interleaved scan must agree with two independent
     /// single multiplications for every pair, on both families,
     /// including degenerate bases `Q = ±P`.
     #[test]
@@ -838,21 +817,24 @@ mod tests {
             g.clone(),
             c.neg_affine(&g),
         ] {
-            let (results, ops) = twin_mul_batch(&c, &g, &q, &pairs);
-            assert_eq!(results.len(), pairs.len());
-            for ((u1, u2), lhs) in pairs.iter().zip(&results) {
+            let tables = twin_tables(&c, &g, &q);
+            let mut ops = tables.precompute;
+            for (u1, u2) in &pairs {
+                let (lhs, count) = twin_mul_tabled(&c, u1, u2, &tables);
                 let rhs = c.affine_add(&mul_binary(&c, u1, &g), &mul_binary(&c, u2, &q));
-                assert_eq!(*lhs, rhs, "u1={u1} u2={u2}");
+                assert_eq!(lhs, rhs, "u1={u1} u2={u2}");
+                ops += count;
             }
             assert!(ops.doubles > 0 && ops.adds > 0);
         }
         let cb = tiny_binary();
         let gb = cb.generator();
         let qb = mul_binary(&cb, &Mp::from_u64(3), &gb);
-        let (results, _) = twin_mul_batch(&cb, &gb, &qb, &pairs);
-        for ((u1, u2), lhs) in pairs.iter().zip(&results) {
+        let tables = twin_tables(&cb, &gb, &qb);
+        for (u1, u2) in &pairs {
+            let (lhs, _) = twin_mul_tabled(&cb, u1, u2, &tables);
             let rhs = cb.affine_add(&mul_binary(&cb, u1, &gb), &mul_binary(&cb, u2, &qb));
-            assert_eq!(*lhs, rhs, "u1={u1} u2={u2}");
+            assert_eq!(lhs, rhs, "u1={u1} u2={u2}");
         }
     }
 
@@ -865,8 +847,11 @@ mod tests {
         let g = c.generator();
         let q = mul_binary(&c, &Mp::from_u64(7), &g);
         let k = Mp::from_u64(0xffff_ffff);
-        let pairs: Vec<(Mp, Mp)> = (0..16).map(|_| (k.clone(), k.clone())).collect();
-        let (_, batch) = twin_mul_batch(&c, &g, &q, &pairs);
+        let tables = twin_tables(&c, &g, &q);
+        let mut batch = tables.precompute;
+        for _ in 0..16 {
+            batch += twin_mul_tabled(&c, &k, &k, &tables).1;
+        }
         let (_, single) = twin_mul_counted(&c, &k, &g, &k, &q);
         let weigh = |o: &OpCount| 8 * o.doubles + 11 * o.adds + 80 * o.inversions;
         assert!(

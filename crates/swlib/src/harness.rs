@@ -2,7 +2,7 @@
 //! differential tests, the `ule-core` driver, and the benchmark harness.
 
 use ule_isa::asm::Program;
-use ule_pete::cpu::{ExecOptions, Machine, MachineConfig, RunExit};
+use ule_pete::cpu::{ExecOptions, Machine, RunExit};
 
 /// Default cycle budget for one entry (a 571-bit baseline verification is
 /// the worst case in the study at ~250M cycles, §7.6).
@@ -106,9 +106,4 @@ pub fn read_buf(m: &Machine, program: &Program, name: &str, n: usize) -> Vec<u32
         .ram_symbol(name)
         .unwrap_or_else(|| panic!("no RAM buffer {name:?}"));
     m.ram().peek_words(addr, n)
-}
-
-/// Builds a fresh machine for a program with the given configuration.
-pub fn machine(program: &Program, config: MachineConfig) -> Machine {
-    Machine::new(program, config)
 }

@@ -134,11 +134,11 @@ fn nonzero_or_one(v: Mp) -> Mp {
 /// Builds a case from explicit `(d, e)` with a fresh nonce, retrying
 /// the nonce until the signature exists (`r, s != 0`).
 fn make_case(rig: &CurveRig, rng: &mut Rng, label: String, d: Mp, e: Mp) -> Case {
-    let n = rig.curve.n();
+    let n = rig.curve().n();
     let k = rig.k;
     loop {
         let nonce = rand_nonzero(rng, n, k);
-        if let Some(sig) = ecdsa::sign_with_nonce(&rig.curve, &d, &e, &nonce) {
+        if let Some(sig) = ecdsa::sign_with_nonce(rig.curve(), &d, &e, &nonce) {
             let (qx, qy) = rig.mul_g(&d);
             return Case {
                 label,
@@ -162,7 +162,7 @@ fn make_case(rig: &CurveRig, rng: &mut Rng, label: String, d: Mp, e: Mp) -> Case
 /// keeping the kernels' input contract (`r, s ∈ [1, n)`, `e < n`).
 /// Host and simulator must then reject identically.
 fn mutate(rig: &CurveRig, rng: &mut Rng, base: &Case, label: String) -> Case {
-    let n = rig.curve.n();
+    let n = rig.curve().n();
     let bits = n.bit_len();
     let mut case = base.clone();
     case.label = label;
@@ -217,7 +217,7 @@ fn edge_specs(heavy: bool) -> &'static [&'static str] {
 }
 
 fn edge_case(rig: &CurveRig, seed: u64, name: &str) -> Case {
-    let n = rig.curve.n();
+    let n = rig.curve().n();
     let k = rig.k;
     let label = format!("edge:{name}");
     let mut rng = case_rng(seed, rig.id, &label);
@@ -256,7 +256,7 @@ pub fn build_corpus(
             continue;
         }
         let mut rng = case_rng(seed, rig.id, &label);
-        let n = rig.curve.n();
+        let n = rig.curve().n();
         let d = rand_nonzero(&mut rng, n, rig.k);
         let e = rand_mod_n(&mut rng, n, rig.k);
         cases.push(make_case(rig, &mut rng, label, d, e));
@@ -284,7 +284,7 @@ pub fn build_corpus(
                 continue;
             }
             let mut rng = case_rng(seed, rig.id, &label);
-            let n = rig.curve.n();
+            let n = rig.curve().n();
             let d = rand_nonzero(&mut rng, n, rig.k);
             let e = rand_mod_n(&mut rng, n, rig.k);
             let base = make_case(rig, &mut rng, label.clone(), d, e);

@@ -2,16 +2,20 @@
 //! configurations and cross-checks every exposed RAM intermediate
 //! against the host reference model.
 
+use std::cell::OnceCell;
+use std::sync::Arc;
+
+use ule_core::{CurveContext, System, SystemConfig};
 use ule_curves::binary::AffinePoint2m;
 use ule_curves::ecdsa::PublicKey;
-use ule_curves::params::{Curve, CurveId, CurveKind};
+use ule_curves::params::{parse_name, spells, Curve, CurveId, CurveKind};
 use ule_curves::prime::AffinePoint;
 use ule_curves::scalar;
 use ule_mpmath::mp::Mp;
-use ule_pete::cpu::{EngineTier, ExecOptions, Machine, MachineConfig};
+use ule_pete::cpu::{EngineTier, ExecOptions, Machine};
 use ule_pete::icache::CacheConfig;
-use ule_swlib::builder::{build_suite, Arch, Suite};
-use ule_swlib::harness::{read_buf, run_entry, write_buf, DEFAULT_MAX_CYCLES};
+use ule_swlib::builder::Arch;
+use ule_swlib::harness::{read_buf, RunError, DEFAULT_MAX_CYCLES};
 
 use crate::corpus::Case;
 use crate::ladder::LadderCase;
@@ -82,22 +86,37 @@ impl ConfigKind {
             }
         }
     }
+
+    /// The design point this configuration simulates on `id`: the
+    /// instruction-cache rows add a 4 KB cache with prefetch, and
+    /// `Coproc` is Monte or Billie by the curve's field family.
+    pub fn system_config(self, id: CurveId) -> SystemConfig {
+        let cache = CacheConfig::real(4096, true);
+        match self {
+            ConfigKind::Baseline => SystemConfig::new(id, Arch::Baseline),
+            ConfigKind::BaselineIcache => SystemConfig::new(id, Arch::Baseline).with_icache(cache),
+            ConfigKind::IsaExt => SystemConfig::new(id, Arch::IsaExt),
+            ConfigKind::IsaExtIcache => SystemConfig::new(id, Arch::IsaExt).with_icache(cache),
+            ConfigKind::Coproc if id.is_binary() => SystemConfig::new(id, Arch::Billie),
+            ConfigKind::Coproc => SystemConfig::new(id, Arch::Monte),
+        }
+    }
 }
 
 impl std::str::FromStr for ConfigKind {
     type Err = String;
 
-    /// Parses a CLI label (either family's coprocessor name works),
-    /// ignoring ASCII case and `-`/`_` separators like every name.
+    /// Parses a CLI label (either family's coprocessor name, or
+    /// `coproc`) under the design-space spelling policy
+    /// ([`spells`]).
     fn from_str(s: &str) -> Result<Self, String> {
-        match s.replace(['-', '_'], "").to_ascii_lowercase().as_str() {
-            "baseline" => Ok(ConfigKind::Baseline),
-            "baseline+ic" => Ok(ConfigKind::BaselineIcache),
-            "isaext" => Ok(ConfigKind::IsaExt),
-            "isaext+ic" => Ok(ConfigKind::IsaExtIcache),
-            "monte" | "billie" | "coproc" => Ok(ConfigKind::Coproc),
-            _ => Err(format!("unknown config {s:?}")),
+        if spells(s, "coproc") {
+            return Ok(ConfigKind::Coproc);
         }
+        ConfigKind::ALL
+            .into_iter()
+            .find(|c| spells(s, c.label(false)) || spells(s, c.label(true)))
+            .ok_or_else(|| format!("unknown config {s:?}"))
     }
 }
 
@@ -153,133 +172,105 @@ impl TierPolicy {
 impl std::str::FromStr for TierPolicy {
     type Err = String;
 
-    /// Parses the CLI spelling (ASCII case and `-`/`_` ignored).
+    /// Parses the CLI spelling ([`spells`]), or the `ref`/`alt` alias.
     fn from_str(s: &str) -> Result<Self, String> {
-        match s.replace(['-', '_'], "").to_ascii_lowercase().as_str() {
-            "fast" => Ok(TierPolicy::Fast),
-            "reference" | "ref" => Ok(TierPolicy::Reference),
-            "alternate" | "alt" => Ok(TierPolicy::Alternate),
-            _ => Err(format!(
-                "unknown tier {s:?} (expected fast|reference|alternate)"
-            )),
+        if spells(s, "ref") {
+            Ok(TierPolicy::Reference)
+        } else if spells(s, "alt") {
+            Ok(TierPolicy::Alternate)
+        } else {
+            let all = [
+                TierPolicy::Fast,
+                TierPolicy::Reference,
+                TierPolicy::Alternate,
+            ];
+            parse_name("tier", s, &all, TierPolicy::label)
         }
     }
 }
 
-/// Everything needed to simulate one curve: the host curve object and
-/// the three generated programs (baseline ISA, extended ISA, and the
-/// coprocessor-accelerated build). Suites are generated once per
-/// campaign, machines once per entry run.
+/// Everything needed to simulate one curve: the shared curve context
+/// and one [`System`] per configuration, built on first use. Every
+/// entry run is one [`System::run_entry`] call, so the campaigns
+/// simulate exactly the machines that produce the published numbers.
 pub struct CurveRig {
     /// The curve.
     pub id: CurveId,
-    /// Host-side parameters.
-    pub curve: Curve,
     /// Field words.
     pub k: usize,
-    base: Suite,
-    isa: Suite,
-    cop: Suite,
+    ctx: Arc<CurveContext>,
+    systems: [OnceCell<System>; 5],
 }
 
 impl CurveRig {
-    /// Generates the three suites for a curve.
+    /// The rig for a curve; its systems are built when first run.
     pub fn new(id: CurveId) -> CurveRig {
-        let curve = id.curve();
-        let base = build_suite(&curve, Arch::Baseline);
-        let isa = build_suite(&curve, Arch::IsaExt);
-        let cop_arch = if id.is_binary() {
-            Arch::Billie
-        } else {
-            Arch::Monte
-        };
-        let cop = build_suite(&curve, cop_arch);
-        let k = base.k;
         CurveRig {
             id,
-            curve,
-            k,
-            base,
-            isa,
-            cop,
+            k: id.bits().div_ceil(32),
+            ctx: Arc::new(CurveContext::new(id)),
+            systems: Default::default(),
         }
     }
 
-    /// The suite a configuration runs on.
-    pub fn suite(&self, cfg: ConfigKind) -> &Suite {
-        match cfg {
-            ConfigKind::Baseline | ConfigKind::BaselineIcache => &self.base,
-            ConfigKind::IsaExt | ConfigKind::IsaExtIcache => &self.isa,
-            ConfigKind::Coproc => &self.cop,
-        }
+    /// Host-side parameters.
+    pub fn curve(&self) -> &Curve {
+        self.ctx.curve()
     }
 
-    /// A fresh machine for a configuration.
-    pub fn machine(&self, cfg: ConfigKind) -> Machine {
-        let suite = self.suite(cfg);
-        let mc = match cfg {
-            ConfigKind::Baseline => MachineConfig::baseline(),
-            ConfigKind::BaselineIcache => {
-                let mut c = MachineConfig::baseline();
-                c.icache = Some(CacheConfig::real(4096, true));
-                c
-            }
-            ConfigKind::IsaExt | ConfigKind::Coproc => MachineConfig::isa_ext(),
-            ConfigKind::IsaExtIcache => {
-                MachineConfig::isa_ext_with_cache(CacheConfig::real(4096, true))
-            }
-        };
-        let b = Machine::builder(&suite.program, mc);
-        let b = match suite.arch {
-            Arch::Monte => b.coprocessor(Box::new(ule_monte::Monte::new())),
-            Arch::Billie => b.coprocessor(Box::new(ule_billie::Billie::new(self.id.nist_binary()))),
-            _ => b,
-        };
-        b.build()
+    /// The system a configuration runs on.
+    pub fn system(&self, cfg: ConfigKind) -> &System {
+        self.systems[cfg as usize].get_or_init(|| {
+            let sys = System::with_context(cfg.system_config(self.id), Arc::clone(&self.ctx));
+            assert_eq!(sys.suite().k, self.k, "suite width");
+            sys
+        })
+    }
+
+    /// Runs `entry` with `inputs` in RAM on a fresh machine at `cfg`.
+    pub fn run(
+        &self,
+        cfg: ConfigKind,
+        entry: &str,
+        inputs: &[(&str, &[u32])],
+        tier: EngineTier,
+    ) -> Result<Machine, RunError> {
+        let opts = ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier);
+        self.system(cfg).run_entry(entry, inputs, opts, false)
+    }
+
+    /// Reads `n` limbs of a RAM buffer from a machine `cfg` ran.
+    pub fn read(&self, cfg: ConfigKind, m: &Machine, buf: &str, n: usize) -> Vec<u32> {
+        read_buf(m, &self.system(cfg).suite().program, buf, n)
     }
 
     /// Host `d*G` as affine limb pairs; the identity maps to the
     /// simulator's `(0, 0)` sentinel.
     pub fn mul_g(&self, d: &Mp) -> (Vec<u32>, Vec<u32>) {
-        let k = self.k;
-        match self.curve.mul_g(d) {
-            PublicKey::Prime(AffinePoint::Point { x, y }) => {
-                (x.limbs().to_vec(), y.limbs().to_vec())
-            }
-            PublicKey::Binary(AffinePoint2m::Point { x, y }) => {
-                (x.limbs().to_vec(), y.limbs().to_vec())
-            }
-            _ => (vec![0; k], vec![0; k]),
-        }
+        self.curve().mul_g(d).xy_limbs(self.k)
     }
 
     /// Host twin multiplication `u1*G + u2*Q` as affine limb pairs
     /// (identity → `(0, 0)`), with `Q` given as limb coordinates.
     pub fn twin(&self, u1: &Mp, u2: &Mp, qx: &[u32], qy: &[u32]) -> (Vec<u32>, Vec<u32>) {
-        let k = self.k;
-        match self.curve.kind() {
+        let point = match self.curve().kind() {
             CurveKind::Prime(c) => {
                 let q = AffinePoint::new(c.field().from_limbs(qx), c.field().from_limbs(qy));
-                match scalar::twin_mul(c, u1, &c.generator(), u2, &q) {
-                    AffinePoint::Infinity => (vec![0; k], vec![0; k]),
-                    AffinePoint::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-                }
+                PublicKey::Prime(scalar::twin_mul(c, u1, &c.generator(), u2, &q))
             }
             CurveKind::Binary(c) => {
                 let q = AffinePoint2m::new(c.field().from_limbs(qx), c.field().from_limbs(qy));
-                match scalar::twin_mul(c, u1, &c.generator(), u2, &q) {
-                    AffinePoint2m::Infinity => (vec![0; k], vec![0; k]),
-                    AffinePoint2m::Point { x, y } => (x.limbs().to_vec(), y.limbs().to_vec()),
-                }
+                PublicKey::Binary(scalar::twin_mul(c, u1, &c.generator(), u2, &q))
             }
             CurveKind::Mont(_) => unreachable!("ladder curves use the ladder corpus"),
-        }
+        };
+        point.xy_limbs(self.k)
     }
 
     /// The x-coordinate of `d*G` as a plain integer (what `ecd_x` holds
     /// after a signature's `fout`), `None` for the identity.
     pub fn x_of_mul_g(&self, d: &Mp) -> Option<Mp> {
-        match (self.curve.kind(), self.curve.mul_g(d)) {
+        match (self.curve().kind(), self.curve().mul_g(d)) {
             (CurveKind::Prime(c), PublicKey::Prime(p)) => c.x_as_integer(&p),
             (CurveKind::Binary(c), PublicKey::Binary(p)) => c.x_as_integer(&p),
             _ => unreachable!("mul_g answers in the curve's own family"),
@@ -334,8 +325,8 @@ pub fn host_sign(rig: &CurveRig, case: &Case) -> SignExpect {
 /// inputs the simulator sees (for negative cases these are mutated).
 pub fn host_verify(rig: &CurveRig, case: &Case) -> VerifyExpect {
     let k = rig.k;
-    let n = rig.curve.n();
-    let nf = rig.curve.order_field();
+    let n = rig.curve().n();
+    let nf = rig.curve().order_field();
     let w = nf
         .inv(&nf.from_mp(&case.ver_s))
         .expect("corpus keeps s in [1, n)");
@@ -434,9 +425,9 @@ impl Checker<'_> {
 
 /// Runs one case on each configuration, sign entry (when the case has
 /// one) then verify entry, cross-checking every exposed buffer. When
-/// `fault_pending` is set, the first verification flips one bit of one
-/// input limb in simulator RAM after marshalling — the harness
-/// self-test — and clears the flag.
+/// `fault_pending` is set, the first verification runs with one bit of
+/// one input limb flipped — the harness self-test — and clears the
+/// flag.
 pub fn run_case(
     rig: &CurveRig,
     case: &Case,
@@ -452,20 +443,17 @@ pub fn run_case(
     };
     let sign_expect = case.run_sign.then(|| host_sign(rig, case));
     let verify_expect = host_verify(rig, case);
+    let (e, d, nonce) = (
+        case.e.to_limbs(k),
+        case.d.to_limbs(k),
+        case.nonce.to_limbs(k),
+    );
+    let (ver_e, ver_r, ver_s) = verify_inputs(case, k);
     for &cfg in configs {
         if let Some(exp) = &sign_expect {
-            let suite = rig.suite(cfg);
-            let mut m = rig.machine(cfg);
-            write_buf(&mut m, &suite.program, "arg_e", &case.e.to_limbs(k));
-            write_buf(&mut m, &suite.program, "arg_d", &case.d.to_limbs(k));
-            write_buf(&mut m, &suite.program, "arg_k", &case.nonce.to_limbs(k));
             out.sim_runs += 1;
-            let run = run_entry(
-                &mut m,
-                &suite.program,
-                "main_sign",
-                ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-            );
+            let inputs: [(&str, &[u32]); 3] = [("arg_e", &e), ("arg_d", &d), ("arg_k", &nonce)];
+            let run = rig.run(cfg, "main_sign", &inputs, tier);
             let mut ck = Checker {
                 out: &mut out,
                 rig,
@@ -475,79 +463,67 @@ pub fn run_case(
                 case,
             };
             match run {
-                Ok(_) => {
-                    let rd = |m: &Machine, b| read_buf(m, &suite.program, b, k);
-                    ck.field("ecd_x", exp.ecd_x.clone(), rd(&m, "ecd_x"));
-                    ck.field("out_r", exp.r.clone(), rd(&m, "out_r"));
-                    ck.field("out_s", exp.s.clone(), rd(&m, "out_s"));
+                Ok(m) => {
+                    let rd = |b| rig.read(cfg, &m, b, k);
+                    ck.field("ecd_x", exp.ecd_x.clone(), rd("ecd_x"));
+                    ck.field("out_r", exp.r.clone(), rd("out_r"));
+                    ck.field("out_s", exp.s.clone(), rd("out_s"));
                 }
-                Err(_) => {
-                    // A hang is a cycle-limit incident: dump the flight
-                    // recorder tail (once per process) for triage.
-                    ule_obs::flight::note_incident("cycle_limit");
-                    ck.hang()
-                }
+                Err(_) => ck.hang(),
             }
         }
-        {
-            let suite = rig.suite(cfg);
-            let mut m = rig.machine(cfg);
-            write_buf(&mut m, &suite.program, "arg_e", &case.ver_e.to_limbs(k));
-            write_buf(&mut m, &suite.program, "arg_r", &case.ver_r.to_limbs(k));
-            write_buf(&mut m, &suite.program, "arg_s", &case.ver_s.to_limbs(k));
-            write_buf(&mut m, &suite.program, "arg_qx", &case.qx);
-            write_buf(&mut m, &suite.program, "arg_qy", &case.qy);
-            if *fault_pending {
-                // Self-test: corrupt limb 0 of the public key's y in
-                // simulator RAM only — the host model keeps the true
-                // value, so the campaign must flag this run.
-                let mut qy = case.qy.clone();
-                qy[0] ^= 1;
-                write_buf(&mut m, &suite.program, "arg_qy", &qy);
-                *fault_pending = false;
+        // Self-test: corrupt limb 0 of the public key's y in the
+        // simulator's input only — the host model keeps the true value,
+        // so the campaign must flag this run.
+        let mut qy = case.qy.clone();
+        if std::mem::take(fault_pending) {
+            qy[0] ^= 1;
+        }
+        out.sim_runs += 1;
+        let inputs: [(&str, &[u32]); 5] = [
+            ("arg_e", &ver_e),
+            ("arg_r", &ver_r),
+            ("arg_s", &ver_s),
+            ("arg_qx", &case.qx),
+            ("arg_qy", &qy),
+        ];
+        let run = rig.run(cfg, "main_verify", &inputs, tier);
+        let mut ck = Checker {
+            out: &mut out,
+            rig,
+            cfg,
+            entry: "main_verify",
+            tier,
+            case,
+        };
+        match run {
+            Ok(m) => {
+                let exp = &verify_expect;
+                let billie = cfg == ConfigKind::Coproc && rig.id.is_binary();
+                let (eu1, eu2) = if billie {
+                    (&exp.billie_u1, &exp.billie_u2)
+                } else {
+                    (&exp.u1, &exp.u2)
+                };
+                let rd = |b, n| rig.read(cfg, &m, b, n);
+                ck.field("tw_u1", eu1.to_limbs(k), rd("tw_u1", k));
+                ck.field("tw_u2", eu2.to_limbs(k), rd("tw_u2", k));
+                ck.field("ecd_x", exp.ecd_x.clone(), rd("ecd_x", k));
+                ck.field("out_ok", vec![exp.ok], rd("out_ok", 1));
             }
-            out.sim_runs += 1;
-            let run = run_entry(
-                &mut m,
-                &suite.program,
-                "main_verify",
-                ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-            );
-            let mut ck = Checker {
-                out: &mut out,
-                rig,
-                cfg,
-                entry: "main_verify",
-                tier,
-                case,
-            };
-            match run {
-                Ok(_) => {
-                    let exp = &verify_expect;
-                    let billie = cfg == ConfigKind::Coproc && rig.id.is_binary();
-                    let (eu1, eu2) = if billie {
-                        (&exp.billie_u1, &exp.billie_u2)
-                    } else {
-                        (&exp.u1, &exp.u2)
-                    };
-                    let rd = |m: &Machine, b| read_buf(m, &suite.program, b, k);
-                    ck.field("tw_u1", eu1.to_limbs(k), rd(&m, "tw_u1"));
-                    ck.field("tw_u2", eu2.to_limbs(k), rd(&m, "tw_u2"));
-                    ck.field("ecd_x", exp.ecd_x.clone(), rd(&m, "ecd_x"));
-                    ck.field(
-                        "out_ok",
-                        vec![exp.ok],
-                        read_buf(&m, &suite.program, "out_ok", 1),
-                    );
-                }
-                Err(_) => {
-                    ule_obs::flight::note_incident("cycle_limit");
-                    ck.hang()
-                }
-            }
+            Err(_) => ck.hang(),
         }
     }
     out
+}
+
+/// The verify entry's scalar inputs `(e, r, s)` as `k`-limb buffers.
+fn verify_inputs(case: &Case, k: usize) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
+    (
+        case.ver_e.to_limbs(k),
+        case.ver_r.to_limbs(k),
+        case.ver_s.to_limbs(k),
+    )
 }
 
 /// In-campaign A/B spot check: runs `main_verify` for one case on both
@@ -557,44 +533,35 @@ pub fn run_case(
 /// reported as `<tier-ab>` divergences (host = reference, sim = fast,
 /// each encoded as the u64 cycle count split into u32 halves).
 pub fn tier_ab_check(rig: &CurveRig, case: &Case, cfg: ConfigKind) -> CaseOutcome {
-    let k = rig.k;
-    let suite = rig.suite(cfg);
+    let (ver_e, ver_r, ver_s) = verify_inputs(case, rig.k);
+    let inputs: [(&str, &[u32]); 5] = [
+        ("arg_e", &ver_e),
+        ("arg_r", &ver_r),
+        ("arg_s", &ver_s),
+        ("arg_qx", &case.qx),
+        ("arg_qy", &case.qy),
+    ];
     let mut out = CaseOutcome {
-        sim_runs: 0,
-        checks: 0,
+        sim_runs: 2,
+        checks: 1,
         divergences: Vec::new(),
     };
-    let mut observed = Vec::new();
-    for tier in [EngineTier::Reference, EngineTier::Fast] {
-        let mut m = rig.machine(cfg);
-        write_buf(&mut m, &suite.program, "arg_e", &case.ver_e.to_limbs(k));
-        write_buf(&mut m, &suite.program, "arg_r", &case.ver_r.to_limbs(k));
-        write_buf(&mut m, &suite.program, "arg_s", &case.ver_s.to_limbs(k));
-        write_buf(&mut m, &suite.program, "arg_qx", &case.qx);
-        write_buf(&mut m, &suite.program, "arg_qy", &case.qy);
-        out.sim_runs += 1;
-        let run = run_entry(
-            &mut m,
-            &suite.program,
-            "main_verify",
-            ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-        );
-        observed.push((tier, run, m));
-    }
-    let (_, run_ref, m_ref) = &observed[0];
-    let (_, run_fast, m_fast) = &observed[1];
-    out.checks += 1;
-    let identical = run_ref.is_ok() == run_fast.is_ok()
-        && m_ref.counters() == m_fast.counters()
-        && m_ref.rom_stats() == m_fast.rom_stats()
-        && m_ref.ram_stats() == m_fast.ram_stats()
-        && m_ref.icache_stats() == m_fast.icache_stats()
-        && m_ref.cop_stats() == m_fast.cop_stats()
-        && read_buf(m_ref, &suite.program, "out_ok", 1)
-            == read_buf(m_fast, &suite.program, "out_ok", 1);
+    let [reference, fast] = [EngineTier::Reference, EngineTier::Fast]
+        .map(|tier| rig.run(cfg, "main_verify", &inputs, tier));
+    let identical = match (&reference, &fast) {
+        (Ok(r), Ok(f)) => {
+            r.counters() == f.counters()
+                && r.rom_stats() == f.rom_stats()
+                && r.ram_stats() == f.ram_stats()
+                && r.icache_stats() == f.icache_stats()
+                && r.cop_stats() == f.cop_stats()
+                && rig.read(cfg, r, "out_ok", 1) == rig.read(cfg, f, "out_ok", 1)
+        }
+        (r, f) => r.is_err() && f.is_err(),
+    };
     if !identical {
-        let enc = |m: &Machine| {
-            let c = m.cycles();
+        let enc = |run: &Result<Machine, RunError>| {
+            let c = run.as_ref().map_or(0, Machine::cycles);
             vec![c as u32, (c >> 32) as u32]
         };
         out.divergences.push(Divergence {
@@ -603,8 +570,8 @@ pub fn tier_ab_check(rig: &CurveRig, case: &Case, cfg: ConfigKind) -> CaseOutcom
             entry: "main_verify",
             field: "<tier-ab>",
             tier: EngineTier::Fast,
-            host: enc(m_ref),
-            sim: enc(m_fast),
+            host: enc(&reference),
+            sim: enc(&fast),
             case: AnyCase::Ecdsa(case.clone()),
         });
     }

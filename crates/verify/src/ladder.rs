@@ -15,8 +15,6 @@
 
 use ule_mpmath::mp::Mp;
 use ule_pete::cpu::EngineTier;
-use ule_pete::cpu::ExecOptions;
-use ule_swlib::harness::{read_buf, run_entry, write_buf, DEFAULT_MAX_CYCLES};
 use ule_testkit::Rng;
 
 use crate::corpus::{case_rng, CaseSelector};
@@ -38,7 +36,7 @@ pub struct LadderCase {
 /// The host-expected shared secret for a case: clamp the raw scalar
 /// exactly as the kernel does, then ladder over the peer `u`.
 pub fn host_secret(rig: &CurveRig, case: &LadderCase) -> Vec<u32> {
-    let mc = rig.curve.mont();
+    let mc = rig.curve().mont();
     let bytes: Vec<u8> = case.raw_k.iter().flat_map(|w| w.to_le_bytes()).collect();
     let clamped = mc.clamp(&bytes);
     let u = mc.field().from_limbs(&case.u);
@@ -74,7 +72,7 @@ fn rand_u(rng: &mut Rng, p: &Mp, k: usize) -> Vec<u32> {
 
 fn edge_case(rig: &CurveRig, seed: u64, name: &str) -> LadderCase {
     let k = rig.k;
-    let mc = rig.curve.mont();
+    let mc = rig.curve().mont();
     let p = mc.prime().modulus();
     let label = format!("edge:{name}");
     let mut rng = case_rng(seed, rig.id, &label);
@@ -113,7 +111,7 @@ pub fn build_ladder_corpus(
     only: Option<&CaseSelector>,
 ) -> Vec<LadderCase> {
     let k = rig.k;
-    let p = rig.curve.mont().prime().modulus();
+    let p = rig.curve().mont().prime().modulus();
     let want = |label: &str| only.is_none_or(|sel| sel.matches(label));
     let mut cases = Vec::new();
     for i in 0..iters {
@@ -145,8 +143,8 @@ pub fn build_ladder_corpus(
 
 /// Runs one ladder case on each configuration, cross-checking `out_r`
 /// against the host shared secret. `fault_pending` mirrors the ECDSA
-/// harness self-test: flip one bit of the peer `u` in simulator RAM on
-/// the first run, which the campaign must catch.
+/// harness self-test: flip one bit of the peer `u` the simulator is
+/// given on the first run, which the campaign must catch.
 pub fn run_ladder_case(
     rig: &CurveRig,
     case: &LadderCase,
@@ -161,30 +159,17 @@ pub fn run_ladder_case(
         divergences: Vec::new(),
     };
     for &cfg in configs {
-        let suite = rig.suite(cfg);
-        let mut m = rig.machine(cfg);
-        write_buf(&mut m, &suite.program, "arg_k", &case.raw_k);
-        write_buf(&mut m, &suite.program, "arg_qx", &case.u);
-        if *fault_pending {
-            let mut u = case.u.clone();
+        let mut u = case.u.clone();
+        if std::mem::take(fault_pending) {
             u[0] ^= 1;
-            write_buf(&mut m, &suite.program, "arg_qx", &u);
-            *fault_pending = false;
         }
         out.sim_runs += 1;
-        let run = run_entry(
-            &mut m,
-            &suite.program,
-            "main_xdh",
-            ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-        );
+        let inputs: [(&str, &[u32]); 2] = [("arg_k", &case.raw_k), ("arg_qx", &u)];
+        let run = rig.run(cfg, "main_xdh", &inputs, tier);
         out.checks += 1;
         let (field, sim) = match run {
-            Ok(_) => ("out_r", read_buf(&m, &suite.program, "out_r", rig.k)),
-            Err(_) => {
-                ule_obs::flight::note_incident("cycle_limit");
-                ("<hang>", Vec::new())
-            }
+            Ok(m) => ("out_r", rig.read(cfg, &m, "out_r", rig.k)),
+            Err(_) => ("<hang>", Vec::new()),
         };
         if field == "<hang>" || sim != host {
             out.divergences.push(Divergence {

@@ -5,7 +5,10 @@
 //! without an instruction cache, which must not change any
 //! architectural result), and the family coprocessor (Monte / Billie) —
 //! across all ten study curves, cross-checking every exposed RAM
-//! intermediate against the `ule-curves` host reference:
+//! intermediate against the `ule-curves` host reference. Each
+//! configuration is a [`ule_core::SystemConfig`] and every entry run
+//! is one [`ule_core::System::run_entry`] call, so the campaigns check
+//! the machines that produce the published numbers:
 //!
 //! | entry         | checked buffers                          |
 //! |---------------|------------------------------------------|
@@ -337,6 +340,24 @@ mod tests {
     }
 
     #[test]
+    fn cli_aliases_parse() {
+        for coproc in ["coproc", "Monte", "billie"] {
+            assert_eq!(coproc.parse(), Ok(ConfigKind::Coproc));
+        }
+        assert_eq!("baseline+ic".parse(), Ok(ConfigKind::BaselineIcache));
+        assert_eq!("REF".parse(), Ok(TierPolicy::Reference));
+        assert_eq!("alt".parse(), Ok(TierPolicy::Alternate));
+        assert_eq!(
+            "slow".parse::<TierPolicy>(),
+            Err("unknown tier \"slow\" (expected fast|reference|alternate)".to_string())
+        );
+        assert_eq!(
+            "isa".parse::<ConfigKind>(),
+            Err("unknown config \"isa\"".to_string())
+        );
+    }
+
+    #[test]
     fn tiering_always_covers() {
         for id in CurveId::ALL.into_iter().chain(CurveId::XCURVES) {
             assert!(tiered_iters(id, 1) >= 1);
@@ -354,6 +375,100 @@ mod tests {
         assert!(c.curves.contains(&CurveId::X25519));
         assert!(c.curves.contains(&CurveId::X448));
         assert_eq!(c.curves.len(), 12);
+    }
+
+    /// A campaign on one curve narrowed to its first random case.
+    fn one_case(curve: CurveId) -> Campaign {
+        let mut c = Campaign::new(parse_seed("0xULE"), 1);
+        c.curves = vec![curve];
+        c.edge = false;
+        c.negative = false;
+        c.only_case = Some(CaseSelector::Random(0));
+        c
+    }
+
+    #[test]
+    fn ecdsa_case_is_clean_on_every_config() {
+        let report = run_campaign(&one_case(CurveId::P192));
+        assert_eq!(report.cases, 1);
+        // Sign and verify on each of the five configurations, plus the
+        // verify pair of the engine-tier A/B check.
+        assert_eq!(report.sim_runs, 12);
+        assert_eq!(
+            report.configs,
+            vec!["baseline", "baseline+ic", "isa-ext", "isa-ext+ic", "monte"]
+        );
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+    }
+
+    #[test]
+    fn binary_case_is_clean_on_billie() {
+        let mut c = one_case(CurveId::K163);
+        c.only_config = Some(ConfigKind::Coproc);
+        let report = run_campaign(&c);
+        assert_eq!((report.cases, report.sim_runs), (1, 2));
+        assert_eq!(report.configs, vec!["billie"]);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
+    }
+
+    #[test]
+    fn tier_ab_check_is_clean_on_baseline() {
+        let rig = CurveRig::new(CurveId::P192);
+        let only = CaseSelector::Random(0);
+        let cases = corpus::build_corpus(&rig, parse_seed("0xULE"), 1, false, false, Some(&only));
+        let out = exec::tier_ab_check(&rig, &cases[0], ConfigKind::Baseline);
+        assert_eq!((out.sim_runs, out.checks), (2, 1));
+        assert!(out.divergences.is_empty(), "{:?}", out.divergences);
+    }
+
+    #[test]
+    fn ecdsa_fault_injection_is_caught_and_shrunk() {
+        let mut c = one_case(CurveId::P192);
+        c.inject_fault = true;
+        let report = run_campaign(&c);
+        // The flipped public-key limb moves the twin result: `ecd_x`
+        // and the verdict diverge, and neither narrower entry (which
+        // replays without the fault) reproduces it.
+        let fields: Vec<&str> = report
+            .divergences
+            .iter()
+            .map(|s| s.original.field)
+            .collect();
+        assert_eq!(fields, ["ecd_x", "out_ok"]);
+        for s in &report.divergences {
+            assert_eq!((s.original.entry, s.entry), ("main_verify", "main_verify"));
+            assert_eq!(
+                s.reproducer,
+                "repro verify --seed 0x007d9d6484d54924 --curve P-192 --case random:0 \
+                 --config baseline --tier fast --iters 1"
+            );
+        }
+    }
+
+    #[test]
+    fn configs_run_the_machines_they_name() {
+        use ule_pete::cpu::EngineTier;
+        use ule_pete::icache::CacheConfig;
+        for id in [CurveId::P192, CurveId::K163] {
+            let rig = CurveRig::new(id);
+            for cfg in ConfigKind::ALL {
+                let m = rig.run(cfg, "main_fmul", &[], EngineTier::Fast).unwrap();
+                let (baseline, icache) = match cfg {
+                    ConfigKind::Baseline => (true, false),
+                    ConfigKind::BaselineIcache => (true, true),
+                    ConfigKind::IsaExt | ConfigKind::Coproc => (false, false),
+                    ConfigKind::IsaExtIcache => (false, true),
+                };
+                let want_cache = icache.then(|| CacheConfig::real(4096, true));
+                assert_eq!(
+                    format!("{:?}", m.config().icache),
+                    format!("{want_cache:?}")
+                );
+                assert_eq!(m.config().extensions, !baseline, "{cfg:?}");
+                let cop_ops = m.cop_stats().instructions;
+                assert_eq!(cop_ops > 0, cfg == ConfigKind::Coproc, "{cfg:?}");
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! reproduce it, then emit a one-line `repro verify` reproducer.
 
 use ule_mpmath::mp::Mp;
-use ule_pete::cpu::{EngineTier, ExecOptions};
-use ule_swlib::harness::{read_buf, run_entry, write_buf, DEFAULT_MAX_CYCLES};
+use ule_pete::cpu::EngineTier;
 
 use crate::corpus::Case;
 use crate::exec::{self, AnyCase, ConfigKind, CurveRig, Divergence};
@@ -46,25 +45,15 @@ fn scalar_mul_diverges(rig: &CurveRig, cfg: ConfigKind, tier: EngineTier, k_scal
     if k_scalar.is_zero() {
         return false;
     }
-    let suite = rig.suite(cfg);
-    let mut m = rig.machine(cfg);
-    write_buf(&mut m, &suite.program, "arg_k", &k_scalar.to_limbs(rig.k));
-    if run_entry(
-        &mut m,
-        &suite.program,
-        "main_scalar_mul",
-        ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-    )
-    .is_err()
-    {
+    let k = k_scalar.to_limbs(rig.k);
+    let Ok(m) = rig.run(cfg, "main_scalar_mul", &[("arg_k", &k)], tier) else {
         return true;
-    }
-    let host = rig.mul_g(k_scalar);
+    };
     let sim = (
-        read_buf(&m, &suite.program, "out_r", rig.k),
-        read_buf(&m, &suite.program, "out_s", rig.k),
+        rig.read(cfg, &m, "out_r", rig.k),
+        rig.read(cfg, &m, "out_s", rig.k),
     );
-    host != sim
+    rig.mul_g(k_scalar) != sim
 }
 
 /// Does `main_twin_mul(u1, u2, Q)` diverge from the host?
@@ -76,28 +65,21 @@ fn twin_mul_diverges(
     u2: &Mp,
     case: &Case,
 ) -> bool {
-    let suite = rig.suite(cfg);
-    let mut m = rig.machine(cfg);
-    write_buf(&mut m, &suite.program, "arg_e", &u1.to_limbs(rig.k));
-    write_buf(&mut m, &suite.program, "arg_d", &u2.to_limbs(rig.k));
-    write_buf(&mut m, &suite.program, "arg_qx", &case.qx);
-    write_buf(&mut m, &suite.program, "arg_qy", &case.qy);
-    if run_entry(
-        &mut m,
-        &suite.program,
-        "main_twin_mul",
-        ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier),
-    )
-    .is_err()
-    {
+    let (e, d) = (u1.to_limbs(rig.k), u2.to_limbs(rig.k));
+    let inputs: [(&str, &[u32]); 4] = [
+        ("arg_e", &e),
+        ("arg_d", &d),
+        ("arg_qx", &case.qx),
+        ("arg_qy", &case.qy),
+    ];
+    let Ok(m) = rig.run(cfg, "main_twin_mul", &inputs, tier) else {
         return true;
-    }
-    let host = rig.twin(u1, u2, &case.qx, &case.qy);
+    };
     let sim = (
-        read_buf(&m, &suite.program, "out_r", rig.k),
-        read_buf(&m, &suite.program, "out_s", rig.k),
+        rig.read(cfg, &m, "out_r", rig.k),
+        rig.read(cfg, &m, "out_s", rig.k),
     );
-    host != sim
+    rig.twin(u1, u2, &case.qx, &case.qy) != sim
 }
 
 /// Does a full replay of the case's original entry diverge?
