@@ -600,12 +600,11 @@ impl CurveContext {
         &self.curve
     }
 
-    /// The host reference at `k` limbs (the suite's width, a function of
-    /// the curve).
-    fn host(&self, k: usize) -> &HostRef {
+    /// The host reference, in limbs at the curve's width.
+    fn host(&self) -> &HostRef {
         self.host.get_or_init(|| {
             let _sp = ule_obs::span("sys.host_ref");
-            HostRef::new(&self.curve, k)
+            HostRef::new(&self.curve)
         })
     }
 }
@@ -751,7 +750,7 @@ impl System {
             panic!("{e}");
         }
         let (k, prog) = (self.suite.k, &self.suite.program);
-        let host = self.ctx.host(k);
+        let host = self.ctx.host();
         let args: &[(&str, &[u32])] = match (host, entry) {
             (HostRef::Ecdsa(h), Entry::Sign) => {
                 &[("arg_e", &h.e), ("arg_d", &h.d), ("arg_k", &h.nonce)]
@@ -768,10 +767,10 @@ impl System {
             (HostRef::Xdh(h), Entry::Xdh) => &[("arg_k", &h.scalar), ("arg_qx", &h.peer_u)],
             _ => unreachable!("validated above"),
         };
-        let opts = ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier);
-        let mut m = self
-            .run_entry(entry.symbol(), args, opts, profile)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let (mut m, run) = self.run_entry(entry.symbol(), args, tier, profile);
+        if let Err(e) = run {
+            panic!("{e}");
+        }
         match (host, entry) {
             (HostRef::Ecdsa(h), Entry::Sign) => {
                 assert_eq!(read_buf(&m, prog, "out_r", k), h.r, "simulated r mismatch");
@@ -806,17 +805,17 @@ impl System {
     /// ([`System::simulate_entry`]) and differential campaigns alike.
     ///
     /// `inputs` are `(RAM buffer, limbs)` pairs written before the run;
-    /// `opts` sets the cycle budget and engine tier; `profile` attaches
-    /// the per-routine cycle profiler. Loading and running are timed
-    /// as the `sys.load` and `sys.sim` spans. The caller reads outputs
-    /// back from the machine with [`read_buf`] against
-    /// [`System::suite`]'s program.
+    /// `tier` picks the execution engine, under the one cycle budget
+    /// [`DEFAULT_MAX_CYCLES`]; `profile` attaches the per-routine cycle
+    /// profiler. Loading and running are timed as the `sys.load` and
+    /// `sys.sim` spans. The caller reads outputs back from the machine
+    /// with [`read_buf`] against [`System::suite`]'s program.
     ///
-    /// # Errors
-    ///
-    /// Returns the harness [`RunError`] if the program has no such
-    /// entry or the entry overruns `opts.max_cycles`; an overrun also
-    /// dumps the flight recorder's event tail (the `cycle_limit`
+    /// The machine comes back whether or not the run finished, so a
+    /// caller can still read the cycles and counters of a run that
+    /// failed. The result is the harness [`RunError`] if the program
+    /// has no such entry or the entry overruns the budget; an overrun
+    /// also dumps the flight recorder's event tail (the `cycle_limit`
     /// incident).
     ///
     /// # Panics
@@ -826,9 +825,9 @@ impl System {
         &self,
         symbol: &str,
         inputs: &[(&str, &[u32])],
-        opts: ExecOptions,
+        tier: EngineTier,
         profile: bool,
-    ) -> Result<Machine, RunError> {
+    ) -> (Machine, Result<(), RunError>) {
         let prog = &self.suite.program;
         let mut m = self.machine(profile);
         {
@@ -838,18 +837,20 @@ impl System {
             }
         }
         let mut sp = ule_obs::span("sys.sim");
-        if let Err(e) = run_entry(&mut m, prog, symbol, opts) {
+        let opts = ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier);
+        let run = run_entry(&mut m, prog, symbol, opts).map(|_cycles| ());
+        match &run {
             // Post-mortem: a runaway entry is exactly the case the
             // last-N-events ring exists for.
-            if matches!(e, RunError::CycleLimit { .. }) {
-                ule_obs::flight::note_incident("cycle_limit");
+            Err(RunError::CycleLimit { .. }) => ule_obs::flight::note_incident("cycle_limit"),
+            Err(_) => {}
+            Ok(()) => {
+                sp.field("entry", symbol)
+                    .field("curve", self.config.curve.name())
+                    .field("cycles", m.cycles());
             }
-            return Err(e);
         }
-        sp.field("entry", symbol)
-            .field("curve", self.config.curve.name())
-            .field("cycles", m.cycles());
-        Ok(m)
+        (m, run)
     }
 }
 
@@ -882,7 +883,8 @@ struct XdhRef {
 }
 
 impl HostRef {
-    fn new(curve: &Curve, k: usize) -> Self {
+    fn new(curve: &Curve) -> Self {
+        let k = curve.limbs();
         if curve.id().is_mont() {
             let mc = curve.mont();
             // Our static key and the peer's ephemeral key: raw

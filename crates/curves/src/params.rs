@@ -417,6 +417,17 @@ impl Curve {
         self.id
     }
 
+    /// Field elements' width in 32-bit limbs: the buffer width of the
+    /// curve's simulated suite and of every limb vector it reads or
+    /// writes.
+    pub fn limbs(&self) -> usize {
+        match &self.kind {
+            CurveKind::Prime(c) => c.field().k(),
+            CurveKind::Binary(c) => c.field().k(),
+            CurveKind::Mont(c) => c.field().k(),
+        }
+    }
+
     /// The family-specific group implementation.
     pub fn kind(&self) -> &CurveKind {
         &self.kind

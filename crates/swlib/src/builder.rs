@@ -111,11 +111,7 @@ pub fn build_suite(curve: &Curve, arch: Arch) -> Suite {
         (Arch::Billie, false) => panic!("Billie accelerates binary fields only"),
         _ => {}
     }
-    let k = match curve.kind() {
-        CurveKind::Prime(c) => c.field().k(),
-        CurveKind::Binary(c) => c.field().k(),
-        CurveKind::Mont(_) => unreachable!("handled above"),
-    };
+    let k = curve.limbs();
     let kn = curve.n().bit_len().div_ceil(32);
     assert_eq!(k, kn, "the study's curves all have k == kn");
 
@@ -341,7 +337,7 @@ fn build_xdh_suite(curve: &Curve, arch: Arch) -> Suite {
     );
     let mc = curve.mont();
     let f = mc.field();
-    let k = f.k();
+    let k = curve.limbs();
     let kn = curve.n().bit_len().div_ceil(32);
 
     let mut g = Gen::new();

@@ -12,10 +12,10 @@ use ule_curves::params::{parse_name, spells, Curve, CurveId, CurveKind};
 use ule_curves::prime::AffinePoint;
 use ule_curves::scalar;
 use ule_mpmath::mp::Mp;
-use ule_pete::cpu::{EngineTier, ExecOptions, Machine};
+use ule_pete::cpu::{EngineTier, Machine};
 use ule_pete::icache::CacheConfig;
 use ule_swlib::builder::Arch;
-use ule_swlib::harness::{read_buf, RunError, DEFAULT_MAX_CYCLES};
+use ule_swlib::harness::read_buf;
 
 use crate::corpus::Case;
 use crate::ladder::LadderCase;
@@ -205,10 +205,11 @@ pub struct CurveRig {
 impl CurveRig {
     /// The rig for a curve; its systems are built when first run.
     pub fn new(id: CurveId) -> CurveRig {
+        let ctx = Arc::new(CurveContext::new(id));
         CurveRig {
             id,
-            k: id.bits().div_ceil(32),
-            ctx: Arc::new(CurveContext::new(id)),
+            k: ctx.curve().limbs(),
+            ctx,
             systems: Default::default(),
         }
     }
@@ -220,23 +221,8 @@ impl CurveRig {
 
     /// The system a configuration runs on.
     pub fn system(&self, cfg: ConfigKind) -> &System {
-        self.systems[cfg as usize].get_or_init(|| {
-            let sys = System::with_context(cfg.system_config(self.id), Arc::clone(&self.ctx));
-            assert_eq!(sys.suite().k, self.k, "suite width");
-            sys
-        })
-    }
-
-    /// Runs `entry` with `inputs` in RAM on a fresh machine at `cfg`.
-    pub fn run(
-        &self,
-        cfg: ConfigKind,
-        entry: &str,
-        inputs: &[(&str, &[u32])],
-        tier: EngineTier,
-    ) -> Result<Machine, RunError> {
-        let opts = ExecOptions::new(DEFAULT_MAX_CYCLES).with_tier(tier);
-        self.system(cfg).run_entry(entry, inputs, opts, false)
+        self.systems[cfg as usize]
+            .get_or_init(|| System::with_context(cfg.system_config(self.id), Arc::clone(&self.ctx)))
     }
 
     /// Reads `n` limbs of a RAM buffer from a machine `cfg` ran.
@@ -453,7 +439,7 @@ pub fn run_case(
         if let Some(exp) = &sign_expect {
             out.sim_runs += 1;
             let inputs: [(&str, &[u32]); 3] = [("arg_e", &e), ("arg_d", &d), ("arg_k", &nonce)];
-            let run = rig.run(cfg, "main_sign", &inputs, tier);
+            let run = rig.system(cfg).run_entry("main_sign", &inputs, tier, false);
             let mut ck = Checker {
                 out: &mut out,
                 rig,
@@ -463,13 +449,13 @@ pub fn run_case(
                 case,
             };
             match run {
-                Ok(m) => {
+                (m, Ok(())) => {
                     let rd = |b| rig.read(cfg, &m, b, k);
                     ck.field("ecd_x", exp.ecd_x.clone(), rd("ecd_x"));
                     ck.field("out_r", exp.r.clone(), rd("out_r"));
                     ck.field("out_s", exp.s.clone(), rd("out_s"));
                 }
-                Err(_) => ck.hang(),
+                (_, Err(_)) => ck.hang(),
             }
         }
         // Self-test: corrupt limb 0 of the public key's y in the
@@ -487,7 +473,9 @@ pub fn run_case(
             ("arg_qx", &case.qx),
             ("arg_qy", &qy),
         ];
-        let run = rig.run(cfg, "main_verify", &inputs, tier);
+        let run = rig
+            .system(cfg)
+            .run_entry("main_verify", &inputs, tier, false);
         let mut ck = Checker {
             out: &mut out,
             rig,
@@ -497,7 +485,7 @@ pub fn run_case(
             case,
         };
         match run {
-            Ok(m) => {
+            (m, Ok(())) => {
                 let exp = &verify_expect;
                 let billie = cfg == ConfigKind::Coproc && rig.id.is_binary();
                 let (eu1, eu2) = if billie {
@@ -511,7 +499,7 @@ pub fn run_case(
                 ck.field("ecd_x", exp.ecd_x.clone(), rd("ecd_x", k));
                 ck.field("out_ok", vec![exp.ok], rd("out_ok", 1));
             }
-            Err(_) => ck.hang(),
+            (_, Err(_)) => ck.hang(),
         }
     }
     out
@@ -546,22 +534,20 @@ pub fn tier_ab_check(rig: &CurveRig, case: &Case, cfg: ConfigKind) -> CaseOutcom
         checks: 1,
         divergences: Vec::new(),
     };
-    let [reference, fast] = [EngineTier::Reference, EngineTier::Fast]
-        .map(|tier| rig.run(cfg, "main_verify", &inputs, tier));
-    let identical = match (&reference, &fast) {
-        (Ok(r), Ok(f)) => {
-            r.counters() == f.counters()
-                && r.rom_stats() == f.rom_stats()
-                && r.ram_stats() == f.ram_stats()
-                && r.icache_stats() == f.icache_stats()
-                && r.cop_stats() == f.cop_stats()
-                && rig.read(cfg, r, "out_ok", 1) == rig.read(cfg, f, "out_ok", 1)
-        }
-        (r, f) => r.is_err() && f.is_err(),
-    };
+    let [(r, run_ref), (f, run_fast)] = [EngineTier::Reference, EngineTier::Fast].map(|tier| {
+        rig.system(cfg)
+            .run_entry("main_verify", &inputs, tier, false)
+    });
+    let identical = run_ref.is_ok() == run_fast.is_ok()
+        && r.counters() == f.counters()
+        && r.rom_stats() == f.rom_stats()
+        && r.ram_stats() == f.ram_stats()
+        && r.icache_stats() == f.icache_stats()
+        && r.cop_stats() == f.cop_stats()
+        && rig.read(cfg, &r, "out_ok", 1) == rig.read(cfg, &f, "out_ok", 1);
     if !identical {
-        let enc = |run: &Result<Machine, RunError>| {
-            let c = run.as_ref().map_or(0, Machine::cycles);
+        let enc = |m: &Machine| {
+            let c = m.cycles();
             vec![c as u32, (c >> 32) as u32]
         };
         out.divergences.push(Divergence {
@@ -570,8 +556,8 @@ pub fn tier_ab_check(rig: &CurveRig, case: &Case, cfg: ConfigKind) -> CaseOutcom
             entry: "main_verify",
             field: "<tier-ab>",
             tier: EngineTier::Fast,
-            host: enc(&reference),
-            sim: enc(&fast),
+            host: enc(&r),
+            sim: enc(&f),
             case: AnyCase::Ecdsa(case.clone()),
         });
     }

@@ -165,11 +165,11 @@ pub fn run_ladder_case(
         }
         out.sim_runs += 1;
         let inputs: [(&str, &[u32]); 2] = [("arg_k", &case.raw_k), ("arg_qx", &u)];
-        let run = rig.run(cfg, "main_xdh", &inputs, tier);
+        let run = rig.system(cfg).run_entry("main_xdh", &inputs, tier, false);
         out.checks += 1;
         let (field, sim) = match run {
-            Ok(m) => ("out_r", rig.read(cfg, &m, "out_r", rig.k)),
-            Err(_) => ("<hang>", Vec::new()),
+            (m, Ok(())) => ("out_r", rig.read(cfg, &m, "out_r", rig.k)),
+            (_, Err(_)) => ("<hang>", Vec::new()),
         };
         if field == "<hang>" || sim != host {
             out.divergences.push(Divergence {

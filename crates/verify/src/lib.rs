@@ -452,7 +452,10 @@ mod tests {
         for id in [CurveId::P192, CurveId::K163] {
             let rig = CurveRig::new(id);
             for cfg in ConfigKind::ALL {
-                let m = rig.run(cfg, "main_fmul", &[], EngineTier::Fast).unwrap();
+                let (m, run) = rig
+                    .system(cfg)
+                    .run_entry("main_fmul", &[], EngineTier::Fast, false);
+                run.unwrap();
                 let (baseline, icache) = match cfg {
                     ConfigKind::Baseline => (true, false),
                     ConfigKind::BaselineIcache => (true, true),

@@ -46,7 +46,10 @@ fn scalar_mul_diverges(rig: &CurveRig, cfg: ConfigKind, tier: EngineTier, k_scal
         return false;
     }
     let k = k_scalar.to_limbs(rig.k);
-    let Ok(m) = rig.run(cfg, "main_scalar_mul", &[("arg_k", &k)], tier) else {
+    let (m, Ok(())) = rig
+        .system(cfg)
+        .run_entry("main_scalar_mul", &[("arg_k", &k)], tier, false)
+    else {
         return true;
     };
     let sim = (
@@ -72,7 +75,10 @@ fn twin_mul_diverges(
         ("arg_qx", &case.qx),
         ("arg_qy", &case.qy),
     ];
-    let Ok(m) = rig.run(cfg, "main_twin_mul", &inputs, tier) else {
+    let (m, Ok(())) = rig
+        .system(cfg)
+        .run_entry("main_twin_mul", &inputs, tier, false)
+    else {
         return true;
     };
     let sim = (
