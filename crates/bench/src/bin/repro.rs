@@ -343,13 +343,15 @@ fn run_check(mut args: Args) -> ! {
             "--journal",
             "explorer journal",
             Box::new(|text| {
-                let s = ule_dse::journal::validate_journal(text)?;
+                let j = ule_dse::journal::validate_journal(text)?;
                 let mut line = format!(
                     "{} design points, {} frontier points, {} summary",
-                    s.design_points, s.frontier_points, s.summaries
+                    j.points.len(),
+                    j.frontier.len(),
+                    j.summaries.len()
                 );
-                if s.unknown > 0 {
-                    line += &format!(", {} unknown-kind lines skipped", s.unknown);
+                if j.unknown > 0 {
+                    line += &format!(", {} unknown-kind lines skipped", j.unknown);
                 }
                 Ok(line)
             }),
@@ -1060,11 +1062,11 @@ fn main() {
 fn merge_harness_track(buf: &mut TraceEventsBuf, engine: &SweepEngine) {
     let spans = engine.job_spans();
     let handle = ule_obs::flight::handle();
-    let recovered: Vec<String> = handle
+    let recovered: String = handle
         .map(|h| {
             let mut lines = h.lines_of_kind("sweep.batch");
             lines.extend(h.lines_of_kind("sys.sim"));
-            lines
+            lines.join("\n")
         })
         .unwrap_or_default();
     if spans.is_empty() && recovered.is_empty() {
@@ -1097,8 +1099,8 @@ fn merge_harness_track(buf: &mut TraceEventsBuf, engine: &SweepEngine) {
     // Span events carry their end time (`t_us`, the drop) and duration;
     // start = end - dur. The flight epoch is the recorder's install
     // time, microseconds before the engine's, so the tracks align.
-    for line in &recovered {
-        let Some(v) = ule_obs::json::parse(line) else {
+    for (_, _, v) in ule_obs::json::records(&recovered) {
+        let Ok(v) = v else {
             continue;
         };
         let (Some(t_us), Some(dur_us), Some(thread), Some(kind)) = (

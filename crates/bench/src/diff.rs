@@ -15,10 +15,10 @@ use std::fmt;
 
 use ule_obs::json;
 
-// The join key is the identity codec of `ule-core`, next to the record
-// writer, so the writer and every reader (diff, the dse journal) share
-// one source.
-use ule_core::metrics::identity_of;
+// The join fields are read by `ule-core`, next to the record writer,
+// so the writer and every reader (diff, the dse journal) share one
+// source.
+use ule_core::metrics::{read_design_point, DesignPoint};
 
 /// Relative drift thresholds (fractions, not percent). The defaults are
 /// zero: the simulator is deterministic, so any drift is a change.
@@ -150,12 +150,10 @@ fn rel(old: f64, new: f64) -> f64 {
     }
 }
 
-/// A parsed design point: identity string + headline metrics.
+/// A parsed design point with its report label.
 struct Point {
-    identity: String,
     label: String,
-    cycles: u64,
-    energy_uj: f64,
+    point: DesignPoint,
 }
 
 /// Parses the `design_point` records of a metrics JSONL document.
@@ -169,22 +167,16 @@ fn parse_points(
     skipped: &mut BTreeMap<String, usize>,
 ) -> Result<Vec<Point>, String> {
     let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc =
-            json::parse(line).ok_or_else(|| format!("{name}:{n}: not valid JSON: {line:?}"))?;
+    for (n, line, doc) in json::records(text) {
+        let doc = doc.map_err(|_| format!("{name}:{n}: not valid JSON: {line:?}"))?;
         let kind = doc
-            .get("record")
-            .and_then(|v| v.as_str())
+            .kind()
             .ok_or_else(|| format!("{name}:{n}: no \"record\" kind"))?;
         if kind != "design_point" {
             *skipped.entry(kind.to_owned()).or_insert(0) += 1;
             continue;
         }
-        let identity = identity_of(&doc).map_err(|e| format!("{name}:{n}: design point {e}"))?;
+        let point = read_design_point(&doc, &format!("{name}:{n} (design_point)"))?;
         let get_str = |key: &str| {
             doc.get(key)
                 .and_then(|v| v.as_str())
@@ -197,20 +189,7 @@ fn parse_points(
             get_str("arch"),
             get_str("workload")
         );
-        let cycles = doc
-            .get("cycles")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("{name}:{n}: design point without integer cycles"))?;
-        let energy_uj = doc
-            .get("energy_uj")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("{name}:{n}: design point without numeric energy_uj"))?;
-        out.push(Point {
-            identity,
-            label,
-            cycles,
-            energy_uj,
-        });
+        out.push(Point { label, point });
     }
     Ok(out)
 }
@@ -249,25 +228,25 @@ pub fn diff_metrics(
         ..DiffReport::default()
     };
     let mut new_used = vec![false; new_points.len()];
-    for o in &old_points {
+    for Point { label, point: o } in &old_points {
         match new_points
             .iter()
-            .position(|p| p.identity == o.identity)
+            .position(|p| p.point.identity == o.identity)
             .filter(|&i| !std::mem::replace(&mut new_used[i], true))
         {
             Some(i) => {
-                let p = &new_points[i];
+                let p = &new_points[i].point;
                 let cycles_frac = rel(o.cycles as f64, p.cycles as f64);
                 let energy_frac = rel(o.energy_uj, p.energy_uj);
                 report.matched.push(PointDiff {
-                    label: o.label.clone(),
+                    label: label.clone(),
                     cycles: (o.cycles, p.cycles),
                     energy_uj: (o.energy_uj, p.energy_uj),
                     regressed: cycles_frac.abs() > thresholds.max_cycles_frac
                         || energy_frac.abs() > thresholds.max_energy_frac,
                 });
             }
-            None => report.removed.push(o.label.clone()),
+            None => report.removed.push(label.clone()),
         }
     }
     for (p, used) in new_points.iter().zip(&new_used) {

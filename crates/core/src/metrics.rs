@@ -13,6 +13,9 @@
 //! [`push_identity`] writes a point's [`IDENTITY_KEYS`],
 //! [`identity_of`] reads its identity string back from a parsed line,
 //! and [`config_from_record`] rebuilds the config from it.
+//! [`read_design_point`] is the one reader of a `design_point` line's
+//! join fields (identity, `cycles`, `energy_uj`), shared by `repro
+//! diff` and the explorer's journal.
 
 use crate::{RawStats, RunReport, SystemConfig, Workload};
 use ule_energy::report::{Component, EnergyBreakdown, RoutineActivity};
@@ -150,6 +153,29 @@ pub fn config_from_record(doc: &Json) -> Result<(SystemConfig, Workload), String
     config.gating = doc.req_str(ctx, "gating")?.parse()?;
     config.billie_sram_rf = doc.req_bool(ctx, "billie_sram_rf")?;
     Ok((config, doc.req_str(ctx, "workload")?.parse()?))
+}
+
+/// The join fields of one `design_point` record: what `repro diff`
+/// compares and what the explorer's journal resume recovers.
+#[derive(Clone, Debug, PartialEq)]
+pub struct DesignPoint {
+    /// The point's identity string (see [`config_identity`]).
+    pub identity: String,
+    /// Simulated cycles.
+    pub cycles: u64,
+    /// Total energy, µJ (bit-exact: the JSON writer uses shortest-
+    /// round-trip formatting).
+    pub energy_uj: f64,
+}
+
+/// Reads the [`DesignPoint`] fields of a parsed `design_point` record;
+/// errors are prefixed by `ctx` (`"line 3 (design_point)"`).
+pub fn read_design_point(doc: &Json, ctx: &str) -> Result<DesignPoint, String> {
+    Ok(DesignPoint {
+        identity: identity_of(doc).map_err(|e| format!("{ctx}: identity: {e}"))?,
+        cycles: doc.req_u64(ctx, "cycles")?,
+        energy_uj: doc.req_f64(ctx, "energy_uj")?,
+    })
 }
 
 /// Flattens one design point (config + workload + simulation report)

@@ -1,14 +1,15 @@
 //! The explorer: lattice enumeration → (resumable) evaluation via a
 //! [`Strategy`] → incremental Pareto frontier → canonical journal.
 
-use crate::journal::{self, parse_design_points};
+use crate::journal;
 use crate::pareto::{Objectives, ParetoFront};
 use crate::strategy::{ExploreState, Strategy};
 use crate::Evaluator;
+use std::collections::HashMap;
 use std::fs::{self, OpenOptions};
 use std::io::Write as _;
 use std::path::Path;
-use ule_core::metrics::{config_from_record, config_identity};
+use ule_core::metrics::config_identity;
 use ule_core::space::{area_kge, SpaceError, SpaceSpec};
 use ule_core::{SystemConfig, Workload};
 
@@ -59,7 +60,7 @@ pub struct FrontierEntry {
 }
 
 /// A finished exploration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExploreOutcome {
     /// Space name.
     pub space: String,
@@ -108,12 +109,18 @@ pub fn explore(
 
     if let Some(path) = out {
         if path.exists() {
-            let (recovered, _skipped) = parse_design_points(&fs::read_to_string(path)?);
+            let journal = journal::read(&fs::read_to_string(path)?);
+            // Later lines win on a duplicate identity.
+            let recovered: HashMap<&str, &journal::JournalPoint> = journal
+                .points
+                .iter()
+                .map(|p| (p.point.identity.as_str(), p))
+                .collect();
             for (i, identity) in identities.iter().enumerate() {
-                if let Some(p) = recovered.get(identity) {
+                if let Some(p) = recovered.get(identity.as_str()) {
                     let obj = Objectives {
-                        cycles: p.cycles,
-                        energy_uj: p.energy_uj,
+                        cycles: p.point.cycles,
+                        energy_uj: p.point.energy_uj,
                         area_kge: area_kge(&lattice[i]),
                     };
                     objectives[i] = Some(obj);
@@ -300,54 +307,33 @@ pub fn label(config: &SystemConfig) -> String {
 
 /// Reconstructs a finished exploration from its canonical journal —
 /// the basis of `repro explore --report`, which must not re-simulate.
-/// Requires at least the `frontier` records and the `dse_summary`; the
+/// Requires at least the `frontier` records and the `dse_summary`, and
+/// rejects a journal with any line [`journal::read`] cannot read; the
 /// per-run `resumed`/`simulated` counts are not journaled (they are
 /// resume-dependent) and come back as zero.
 pub fn outcome_from_journal(text: &str) -> Result<ExploreOutcome, String> {
-    use ule_obs::json;
-    let mut frontier = Vec::new();
-    let mut summary = None;
-    for (n, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = format!("line {}", n + 1);
-        let doc = json::parse(line).ok_or_else(|| format!("{ctx}: not valid JSON"))?;
-        match doc.get("record").and_then(|v| v.as_str()) {
-            Some("frontier") => {
-                let (config, _workload) = config_from_record(&doc)?;
-                frontier.push(FrontierEntry {
-                    rank: doc.req_u64(&ctx, "rank")? as usize,
-                    config,
-                    objectives: Objectives {
-                        cycles: doc.req_u64(&ctx, "cycles")?,
-                        energy_uj: doc.req_f64(&ctx, "energy_uj")?,
-                        area_kge: doc.req_f64(&ctx, "area_kge")?,
-                    },
-                });
-            }
-            Some("dse_summary") => {
-                summary = Some(ExploreOutcome {
-                    space: doc.req_str(&ctx, "space")?.to_owned(),
-                    workload: doc.req_str(&ctx, "workload")?.parse()?,
-                    strategy: doc.req_str(&ctx, "strategy")?.to_owned(),
-                    seed: doc.req_u64(&ctx, "seed")?,
-                    lattice_points: doc.req_u64(&ctx, "lattice_points")? as usize,
-                    pruned: doc.req_u64(&ctx, "pruned")? as usize,
-                    evaluated: doc.req_u64(&ctx, "evaluated")? as usize,
-                    resumed: 0,
-                    simulated: 0,
-                    frontier: Vec::new(),
-                });
-            }
-            _ => {}
-        }
+    let journal = journal::read(text);
+    if let Some(e) = journal.errors.first() {
+        return Err(e.clone());
     }
-    let mut outcome =
-        summary.ok_or("journal has no dse_summary record (incomplete exploration?)")?;
+    let summary = journal
+        .summaries
+        .last()
+        .ok_or("journal has no dse_summary record (incomplete exploration?)")?;
+    let mut frontier: Vec<FrontierEntry> = journal.frontier.iter().map(|(_, e)| *e).collect();
     frontier.sort_by_key(|e| e.rank);
-    outcome.frontier = frontier;
-    Ok(outcome)
+    Ok(ExploreOutcome {
+        space: summary.space.clone(),
+        workload: summary.workload,
+        strategy: summary.strategy.clone(),
+        seed: summary.seed,
+        lattice_points: summary.lattice_points,
+        pruned: summary.pruned,
+        evaluated: summary.evaluated,
+        resumed: 0,
+        simulated: 0,
+        frontier,
+    })
 }
 
 /// Renders the frontier table of a finished exploration, with each

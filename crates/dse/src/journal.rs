@@ -1,4 +1,5 @@
-//! The resumable exploration journal (JSONL) and its validator.
+//! The resumable exploration journal (JSONL): its writers, its one
+//! reader, and its validator.
 //!
 //! During a run the explorer *appends* one `design_point` record per
 //! evaluated point — crash-safe progress. On successful completion it
@@ -8,17 +9,28 @@
 //! function of (space, evaluated set), the completed journal is
 //! byte-identical across re-runs, resumes, and thread counts.
 //!
-//! Resume parses `design_point` lines back by their *identity* (the
-//! [`ule_core::metrics::config_identity`] string) and skips anything it
-//! does not understand — a torn final line from a killed run, or record
-//! kinds from a future schema — so a journal is never a worse starting
-//! point than an empty file.
+//! Every reader of a journal goes through [`read`], which walks the
+//! lines with [`ule_obs::json::records`] and reads each record kind in
+//! one place, next to its writer: `design_point` join fields through
+//! [`ule_core::metrics::read_design_point`], `frontier` and
+//! `dse_summary` here. The consumers differ only in what they do with
+//! the lines [`read`] could not read. Resume matches the design points
+//! to the lattice by *identity* (the
+//! [`ule_core::metrics::config_identity`] string) and skips the rest —
+//! a torn final line from a killed run, or record kinds from a future
+//! schema — so a journal is never a worse starting point than an empty
+//! file. [`validate_journal`] (`repro check --journal`) and
+//! [`crate::explore::outcome_from_journal`] (`repro explore --report`)
+//! reject a journal with any such line.
 
+use crate::explore::FrontierEntry;
 use crate::pareto::Objectives;
-use std::collections::HashMap;
-use ule_core::metrics::{identity_of, push_identity};
+use std::collections::HashSet;
+use ule_core::metrics::{
+    config_from_record, identity_of, push_identity, read_design_point, DesignPoint,
+};
 use ule_core::{SystemConfig, Workload};
-use ule_obs::json;
+use ule_obs::json::{self, Json};
 use ule_obs::record::Record;
 
 /// One `frontier` record: rank, the point's identity, and its three
@@ -68,150 +80,160 @@ pub fn dse_summary_record(
     r
 }
 
-/// One design point recovered from a journal.
+/// One `design_point` line of a journal.
 #[derive(Clone, Debug, PartialEq)]
-pub struct ResumedPoint {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Total energy, µJ (bit-exact: the JSON writer uses shortest-
-    /// round-trip formatting).
-    pub energy_uj: f64,
+pub struct JournalPoint {
+    /// Identity and headline objectives.
+    pub point: DesignPoint,
     /// The record's original JSONL line, re-emitted verbatim by the
     /// canonical rewrite so a resumed journal stays byte-identical to a
     /// fresh one.
     pub line: String,
 }
 
-/// Parses the `design_point` lines of a (possibly torn or partial)
-/// journal, keyed by identity. Unknown record kinds, malformed lines,
-/// and design points missing required fields are skipped — their count
-/// comes back alongside the map. Later lines win on duplicate identity.
-pub fn parse_design_points(text: &str) -> (HashMap<String, ResumedPoint>, usize) {
-    let mut points = HashMap::new();
-    let mut skipped = 0;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = json::parse(line).and_then(|doc| {
-            if doc.get("record")?.as_str()? != "design_point" {
-                return None;
-            }
-            Some((
-                identity_of(&doc).ok()?,
-                ResumedPoint {
-                    cycles: doc.get("cycles")?.as_u64()?,
-                    energy_uj: doc.get("energy_uj")?.as_f64()?,
-                    line: line.to_owned(),
-                },
-            ))
-        });
-        match parsed {
-            Some((identity, point)) => {
-                points.insert(identity, point);
-            }
-            None => skipped += 1,
-        }
-    }
-    (points, skipped)
+/// The `dse_summary` record, read back (see [`dse_summary_record`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Summary {
+    /// Space name.
+    pub space: String,
+    /// Workload every point ran.
+    pub workload: Workload,
+    /// Strategy name.
+    pub strategy: String,
+    /// Campaign seed.
+    pub seed: u64,
+    /// Size of the canonical lattice.
+    pub lattice_points: usize,
+    /// Points the strategy pruned.
+    pub pruned: usize,
+    /// Points with results in the journal.
+    pub evaluated: usize,
+    /// Frontier records the journal should hold.
+    pub frontier_size: usize,
 }
 
-/// What a validated journal contains.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JournalStats {
+/// A journal read back into typed values, every list in file order.
+#[derive(Clone, Debug, Default)]
+pub struct Journal {
     /// `design_point` records.
-    pub design_points: usize,
-    /// `frontier` records.
-    pub frontier_points: usize,
-    /// `dse_summary` records.
-    pub summaries: usize,
-    /// Records of kinds this validator does not know (tolerated, per
-    /// the skip-and-count forward-compatibility rule).
+    pub points: Vec<JournalPoint>,
+    /// `frontier` records, each with its point's identity.
+    pub frontier: Vec<(String, FrontierEntry)>,
+    /// `dse_summary` records (a canonical journal has one, last).
+    pub summaries: Vec<Summary>,
+    /// Records of kinds this reader does not know.
     pub unknown: usize,
+    /// One located message per line that could not be read (torn,
+    /// malformed, or missing a field). Resume skips these lines; the
+    /// validator and `repro explore --report` reject the journal.
+    pub errors: Vec<String>,
+}
+
+/// Reads a journal: the one read path of its records. Every line must
+/// carry a record kind and schema version; each known kind is read in
+/// full or reported in [`Journal::errors`].
+pub fn read(text: &str) -> Journal {
+    let mut journal = Journal::default();
+    for (n, line, doc) in json::records(text) {
+        if let Err(e) = doc.and_then(|doc| journal.read_line(n, line, &doc)) {
+            journal.errors.push(e);
+        }
+    }
+    journal
+}
+
+impl Journal {
+    fn read_line(&mut self, n: usize, line: &str, doc: &Json) -> Result<(), String> {
+        let kind = doc.req_str(&format!("line {n}"), "record")?;
+        doc.req_u64(&format!("line {n}"), "schema_version")?;
+        let ctx = format!("line {n} ({kind})");
+        match kind {
+            "design_point" => self.points.push(JournalPoint {
+                point: read_design_point(doc, &ctx)?,
+                line: line.to_owned(),
+            }),
+            "frontier" => {
+                doc.req_str(&ctx, "space")?;
+                let identity = identity_of(doc).map_err(|e| format!("{ctx}: identity: {e}"))?;
+                let (config, _) = config_from_record(doc).map_err(|e| format!("{ctx}: {e}"))?;
+                let entry = FrontierEntry {
+                    rank: doc.req_u64(&ctx, "rank")? as usize,
+                    config,
+                    objectives: Objectives {
+                        cycles: doc.req_u64(&ctx, "cycles")?,
+                        energy_uj: doc.req_f64(&ctx, "energy_uj")?,
+                        area_kge: doc.req_f64(&ctx, "area_kge")?,
+                    },
+                };
+                self.frontier.push((identity, entry));
+            }
+            "dse_summary" => self.summaries.push(Summary {
+                space: doc.req_str(&ctx, "space")?.to_owned(),
+                workload: doc
+                    .req_str(&ctx, "workload")?
+                    .parse()
+                    .map_err(|e| format!("{ctx}: {e}"))?,
+                strategy: doc.req_str(&ctx, "strategy")?.to_owned(),
+                seed: doc.req_u64(&ctx, "seed")?,
+                lattice_points: doc.req_u64(&ctx, "lattice_points")? as usize,
+                pruned: doc.req_u64(&ctx, "pruned")? as usize,
+                evaluated: doc.req_u64(&ctx, "evaluated")? as usize,
+                frontier_size: doc.req_u64(&ctx, "frontier_size")? as usize,
+            }),
+            _ => self.unknown += 1,
+        }
+        Ok(())
+    }
 }
 
 /// Structurally validates an exploration journal (`repro check
-/// --journal`): every line is valid JSON with a record kind and schema
-/// version; design points carry their identity and objectives;
+/// --journal`) and returns it: every line reads (see [`read`]);
 /// frontier ranks are contiguous in file order and every frontier
 /// point's identity also appears as a design point; the summary's
 /// counts agree with the records around it.
-pub fn validate_journal(text: &str) -> Result<JournalStats, String> {
-    let mut stats = JournalStats::default();
-    let mut design_identities: Vec<String> = Vec::new();
-    let mut frontier_identities: Vec<String> = Vec::new();
-    let mut summary: Option<(u64, u64)> = None; // (evaluated, frontier_size)
-    for (n, line) in text.lines().enumerate() {
-        let n = n + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).ok_or_else(|| format!("line {n}: not valid JSON"))?;
-        let kind = doc.req_str(&format!("line {n}"), "record")?.to_owned();
-        doc.req_u64(&format!("line {n}"), "schema_version")?;
-        let ctx = format!("line {n} ({kind})");
-        let identity = || identity_of(&doc).map_err(|e| format!("{ctx}: identity: {e}"));
-        match kind.as_str() {
-            "design_point" => {
-                design_identities.push(identity()?);
-                doc.req_u64(&ctx, "cycles")?;
-                doc.req_f64(&ctx, "energy_uj")?;
-                stats.design_points += 1;
-            }
-            "frontier" => {
-                doc.req_str(&ctx, "space")?;
-                let rank = doc.req_u64(&ctx, "rank")?;
-                if rank as usize != frontier_identities.len() {
-                    return Err(format!(
-                        "{ctx}: rank {rank} out of order (expected {})",
-                        frontier_identities.len()
-                    ));
-                }
-                frontier_identities.push(identity()?);
-                doc.req_u64(&ctx, "cycles")?;
-                doc.req_f64(&ctx, "energy_uj")?;
-                doc.req_f64(&ctx, "area_kge")?;
-                stats.frontier_points += 1;
-            }
-            "dse_summary" => {
-                for key in ["space", "workload", "strategy"] {
-                    doc.req_str(&ctx, key)?;
-                }
-                for key in ["seed", "lattice_points", "pruned"] {
-                    doc.req_u64(&ctx, key)?;
-                }
-                summary = Some((
-                    doc.req_u64(&ctx, "evaluated")?,
-                    doc.req_u64(&ctx, "frontier_size")?,
-                ));
-                stats.summaries += 1;
-            }
-            _ => stats.unknown += 1,
+pub fn validate_journal(text: &str) -> Result<Journal, String> {
+    let journal = read(text);
+    if let Some(e) = journal.errors.first() {
+        return Err(e.clone());
+    }
+    for (expected, (_, e)) in journal.frontier.iter().enumerate() {
+        if e.rank != expected {
+            return Err(format!(
+                "frontier rank {} out of order (expected {expected})",
+                e.rank
+            ));
         }
     }
-    for id in &frontier_identities {
-        if !design_identities.contains(id) {
+    let design: HashSet<&str> = journal
+        .points
+        .iter()
+        .map(|p| p.point.identity.as_str())
+        .collect();
+    for (id, _) in &journal.frontier {
+        if !design.contains(id.as_str()) {
             return Err(format!(
                 "frontier point {id:?} has no matching design_point record \
                  (the frontier must be a subset of the evaluated set)"
             ));
         }
     }
-    if let Some((evaluated, frontier_size)) = summary {
-        if evaluated as usize != stats.design_points {
+    if let Some(summary) = journal.summaries.last() {
+        if summary.evaluated != journal.points.len() {
             return Err(format!(
-                "dse_summary says evaluated={evaluated} but the journal has {} design points",
-                stats.design_points
+                "dse_summary says evaluated={} but the journal has {} design points",
+                summary.evaluated,
+                journal.points.len()
             ));
         }
-        if frontier_size as usize != stats.frontier_points {
+        if summary.frontier_size != journal.frontier.len() {
             return Err(format!(
-                "dse_summary says frontier_size={frontier_size} but the journal has {} frontier records",
-                stats.frontier_points
+                "dse_summary says frontier_size={} but the journal has {} frontier records",
+                summary.frontier_size,
+                journal.frontier.len()
             ));
         }
     }
-    Ok(stats)
+    Ok(journal)
 }
 
 #[cfg(test)]
@@ -244,10 +266,10 @@ mod tests {
 
     #[test]
     fn identity_round_trips_through_a_journal_line() {
-        let (points, skipped) = parse_design_points(&design_line());
-        assert_eq!(skipped, 0);
-        let identity = config_identity(&cfg(), Workload::ScalarMul);
-        let p = &points[&identity];
+        let journal = read(&design_line());
+        assert!(journal.errors.is_empty());
+        let p = &journal.points[0].point;
+        assert_eq!(p.identity, config_identity(&cfg(), Workload::ScalarMul));
         assert_eq!(p.cycles, 12345);
         assert_eq!(p.energy_uj, 6.5);
     }
@@ -257,9 +279,9 @@ mod tests {
         let good = design_line();
         let torn = &good[..good.len() / 2];
         let text = format!("{good}\n{torn}\n{{\"record\":\"mystery\",\"schema_version\":9}}\n");
-        let (points, skipped) = parse_design_points(&text);
-        assert_eq!(points.len(), 1);
-        assert_eq!(skipped, 2);
+        let journal = read(&text);
+        assert_eq!(journal.points.len(), 1);
+        assert_eq!((journal.errors.len(), journal.unknown), (1, 1));
     }
 
     #[test]
@@ -267,16 +289,14 @@ mod tests {
         let f = frontier_record("s", 0, &cfg(), Workload::ScalarMul, &obj());
         let s = dse_summary_record("s", Workload::ScalarMul, "grid", 7, 1, 0, 1, 1);
         let text = format!("{}\n{}\n{}\n", design_line(), f.to_json(), s.to_json());
-        let stats = validate_journal(&text).unwrap();
-        assert_eq!(
-            stats,
-            JournalStats {
-                design_points: 1,
-                frontier_points: 1,
-                summaries: 1,
-                unknown: 0
-            }
+        let journal = validate_journal(&text).unwrap();
+        let counts = (
+            journal.points.len(),
+            journal.frontier.len(),
+            journal.summaries.len(),
+            journal.unknown,
         );
+        assert_eq!(counts, (1, 1, 1, 0));
     }
 
     #[test]
@@ -301,7 +321,7 @@ mod tests {
     #[test]
     fn unknown_kinds_are_counted_not_fatal() {
         let text = "{\"record\":\"future_thing\",\"schema_version\":9}\n";
-        let stats = validate_journal(text).unwrap();
-        assert_eq!(stats.unknown, 1);
+        let journal = validate_journal(text).unwrap();
+        assert_eq!(journal.unknown, 1);
     }
 }

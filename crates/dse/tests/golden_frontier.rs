@@ -1,14 +1,15 @@
 //! End-to-end explorer tests against the real simulator: a pinned
 //! golden frontier for the built-in Billie digit-width space (the
-//! paper's Fig 7.14 axis), grid/greedy frontier agreement, and
-//! byte-identical journal resume.
+//! paper's Fig 7.14 axis), grid/greedy frontier agreement,
+//! byte-identical journal resume, and the `--report` journal reader.
 
 use std::path::PathBuf;
 
 use ule_core::metrics::design_point_record;
 use ule_core::{MultVariant, RunOptions, System, SystemConfig, Workload};
+use ule_dse::explore::outcome_from_journal;
 use ule_dse::spaces::builtin;
-use ule_dse::{explore, Evaluator, Greedy, Grid, PointEval};
+use ule_dse::{explore, Evaluator, ExploreOutcome, Greedy, Grid, PointEval};
 
 /// A serial evaluator running the real simulator — the test-side
 /// stand-in for `ule-bench`'s `SweepEngine` bridge (which lives above
@@ -131,10 +132,43 @@ fn journal_resume_is_byte_identical() {
     assert_eq!(std::fs::read(&path).expect("journal"), bytes);
     assert_eq!(resumed.frontier.len(), fresh.frontier.len());
 
-    let stats =
+    let journal =
         ule_dse::journal::validate_journal(&String::from_utf8(bytes).unwrap()).expect("valid");
-    assert_eq!(stats.design_points, fresh.evaluated);
-    assert_eq!(stats.frontier_points, fresh.frontier.len());
-    assert_eq!(stats.summaries, 1);
+    assert_eq!(journal.points.len(), fresh.evaluated);
+    assert_eq!(journal.frontier.len(), fresh.frontier.len());
+    assert_eq!(journal.summaries.len(), 1);
     let _ = std::fs::remove_file(&path);
+}
+
+/// `repro explore --report` rebuilds a finished exploration from its
+/// journal without re-simulating: everything but the per-run
+/// `resumed`/`simulated` counts must equal the run's own outcome, and
+/// a journal cut before its `dse_summary` is an error.
+#[test]
+fn report_reader_rebuilds_the_outcome_from_the_journal() {
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "ule-dse-report-{}-{:?}.jsonl",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let space = builtin("smoke").expect("built-in space");
+    let run = explore(&SimEval, &space, &mut Greedy::new(7), 7, Some(&path)).expect("explore");
+    let text = std::fs::read_to_string(&path).expect("journal written");
+    let _ = std::fs::remove_file(&path);
+
+    let read = outcome_from_journal(&text).expect("finished journal reads");
+    assert_eq!((read.resumed, read.simulated), (0, 0));
+    assert_eq!(
+        ExploreOutcome {
+            resumed: run.resumed,
+            simulated: run.simulated,
+            ..read
+        },
+        run
+    );
+
+    let summary = text.rfind("{\"record\":\"dse_summary\"").expect("summary");
+    let err = outcome_from_journal(&text[..summary]).unwrap_err();
+    assert!(err.contains("no dse_summary"), "{err}");
 }

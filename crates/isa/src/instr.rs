@@ -709,29 +709,6 @@ impl Instr {
                 | Jalr { .. }
         )
     }
-
-    /// True for the coprocessor-2 command instructions (either
-    /// accelerator).
-    pub fn is_cop2(self) -> bool {
-        use Instr::*;
-        matches!(
-            self,
-            Ctc2 { .. }
-                | Cop2Sync
-                | Cop2LdA { .. }
-                | Cop2LdB { .. }
-                | Cop2LdN { .. }
-                | Cop2Mul
-                | Cop2Add
-                | Cop2Sub
-                | Cop2St { .. }
-                | BilLd { .. }
-                | BilSt { .. }
-                | BilMul { .. }
-                | BilSqr { .. }
-                | BilAdd { .. }
-        )
-    }
 }
 
 impl fmt::Display for Instr {

@@ -153,17 +153,6 @@ pub fn shr1_into(a: &mut [Limb]) {
     }
 }
 
-/// Shifts `a` left by one bit in place, returning the bit shifted out.
-pub fn shl1_into(a: &mut [Limb]) -> bool {
-    let mut carry = 0u32;
-    for limb in a.iter_mut() {
-        let next = *limb >> (LIMB_BITS - 1);
-        *limb = (*limb << 1) | carry;
-        carry = next;
-    }
-    carry != 0
-}
-
 /// Operand-scanning ("school-book") multiplication — Algorithm 2 of the
 /// paper.
 ///

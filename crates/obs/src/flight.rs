@@ -307,10 +307,18 @@ pub struct DumpStats {
 /// valid JSON object with the canonical keys, with counts consistent
 /// with the header. Returns the document's statistics.
 pub fn validate_dump(doc: &str) -> Result<DumpStats, String> {
-    let mut lines = doc.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty dump")?;
-    let header = json::parse(first).ok_or("header is not valid JSON")?;
-    if header.get("record").and_then(|v| v.as_str()) != Some("flight_dump") {
+    // The dump writer emits no blank lines, so one marks a damaged
+    // dump; the shared walker would skip it.
+    if let Some(i) = doc.lines().position(|l| l.trim().is_empty()) {
+        return Err(match i {
+            0 => "header is not valid JSON".into(),
+            _ => format!("line {}: not valid JSON", i + 1),
+        });
+    }
+    let mut lines = json::records(doc);
+    let (_, _, header) = lines.next().ok_or("empty dump")?;
+    let header = header.map_err(|_| "header is not valid JSON")?;
+    if header.kind() != Some("flight_dump") {
         return Err("first line is not a flight_dump header".into());
     }
     let want = |k: &str| {
@@ -326,33 +334,33 @@ pub fn validate_dump(doc: &str) -> Result<DumpStats, String> {
         wrapped: false,
     };
     let mut seen = DumpStats::default();
-    for (i, line) in lines {
-        let v = json::parse(line).ok_or_else(|| format!("line {}: invalid JSON", i + 1))?;
-        if v.get("record").and_then(|x| x.as_str()) == Some("flight_thread") {
+    for (n, _, v) in lines {
+        let v = v?;
+        if v.kind() == Some("flight_thread") {
             if seen.events > 0 {
-                return Err(format!("line {}: thread meta after event lines", i + 1));
+                return Err(format!("line {n}: thread meta after event lines"));
             }
             for k in ["recorded", "dropped"] {
                 if v.get(k).and_then(|x| x.as_u64()).is_none() {
-                    return Err(format!("line {}: flight_thread lacks {k}", i + 1));
+                    return Err(format!("line {n}: flight_thread lacks {k}"));
                 }
             }
             let wrapped = v
                 .get("wrapped")
                 .and_then(|x| x.as_bool())
-                .ok_or_else(|| format!("line {}: flight_thread lacks wrapped", i + 1))?;
+                .ok_or_else(|| format!("line {n}: flight_thread lacks wrapped"))?;
             seen.threads += 1;
             seen.dropped += v.get("dropped").and_then(|x| x.as_u64()).unwrap();
             seen.wrapped |= wrapped;
         } else {
             for k in ["seq", "t_us"] {
                 if v.get(k).and_then(|x| x.as_u64()).is_none() {
-                    return Err(format!("line {}: event lacks {k}", i + 1));
+                    return Err(format!("line {n}: event lacks {k}"));
                 }
             }
             for k in ["thread", "kind"] {
                 if v.get(k).and_then(|x| x.as_str()).is_none() {
-                    return Err(format!("line {}: event lacks {k}", i + 1));
+                    return Err(format!("line {n}: event lacks {k}"));
                 }
             }
             seen.events += 1;
@@ -453,5 +461,8 @@ mod tests {
         // Truncate an event line mid-object.
         let cut = &good[..good.len() - 5];
         assert!(validate_dump(cut).is_err());
+        // A blank line is damage, not padding.
+        let gap = good.replacen('\n', "\n\n", 1);
+        assert_eq!(validate_dump(&gap), Err("line 2: not valid JSON".into()));
     }
 }

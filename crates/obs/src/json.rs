@@ -260,6 +260,12 @@ impl Json {
         }
     }
 
+    /// The `record` kind of a [`crate::record::Record`] line, if it has
+    /// one.
+    pub fn kind(&self) -> Option<&str> {
+        self.get("record").and_then(Json::as_str)
+    }
+
     /// Member `key` as an unsigned integer, or an error prefixed by
     /// `ctx` (`"line 3 (frontier)"`, `"space file: monte entry"`, …).
     /// The `req_*` family is the one required-field reader of every
@@ -295,6 +301,22 @@ impl Json {
             None => Err(format!("{ctx}: missing {key:?}")),
         }
     }
+}
+
+/// The one JSONL walker: every non-blank line of `text` with its
+/// 1-based line number, the raw line, and the parsed document or a
+/// located `line {n}: not valid JSON` error. Every record reader and
+/// validator reads JSONL through it and keeps its own policy on bad
+/// lines (journal resume skips them; validators and `repro diff` fail).
+pub fn records(text: &str) -> impl Iterator<Item = (usize, &str, Result<Json, String>)> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            let n = i + 1;
+            let doc = parse(line).ok_or_else(|| format!("line {n}: not valid JSON"));
+            (n, line, doc)
+        })
 }
 
 /// Parses one complete JSON value (with optional surrounding
@@ -574,6 +596,20 @@ mod tests {
             doc.req_u64("ctx", "s"),
             Err("ctx: \"s\" must be an integer".into())
         );
+    }
+
+    #[test]
+    fn records_skip_blank_lines_and_locate_bad_ones() {
+        let text = "{\"record\":\"a\"}\n\n  \n{\"x\":1\n[]\n";
+        let lines: Vec<_> = records(text).collect();
+        assert_eq!(lines.len(), 3);
+        assert_eq!(lines[0].0, 1);
+        assert_eq!(lines[0].2.as_ref().unwrap().kind(), Some("a"));
+        assert_eq!(lines[1].0, 4);
+        assert_eq!(lines[1].1, "{\"x\":1");
+        assert_eq!(lines[1].2, Err("line 4: not valid JSON".into()));
+        assert_eq!(lines[2].0, 5);
+        assert_eq!(lines[2].2.as_ref().unwrap().kind(), None);
     }
 
     #[test]

@@ -214,15 +214,32 @@ fn push_hist_fields(r: &mut Record, hist: &LatencyHist) {
         .push("hist_buckets", Value::Raw(hist.buckets_json()));
 }
 
+/// The config keys every latency and SLA record carries, in order:
+/// together they name one run.
+const CONFIG_FIELDS: [&str; 7] = [
+    "curve",
+    "batch_size",
+    "shards",
+    "requests",
+    "seed",
+    "arrival_rate",
+    "cycles_per_verify",
+];
+
 fn push_config_fields(r: &mut Record, outcome: &ServeOutcome) {
     let cfg = &outcome.config;
-    r.push("curve", cfg.curve.name())
-        .push("batch_size", cfg.batch_size as u64)
-        .push("shards", cfg.shards as u64)
-        .push("requests", cfg.requests as u64)
-        .push("seed", cfg.seed)
-        .push("arrival_rate", cfg.arrival_rate)
-        .push("cycles_per_verify", cfg.cycles_per_verify);
+    let values: [Value; CONFIG_FIELDS.len()] = [
+        cfg.curve.name().into(),
+        cfg.batch_size.into(),
+        cfg.shards.into(),
+        cfg.requests.into(),
+        cfg.seed.into(),
+        cfg.arrival_rate.into(),
+        cfg.cycles_per_verify.into(),
+    ];
+    for (key, value) in CONFIG_FIELDS.into_iter().zip(values) {
+        r.push(key, value);
+    }
 }
 
 /// The `serve_latency` records of one run: the fleet histogram first
@@ -307,13 +324,9 @@ pub fn validate_serve(text: &str, min_gain_ops: Option<f64>) -> Result<ServeChec
         min_gain_ops: f64::INFINITY,
         ..ServeCheck::default()
     };
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).ok_or_else(|| format!("line {n}: not valid JSON"))?;
-        let kind = doc.get("record").and_then(Json::as_str).unwrap_or("");
+    for (n, _, doc) in json::records(text) {
+        let doc = doc?;
+        let kind = doc.kind().unwrap_or("");
         let ctx = format!("line {n} ({kind})");
         match kind {
             "serve_point" => {
@@ -438,32 +451,28 @@ fn parse_sparse_hist(doc: &Json, ctx: &str) -> Result<LatencyHist, String> {
 /// is given — every summary's fleet p99 at or below it.
 pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String> {
     let mut check = SlaCheck::default();
-    // One run = one (curve, batch_size, shards, requests, seed,
-    // arrival_rate) combination; keyed on the serialized fields.
+    // One run = one value of every field `push_config_fields` writes,
+    // each compared exactly (64-bit seeds included).
     let mut runs: std::collections::BTreeMap<String, Vec<LatencyLine>> =
         std::collections::BTreeMap::new();
     let mut summaries: Vec<(String, usize, u64, u64, u64)> = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).ok_or_else(|| format!("line {n}: not valid JSON"))?;
-        let kind = doc.get("record").and_then(Json::as_str).unwrap_or("");
+    for (n, _, doc) in json::records(text) {
+        let doc = doc?;
+        let kind = doc.kind().unwrap_or("");
         let ctx = format!("line {n} ({kind})");
         let run_key = |doc: &Json| -> Result<String, String> {
             let mut key = String::new();
-            for field in ["curve", "batch_size", "shards", "requests", "seed"] {
-                let v = doc
-                    .get(field)
-                    .ok_or_else(|| format!("{ctx}: missing key {field:?}"))?;
-                key.push_str(&format!(
-                    "{}|",
-                    v.as_str()
-                        .map(str::to_owned)
-                        .or_else(|| v.as_f64().map(|f| f.to_string()))
-                        .ok_or_else(|| format!("{ctx}: unreadable key {field:?}"))?
-                ));
+            for field in CONFIG_FIELDS {
+                let v = match doc.get(field) {
+                    Some(Json::Str(s)) => s.clone(),
+                    Some(Json::U64(u)) => u.to_string(),
+                    Some(Json::I64(i)) => i.to_string(),
+                    Some(Json::F64(f)) => f.to_string(),
+                    Some(_) => return Err(format!("{ctx}: unreadable key {field:?}")),
+                    None => return Err(format!("{ctx}: missing key {field:?}")),
+                };
+                key.push_str(&v);
+                key.push('|');
             }
             Ok(key)
         };
@@ -816,6 +825,31 @@ mod tests {
             .collect();
         assert!(validate_sla(&no_summary, None).is_err());
         assert!(validate_sla("", None).is_err());
+    }
+
+    #[test]
+    fn sla_runs_differing_only_in_arrival_rate_or_seed_stay_apart() {
+        let base = ServeConfig {
+            requests: 64,
+            shards: 2,
+            ..ServeConfig::new(CurveId::P256)
+        };
+        let pairs = [
+            (0.25, 7, 0.5, 7),
+            (0.25, 0x7D9C_5F0A_3B2E_1F04, 0.25, 0x7D9C_5F0A_3B2E_1F05),
+        ];
+        for (rate_a, seed_a, rate_b, seed_b) in pairs {
+            let run = |arrival_rate, seed| {
+                sla_journal(&run_service(&ServeConfig {
+                    arrival_rate,
+                    seed,
+                    ..base
+                }))
+            };
+            let text = run(rate_a, seed_a) + &run(rate_b, seed_b);
+            let check = validate_sla(&text, None).expect("two runs validate");
+            assert_eq!((check.runs, check.summaries), (2, 2));
+        }
     }
 
     #[test]
