@@ -108,8 +108,9 @@ fn print_help() {
     println!("                      hits, slowest in-flight job, ETA) to stderr;");
     println!("                      default: on iff stderr is a terminal");
     println!("  --no-progress       force the heartbeat off");
-    println!("  --profile           attach the per-routine cycle profiler to every");
-    println!("                      simulation (adds a `profile` field to metrics records)");
+    println!("  --profile           build this run's sweep engine profiled: each of its");
+    println!("                      simulations carries the per-routine cycle profiler");
+    println!("                      (adds a `profile` field to metrics records)");
     println!("  --flame PATH        with --profile: write the call-graph of every profiled");
     println!("                      design point as collapsed flamegraph stacks (label-");
     println!("                      prefixed, aggregated into one file)");
@@ -972,20 +973,15 @@ fn main() {
         usage_error("--flame needs --profile (the call graph is only built on profiled runs)");
     }
 
-    // Observability is configured once, before any simulation: the
-    // profiling flag is read at the start of each run, and memoized
-    // reports are shared, so flipping it mid-sweep would make a
-    // report's `profile` depend on scheduling. The flight recorder is
-    // installed before the engine so their epochs align in the merged
-    // trace.
+    // The flight recorder is installed before the engine so their
+    // epochs align in the merged trace.
     obs.install();
-    if profile {
-        ule_obs::set_profiling(true);
-    }
-
     let mut engine = SweepEngine::new();
     if let Some(n) = threads {
         engine = engine.with_threads(n);
+    }
+    if profile {
+        engine = engine.profiled();
     }
 
     // Pre-warm the memo cache in parallel over the union of design

@@ -6,11 +6,15 @@
 //! deleted). The
 //! design-space evaluation is an embarrassingly parallel batch workload
 //! — 6 configurations × 10 curves × icache/digit/front-end ablations,
-//! every point independent of every other — so the memo cache is a
-//! sharded `Mutex<HashMap<ConfigKey, _>>` keyed by
-//! `(SystemConfig::timing(), entry)`, with per-key *in-flight
-//! de-duplication*: two threads asking for the same entry never
-//! simulate it twice; the second blocks until the first publishes.
+//! every point independent of every other — so the memo cache is one
+//! `Mutex<HashMap<ConfigKey, Arc<OnceLock<Simulation>>>>` keyed by
+//! `(SystemConfig::timing(), entry)`. A request clones its cell out of
+//! the map and initializes it outside the lock, so two threads asking
+//! for the same entry never simulate it twice: the second blocks in
+//! [`OnceLock::get_or_init`] until the first publishes. A simulation
+//! that panics leaves its cell empty; a thread blocked on it then runs
+//! the simulation itself (and fails with the same message), and later
+//! requests retry.
 //!
 //! **Workloads are entry sums.** A workload is a fixed list of program
 //! entries ([`Workload::entries`]): `SignVerify` is `main_sign` then
@@ -56,9 +60,8 @@
 //! ```
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use ule_core::{
     CurveContext, Entry, MultVariant, RunReport, Simulation, System, SystemConfig, Workload,
@@ -144,68 +147,10 @@ impl ConfigKey {
         }
         s
     }
-
-    fn shard(&self) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut h);
-        (h.finish() as usize) % SHARDS
-    }
 }
 
-const SHARDS: usize = 16;
-
-/// State of one in-flight simulation, shared between the computing
-/// thread and any waiters.
-struct InFlight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-enum FlightState {
-    Running,
-    /// The simulation is in the memo map as a [`Slot::Done`].
-    Ready,
-    /// The computing thread panicked (e.g. a simulated signature failed
-    /// host verification). Waiters propagate the panic instead of
-    /// hanging forever.
-    Poisoned,
-}
-
-impl InFlight {
-    fn new() -> Arc<Self> {
-        Arc::new(InFlight {
-            state: Mutex::new(FlightState::Running),
-            done: Condvar::new(),
-        })
-    }
-
-    fn wait(&self) {
-        let mut st = lock(&self.state);
-        loop {
-            match &*st {
-                FlightState::Running => st = self.done.wait(st).unwrap_or_else(|e| e.into_inner()),
-                FlightState::Ready => return,
-                FlightState::Poisoned => {
-                    panic!("simulation of this design point panicked in another thread")
-                }
-            }
-        }
-    }
-
-    fn publish(&self, state: FlightState) {
-        *lock(&self.state) = state;
-        self.done.notify_all();
-    }
-}
-
-enum Slot {
-    InFlight(Arc<InFlight>),
-    Done(Arc<Simulation>),
-}
-
-/// Locks a mutex, ignoring poisoning: shard maps stay structurally
-/// valid across a payload panic, and in-flight poisoning is handled
-/// explicitly via [`FlightState::Poisoned`].
+/// Locks a mutex, ignoring poisoning: the maps stay structurally valid
+/// across a payload panic, which never runs under their locks.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -217,11 +162,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// from a scope). See the [module docs](self) for the caching and
 /// determinism contract.
 pub struct SweepEngine {
-    /// Sharded entry-simulation memo, keyed by (timing point, entry) —
-    /// `SHARDS` independent locks so unrelated entries never contend.
-    entries: Vec<Mutex<HashMap<ConfigKey, Slot>>>,
-    /// Sharded report memo, keyed by full (configuration, workload).
-    reports: Vec<Mutex<HashMap<ConfigKey, Arc<RunReport>>>>,
+    /// Entry-simulation memo, keyed by (timing point, entry). The lock
+    /// guards only the map; each cell is initialized outside it.
+    entries: Mutex<HashMap<ConfigKey, Arc<OnceLock<Simulation>>>>,
+    /// Report memo, keyed by full (configuration, workload).
+    reports: Mutex<HashMap<ConfigKey, Arc<RunReport>>>,
     /// Built systems, shared across the entries of one timing point
     /// (`System::simulate_entry` takes `&self`, so concurrent runs share
     /// one program image).
@@ -230,6 +175,10 @@ pub struct SweepEngine {
     /// every system on that curve.
     curves: Mutex<HashMap<CurveId, Arc<CurveContext>>>,
     threads: usize,
+    /// Whether every simulation collects the per-routine profile; fixed
+    /// for the engine's life, so a memoized report's `profile` never
+    /// depends on which request came first.
+    profile: bool,
     simulations: AtomicU64,
     requests: AtomicU64,
     memo_hits: AtomicU64,
@@ -267,7 +216,8 @@ pub struct EngineStats {
     /// Requests that neither simulated nor waited: the memoized report,
     /// or a report priced from finished entry simulations.
     pub memo_hits: u64,
-    /// Waits on another thread's in-flight entry simulation.
+    /// Entry lookups that received a simulation another thread ran
+    /// while they waited for it.
     pub inflight_waits: u64,
     /// Entry simulations executed (one per distinct timing point and
     /// entry). A single-entry request counts once in exactly one of
@@ -308,11 +258,12 @@ impl SweepEngine {
             Err(_) => default_threads(),
         };
         SweepEngine {
-            entries: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            reports: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            entries: Mutex::new(HashMap::new()),
+            reports: Mutex::new(HashMap::new()),
             systems: Mutex::new(HashMap::new()),
             curves: Mutex::new(HashMap::new()),
             threads,
+            profile: false,
             simulations: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
@@ -325,6 +276,13 @@ impl SweepEngine {
     /// Overrides the batch fan-out width (`n` is clamped to ≥ 1).
     pub fn with_threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
+        self
+    }
+
+    /// Attaches the per-routine cycle profiler to every simulation this
+    /// engine runs, so every report carries a `profile`.
+    pub fn profiled(mut self) -> Self {
+        self.profile = true;
         self
     }
 
@@ -395,28 +353,22 @@ impl SweepEngine {
         // Progress hooks are process-global no-ops unless the CLI
         // started a reporter; token 0 makes `job_done` a no-op too.
         let progress = ule_obs::progress::job_started(&label);
-        let shard = &self.reports[key.shard()];
-        let memoized = lock(shard).get(&key).cloned();
+        let memoized = lock(&self.reports).get(&key).cloned();
         let mut cold = false;
         let report = match memoized {
             Some(report) => report,
             None => {
                 let timing = config.timing();
-                // Read once per request, as `System::simulate` does.
-                let profile = ule_obs::profiling_enabled();
-                let parts: Vec<Arc<Simulation>> = workload
+                let parts = workload
                     .entries(config.curve)
                     .into_iter()
                     .map(|(curve, entry)| {
-                        let (sim, cold_entry) =
-                            self.entry(SystemConfig { curve, ..timing }, entry, profile);
+                        let (sim, cold_entry) = self.entry(SystemConfig { curve, ..timing }, entry);
                         cold |= cold_entry;
                         sim
-                    })
-                    .collect();
-                let sum = Simulation::sum(parts.iter().map(|p| Simulation::clone(p)));
-                let report = Arc::new(sum.report(&config));
-                lock(shard).entry(key).or_insert(report).clone()
+                    });
+                let report = Arc::new(Simulation::sum(parts).report(&config));
+                lock(&self.reports).entry(key).or_insert(report).clone()
             }
         };
         if !cold {
@@ -430,46 +382,30 @@ impl SweepEngine {
 
     /// The simulation of one entry at one timing point, and whether this
     /// call simulated it or waited for it.
-    fn entry(&self, timing: SystemConfig, entry: Entry, profile: bool) -> (Arc<Simulation>, bool) {
+    fn entry(&self, timing: SystemConfig, entry: Entry) -> (Simulation, bool) {
         let key = ConfigKey::new(timing, entry.workload());
-        let shard = &self.entries[key.shard()];
-        let mut waited = false;
-        let flight = loop {
-            let mut map = lock(shard);
-            match map.get(&key) {
-                Some(Slot::Done(sim)) => return (sim.clone(), waited),
-                Some(Slot::InFlight(f)) => {
-                    let f = f.clone();
-                    drop(map);
-                    self.inflight_waits.fetch_add(1, Ordering::Relaxed);
-                    ule_obs::obs_event!("sweep.inflight_wait", job = key.label());
-                    // Panics if the simulation did; on success the slot
-                    // is `Done` and the next lookup returns it.
-                    f.wait();
-                    waited = true;
-                }
-                None => {
-                    let f = InFlight::new();
-                    map.insert(key, Slot::InFlight(f.clone()));
-                    break f;
-                }
-            }
-        };
-        // We own the simulation. If it panics (a simulated run that
-        // fails host verification does), unpoison the slot so waiters
-        // and retries see the failure rather than deadlocking.
-        let mut guard = FlightGuard {
-            engine: self,
-            key,
-            flight: &flight,
-            armed: true,
-        };
+        let cell = lock(&self.entries).entry(key).or_default().clone();
+        if let Some(sim) = cell.get() {
+            return (sim.clone(), false);
+        }
+        let mut simulated = false;
+        let sim = cell.get_or_init(|| {
+            simulated = true;
+            self.simulate(key, entry)
+        });
+        if !simulated {
+            self.inflight_waits.fetch_add(1, Ordering::Relaxed);
+            ule_obs::obs_event!("sweep.inflight_wait", job = key.label());
+        }
+        (sim.clone(), true)
+    }
+
+    /// Runs one entry simulation and records its span.
+    fn simulate(&self, key: ConfigKey, entry: Entry) -> Simulation {
         let started = Instant::now();
-        let sim = Arc::new(self.system(timing).simulate_entry(
-            entry,
-            profile,
-            EngineTier::default(),
-        ));
+        let sim =
+            self.system(key.config)
+                .simulate_entry(entry, self.profile, EngineTier::default());
         let wall = started.elapsed();
         self.simulations.fetch_add(1, Ordering::Relaxed);
         lock(&self.spans).push(JobSpan {
@@ -487,10 +423,7 @@ impl SweepEngine {
             wall_us = wall.as_micros() as u64,
             cycles = sim.counters.cycles,
         );
-        guard.armed = false; // infallible from here on
-        lock(shard).insert(key, Slot::Done(sim.clone()));
-        flight.publish(FlightState::Ready);
-        (sim, true)
+        sim
     }
 
     /// Fans `jobs` out across a scoped thread pool and returns their
@@ -508,80 +441,9 @@ impl SweepEngine {
             .field("jobs", jobs.len())
             .field("workers", workers);
         ule_obs::progress::add_total(jobs.len() as u64);
-        let mut results: Vec<Option<Arc<RunReport>>> = vec![None; jobs.len()];
-        if workers == 1 {
-            for (slot, &(config, workload)) in results.iter_mut().zip(jobs) {
-                *slot = Some(self.run(config, workload));
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let slots: Vec<Mutex<&mut Option<Arc<RunReport>>>> =
-                results.iter_mut().map(Mutex::new).collect();
-            let worker_loop = |worker: usize| {
-                let spawned = Instant::now();
-                let mut busy = Duration::ZERO;
-                let mut processed = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(config, workload)) = jobs.get(i) else {
-                        break;
-                    };
-                    let t0 = Instant::now();
-                    let report = self.run(config, workload);
-                    busy += t0.elapsed();
-                    processed += 1;
-                    **lock(&slots[i]) = Some(report);
-                }
-                // Per-thread utilization: busy/alive ≈ 1 means
-                // the pool width was the bottleneck, not memo
-                // contention or in-flight waits.
-                ule_obs::obs_event!(
-                    "sweep.worker",
-                    worker = worker,
-                    jobs = processed,
-                    busy_us = busy.as_micros() as u64,
-                    alive_us = spawned.elapsed().as_micros() as u64,
-                );
-            };
-            std::thread::scope(|scope| {
-                let worker_loop = &worker_loop;
-                let mut spawned = 0usize;
-                for worker in 0..workers {
-                    // A spawn failure (thread limit, resource exhaustion)
-                    // degrades the pool instead of panicking: already
-                    // spawned workers — or, with none, the caller thread
-                    // itself — drain the same atomic job queue, so every
-                    // slot is still filled and results are unchanged.
-                    let spawn = if ule_testkit::threads::spawn_blocked() {
-                        Err(std::io::Error::other("spawn blocked by test shim"))
-                    } else {
-                        std::thread::Builder::new()
-                            .name(format!("sweep-{worker}"))
-                            .spawn_scoped(scope, move || worker_loop(worker))
-                            .map(|_| ())
-                    };
-                    match spawn {
-                        Ok(()) => spawned += 1,
-                        Err(err) => {
-                            ule_obs::obs_warn_once!(
-                                "sweep worker spawn failed; continuing with fewer workers",
-                                requested = workers,
-                                spawned = spawned,
-                                error = err.to_string(),
-                            );
-                            break;
-                        }
-                    }
-                }
-                if spawned == 0 {
-                    worker_loop(0);
-                }
-            });
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch slot filled"))
-            .collect()
+        ule_obs::pool::map(jobs, workers, "sweep", |&(config, workload)| {
+            self.run(config, workload)
+        })
     }
 
     // ---- The standard points of the paper's evaluation --------------
@@ -613,24 +475,5 @@ impl SweepEngine {
             SystemConfig::new(curve, Arch::Billie).with_billie_digit(digit),
             Workload::ScalarMul,
         )
-    }
-}
-
-/// Drop guard that marks an in-flight slot poisoned if the simulation
-/// unwinds, so waiters panic instead of deadlocking and later calls
-/// retry the point.
-struct FlightGuard<'a> {
-    engine: &'a SweepEngine,
-    key: ConfigKey,
-    flight: &'a Arc<InFlight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            lock(&self.engine.entries[self.key.shard()]).remove(&self.key);
-            self.flight.publish(FlightState::Poisoned);
-        }
     }
 }

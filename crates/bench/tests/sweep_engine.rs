@@ -554,11 +554,12 @@ fn panic_message(p: Box<dyn std::any::Any + Send>) -> String {
 }
 
 #[test]
-fn a_failed_shared_simulation_poisons_its_siblings_and_retries() {
+fn a_failed_shared_simulation_fails_its_siblings_and_retries() {
     // An ECDSA workload on a ladder curve panics inside the simulation
     // (after the system build, so racing siblings find it in flight).
-    // Every sibling fails — waiters with the poison message instead of
-    // hanging — and a later call simulates again.
+    // Every sibling fails instead of hanging: a sibling blocked on the
+    // failed simulation runs it again and fails with the same message
+    // (the `OnceLock` contract), and a later call simulates again.
     let base = SystemConfig::new(CurveId::X448, Arch::Monte);
     let engine = SweepEngine::new();
     let barrier = Barrier::new(8);
@@ -598,4 +599,32 @@ fn a_failed_shared_simulation_poisons_its_siblings_and_retries() {
     }))
     .expect_err("the retry simulates and fails again");
     assert!(panic_message(retry).contains("RFC 7748 ladder curve"));
+}
+
+#[test]
+fn profiled_composed_workloads_equal_a_profiled_system_run() {
+    // A profiled engine's composed reports, profiles included, equal a
+    // fresh profiled `System` run.
+    let engine = SweepEngine::new().with_threads(1).profiled();
+    let points = [
+        (CurveId::P192, Arch::IsaExt, Workload::Sign),
+        (CurveId::P192, Arch::IsaExt, Workload::SignVerify),
+        (CurveId::K163, Arch::Billie, Workload::Verify),
+        (CurveId::K163, Arch::Billie, Workload::SignVerify),
+        // The companion's profile is absorbed under `P-256:`.
+        (CurveId::X25519, Arch::Monte, Workload::Handshake),
+    ];
+    for (curve, arch, w) in points {
+        let cfg = SystemConfig::new(curve, arch);
+        let got = engine.run(cfg, w);
+        let want = System::new(cfg).run_with(RunOptions::new(w).profiled());
+        assert!(got.profile.is_some(), "{curve:?} {arch:?} {w:?}");
+        assert_eq!(*got, want, "{curve:?} {arch:?} {w:?}");
+    }
+    let handshake = engine.run(
+        SystemConfig::new(CurveId::X25519, Arch::Monte),
+        Workload::Handshake,
+    );
+    let routines = &handshake.profile.as_ref().unwrap().routines;
+    assert!(routines.iter().any(|r| r.name.starts_with("P-256:")));
 }

@@ -128,14 +128,6 @@ impl Billie {
         self.field.k() as u64
     }
 
-    /// Area proxy in "Pete units" for the energy model: the paper reports
-    /// Billie at 1.45× Pete's area for 163 bits, scaling roughly linearly
-    /// to 5× at 571 bits (§7.3).
-    pub fn area_vs_pete(&self) -> f64 {
-        // Linear fit through (163, 1.45) and (571, 5.0).
-        1.45 + (self.field.m() as f64 - 163.0) * (5.0 - 1.45) / (571.0 - 163.0)
-    }
-
     fn queue_admit(&mut self, cycle: u64) -> u64 {
         while let Some(&front) = self.inflight.front() {
             if front <= cycle {
@@ -418,14 +410,6 @@ mod tests {
             cy = next;
         }
         assert!(stalled, "dependent multiply chain must back-pressure");
-    }
-
-    #[test]
-    fn area_proxy_matches_paper_endpoints() {
-        let b163 = Billie::new(NistBinary::B163);
-        let b571 = Billie::new(NistBinary::B571);
-        assert!((b163.area_vs_pete() - 1.45).abs() < 1e-9);
-        assert!((b571.area_vs_pete() - 5.0).abs() < 1e-9);
     }
 
     #[test]

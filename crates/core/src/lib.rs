@@ -448,19 +448,6 @@ pub fn supports(curve: CurveId, arch: Arch, workload: Workload) -> bool {
     validate_workload(curve, arch, workload).is_ok()
 }
 
-/// Whether a run collects the per-routine cycle profile.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ProfileMode {
-    /// Follow the global [`ule_obs::set_profiling`] flag (the default).
-    #[default]
-    Auto,
-    /// Profile this run regardless of the flag — the report's `profile`
-    /// is always `Some`.
-    On,
-    /// Never profile this run.
-    Off,
-}
-
 /// Everything that varies per [`System::run_with`] call: the workload,
 /// the profiling choice, and the execution-engine tier.
 ///
@@ -474,8 +461,9 @@ pub enum ProfileMode {
 pub struct RunOptions {
     /// The simulated ECDSA workload.
     pub workload: Workload,
-    /// Per-routine profiling choice (default: follow the global flag).
-    pub profile: ProfileMode,
+    /// Whether the run collects the per-routine cycle profile (default:
+    /// no; [`RunOptions::profiled`] sets it).
+    pub profile: bool,
     /// Execution-engine tier (default: fast, profiled or not).
     pub tier: EngineTier,
 }
@@ -485,14 +473,14 @@ impl RunOptions {
     pub fn new(workload: Workload) -> Self {
         RunOptions {
             workload,
-            profile: ProfileMode::default(),
+            profile: false,
             tier: EngineTier::default(),
         }
     }
 
     /// Forces per-routine profiling on for this run.
     pub fn profiled(mut self) -> Self {
-        self.profile = ProfileMode::On;
+        self.profile = true;
         self
     }
 
@@ -708,14 +696,6 @@ impl System {
     /// simulated outputs disagree with the host reference — a
     /// wrong-but-fast simulation must never produce a data point.
     pub fn simulate(&self, opts: RunOptions) -> Simulation {
-        let profile = match opts.profile {
-            // The global flag is read once per run so a report is
-            // internally consistent even if the flag changes
-            // concurrently.
-            ProfileMode::Auto => ule_obs::profiling_enabled(),
-            ProfileMode::On => true,
-            ProfileMode::Off => false,
-        };
         if let Err(e) = validate_workload(self.config.curve, self.config.arch, opts.workload) {
             panic!("{e}");
         }
@@ -732,7 +712,7 @@ impl System {
                     })
                 })
             };
-            sys.simulate_entry(entry, profile, opts.tier)
+            sys.simulate_entry(entry, opts.profile, opts.tier)
         }))
     }
 

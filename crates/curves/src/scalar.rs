@@ -14,9 +14,9 @@
 //!   once per point, the host's `k·G` (the group-level form of the
 //!   paper's comb, §4.2.2);
 //! * [`twin_mul`] — **twin (simultaneous) multiplication**
-//!   `u1*P + u2*Q` with precomputed `P+Q` and `P-Q`, the algorithm the
-//!   paper uses for verification, costing less than two single
-//!   multiplications (§4.1).
+//!   `u1*P + u2*Q` with a precomputed `P+Q` (its census also charges the
+//!   paper's `P-Q`), the algorithm the paper uses for verification,
+//!   costing less than two single multiplications (§4.1).
 //!
 //! The Lopez–Dahab **Montgomery ladder** for binary curves — evaluated by
 //! the paper for Billie and found *less* efficient than sliding windows
@@ -323,8 +323,9 @@ impl<C: GroupOps> FixedBase<C> {
 /// The paper's variant additionally precomputes `P-Q` and uses signed
 /// recoding; the plain Shamir trick here has the same structure and the
 /// same headline property (one twin multiplication is cheaper than two
-/// single ones). The `P-Q` precomputation is retained so the cost model
-/// charges for it, as the paper's implementation does.
+/// single ones). The census still charges the `P-Q` precomputation (one
+/// addition and one inversion), as the paper's implementation pays it,
+/// but nothing here uses `P-Q`, so it is not computed.
 pub fn twin_mul_counted<C: GroupOps>(
     curve: &C,
     u1: &Mp,
@@ -348,11 +349,8 @@ pub fn twin_mul_counted<C: GroupOps>(
         let t = curve.add_affine(&curve.from_affine(p), q);
         curve.to_affine(&t)
     };
-    let p_minus_q = {
-        let t = curve.add_affine(&curve.from_affine(p), &curve.neg_affine(q));
-        curve.to_affine(&t)
-    };
-    let _ = &p_minus_q;
+    // `P+Q` above and the uncomputed `P-Q`, one addition and one
+    // inversion each.
     count.adds += 2;
     count.inversions += 2;
     let bits = u1.bit_len().max(u2.bit_len());

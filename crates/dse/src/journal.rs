@@ -189,8 +189,10 @@ impl Journal {
 /// Structurally validates an exploration journal (`repro check
 /// --journal`) and returns it: every line reads (see [`read`]);
 /// frontier ranks are contiguous in file order and every frontier
-/// point's identity also appears as a design point; the summary's
-/// counts agree with the records around it.
+/// point's identity also appears as a design point; a journal with a
+/// frontier is finished, so it has exactly one summary, and the
+/// summary's counts agree with the records around it. A journal of
+/// design points alone (an exploration in progress) passes.
 pub fn validate_journal(text: &str) -> Result<Journal, String> {
     let journal = read(text);
     if let Some(e) = journal.errors.first() {
@@ -217,7 +219,18 @@ pub fn validate_journal(text: &str) -> Result<Journal, String> {
             ));
         }
     }
-    if let Some(summary) = journal.summaries.last() {
+    match journal.summaries.len() {
+        0 if !journal.frontier.is_empty() => {
+            return Err("frontier records without a dse_summary (incomplete exploration?)".into())
+        }
+        0 | 1 => {}
+        n => {
+            return Err(format!(
+                "{n} dse_summary records (a finished journal has one)"
+            ))
+        }
+    }
+    if let Some(summary) = journal.summaries.first() {
         if summary.evaluated != journal.points.len() {
             return Err(format!(
                 "dse_summary says evaluated={} but the journal has {} design points",
@@ -316,6 +329,19 @@ mod tests {
         // Torn line is a hard error here (unlike resume).
         let good = design_line();
         assert!(validate_journal(&good[..good.len() / 2]).is_err());
+    }
+
+    #[test]
+    fn a_frontier_needs_exactly_one_summary() {
+        let f = frontier_record("s", 0, &cfg(), Workload::ScalarMul, &obj()).to_json();
+        let s = dse_summary_record("s", Workload::ScalarMul, "grid", 7, 1, 0, 1, 1).to_json();
+        let d = design_line();
+        let err = validate_journal(&format!("{d}\n{f}\n")).unwrap_err();
+        assert!(err.contains("without a dse_summary"), "{err}");
+        let err = validate_journal(&format!("{d}\n{f}\n{s}\n{s}\n")).unwrap_err();
+        assert!(err.contains("2 dse_summary records"), "{err}");
+        // Design points alone: an exploration in progress.
+        assert!(validate_journal(&format!("{d}\n")).is_ok());
     }
 
     #[test]

@@ -259,18 +259,6 @@ impl Asm {
         addr
     }
 
-    /// Address of an already reserved RAM buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer was never reserved.
-    pub fn ram_addr(&self, name: &str) -> u32 {
-        *self
-            .ram_symbols
-            .get(name)
-            .unwrap_or_else(|| panic!("RAM buffer {name:?} not reserved"))
-    }
-
     // --- pseudo-instructions ---
 
     /// `nop`.
@@ -851,10 +839,10 @@ mod tests {
         let y = a.ram_alloc("y", 2);
         assert_eq!(x, RAM_BASE);
         assert_eq!(y, RAM_BASE + 24);
-        assert_eq!(a.ram_addr("x"), x);
         a.label("e");
         a.brk(0);
         let p = a.link("e").unwrap();
+        assert_eq!(p.ram_symbol("x"), Some(x));
         assert_eq!(p.ram_symbol("y"), Some(y));
         assert_eq!(p.ram_reserved(), 32);
     }

@@ -29,6 +29,7 @@ pub mod flame;
 pub mod flight;
 pub mod hist;
 pub mod json;
+pub mod pool;
 pub mod progress;
 pub mod record;
 pub mod trace_events;
@@ -113,10 +114,6 @@ pub trait EventSink: Send {
 /// check this (one relaxed load) before building any event fields.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether per-routine PC profiling is requested for *new* simulations.
-/// Read once per `System::run`; see `ule-core`.
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
 static SINK: Mutex<Option<Box<dyn EventSink>>> = Mutex::new(None);
 
 /// True iff an event sink is installed. The [`obs_event!`] and
@@ -148,18 +145,6 @@ pub fn clear_sink() {
 
 fn drop_flushed(mut sink: Box<dyn EventSink>) {
     sink.flush();
-}
-
-/// Requests (or cancels) per-routine PC profiling for simulations
-/// started after this call. Read once at the start of each run, so
-/// memoized [`run reports`](crate) stay internally consistent.
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::SeqCst);
-}
-
-/// True iff per-routine PC profiling is requested.
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
 }
 
 /// Delivers one event to the installed sink, if any. Prefer the
@@ -463,15 +448,6 @@ mod tests {
             HITS.fetch_add(1, Ordering::Relaxed);
         }
         assert_eq!(HITS.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn profiling_flag_round_trips() {
-        assert!(!profiling_enabled());
-        set_profiling(true);
-        assert!(profiling_enabled());
-        set_profiling(false);
-        assert!(!profiling_enabled());
     }
 
     #[test]

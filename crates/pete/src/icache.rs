@@ -142,15 +142,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Miss rate over processor accesses.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Adds another run's stats onto this one. Exhaustive
     /// destructuring: a new field must be accounted here (and in the
     /// metrics schema) to compile.
@@ -282,14 +273,6 @@ impl ICache {
     pub(crate) fn sequential_hits(&mut self, n: u64) {
         self.stats.accesses += n;
     }
-
-    /// Invalidates every line (the reset routine of §5.3.2).
-    pub fn invalidate_all(&mut self) {
-        for t in &mut self.tags {
-            *t = None;
-        }
-        self.prefetch_line = None;
-    }
 }
 
 #[cfg(test)]
@@ -350,14 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn miss_rate_helper() {
-        let mut c = ICache::new(CacheConfig::real(1024, false));
-        seq_fetch(&mut c, 0, 8);
-        let s = c.stats();
-        assert!((s.miss_rate() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn geometry_validation_is_typed() {
         assert_eq!(CacheConfig::best().validate(), Ok(()));
         assert_eq!(CacheConfig::ideal().validate(), Ok(()));
@@ -378,15 +353,5 @@ mod tests {
     #[should_panic(expected = "invalid icache geometry")]
     fn construction_panics_with_the_typed_message() {
         ICache::new(CacheConfig::real(24, false));
-    }
-
-    #[test]
-    fn invalidate_all_cools_the_cache() {
-        let mut c = ICache::new(CacheConfig::real(1024, false));
-        seq_fetch(&mut c, 0, 8);
-        c.invalidate_all();
-        let before = c.stats().misses;
-        seq_fetch(&mut c, 0, 8);
-        assert_eq!(c.stats().misses, before + 2);
     }
 }

@@ -87,18 +87,6 @@ impl Rom {
         self.peek(addr)
     }
 
-    /// 128-bit line read for a cache fill or prefetch (counted once).
-    pub fn read_line(&mut self, addr: u32) -> [u32; 4] {
-        self.stats.line_reads += 1;
-        let base = addr & !15;
-        [
-            self.peek(base),
-            self.peek(base + 4),
-            self.peek(base + 8),
-            self.peek(base + 12),
-        ]
-    }
-
     /// Uncounted debug read.
     pub fn peek(&self, addr: u32) -> u32 {
         let idx = (addr / 4) as usize;
@@ -236,10 +224,8 @@ mod tests {
         let mut rom = Rom::new(&[1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(rom.fetch(0), 1);
         assert_eq!(rom.read(4), 2);
-        let line = rom.read_line(4); // within first line
-        assert_eq!(line, [1, 2, 3, 4]);
         let s = rom.stats();
-        assert_eq!((s.reads, s.line_reads), (2, 1));
+        assert_eq!((s.reads, s.line_reads), (2, 0));
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! The sharded verification engine: scoped-thread fan-out over shard
-//! batch queues, mirroring the `ule-bench` sweep engine's pool idiom —
-//! an atomic work index, per-slot mutexes, and graceful degradation
-//! when a worker thread cannot be spawned (already-spawned workers, or
-//! the caller thread itself, drain the same queue; results are
-//! identical either way).
+//! The sharded verification engine: shard batch queues fan out over
+//! [`ule_obs::pool::map`], the pool the `ule-bench` sweep engine also
+//! uses — a worker thread that cannot be spawned shrinks the pool, and
+//! results are identical whatever its width.
 //!
 //! Each shard also advances its own *virtual clock* (see
 //! [`crate::vtime`]): batches start at `max(shard_clock, ready)` and
@@ -11,8 +9,6 @@
 //! from the plan, never from the host's wall clock — worker-thread
 //! degradation cannot perturb a single histogram bucket.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use ule_curves::ecdsa::{self, BatchItem};
 use ule_curves::params::Curve;
 use ule_curves::scalar::OpCount;
@@ -60,61 +56,9 @@ pub fn run_shards(
     seed: u64,
     model: &CostModel,
 ) -> Vec<ShardOutcome> {
-    let workers = plans.len().max(1);
-    let mut results: Vec<Option<ShardOutcome>> = (0..plans.len()).map(|_| None).collect();
-    if workers == 1 {
-        if let Some((slot, plan)) = results.iter_mut().zip(plans).next() {
-            *slot = Some(process_shard(curve, plan, seed, model));
-        }
-        return results.into_iter().flatten().collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<&mut Option<ShardOutcome>>> = results.iter_mut().map(Mutex::new).collect();
-    let worker_loop = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        let Some(plan) = plans.get(i) else {
-            break;
-        };
-        let outcome = process_shard(curve, plan, seed, model);
-        **slots[i].lock().expect("serve slot lock poisoned") = Some(outcome);
-    };
-    std::thread::scope(|scope| {
-        let worker_loop = &worker_loop;
-        let mut spawned = 0usize;
-        for worker in 0..workers {
-            // Same contract as the sweep engine: a spawn failure
-            // shrinks the pool instead of panicking, and with no pool
-            // at all the caller thread drains the queue itself.
-            let spawn = if ule_testkit::threads::spawn_blocked() {
-                Err(std::io::Error::other("spawn blocked by test shim"))
-            } else {
-                std::thread::Builder::new()
-                    .name(format!("serve-{worker}"))
-                    .spawn_scoped(scope, worker_loop)
-                    .map(|_| ())
-            };
-            match spawn {
-                Ok(()) => spawned += 1,
-                Err(err) => {
-                    ule_obs::obs_warn_once!(
-                        "serve shard spawn failed; continuing with fewer workers",
-                        requested = workers,
-                        spawned = spawned,
-                        error = err.to_string(),
-                    );
-                    break;
-                }
-            }
-        }
-        if spawned == 0 {
-            worker_loop();
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every shard slot filled"))
-        .collect()
+    ule_obs::pool::map(plans, plans.len(), "serve", |plan| {
+        process_shard(curve, plan, seed, model)
+    })
 }
 
 /// Verifies one shard's batches in global-index order, advancing the

@@ -412,7 +412,8 @@ pub struct SlaCheck {
 /// One parsed `serve_latency` line held for cross-checking.
 struct LatencyLine {
     line: usize,
-    shard: i64,
+    /// The shard index; `None` for the fleet record.
+    shard: Option<u64>,
     shards: u64,
     count: u64,
     hist: LatencyHist,
@@ -479,13 +480,8 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
         match kind {
             "serve_latency" => {
                 let shard = match doc.req_str(&ctx, "scope")? {
-                    "fleet" => -1i64,
-                    "shard" => doc
-                        .get("shard")
-                        .and_then(Json::as_f64)
-                        .filter(|s| *s >= 0.0)
-                        .ok_or_else(|| format!("{ctx}: shard scope without shard index"))?
-                        as i64,
+                    "fleet" => None,
+                    "shard" => Some(doc.req_u64(&ctx, "shard")?),
                     other => return Err(format!("{ctx}: unknown scope {other:?}")),
                 };
                 let hist = parse_sparse_hist(&doc, &ctx)?;
@@ -579,23 +575,43 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
         }
     }
 
-    // Cross-checks within each run: the fleet histogram must be the
+    // Cross-checks within each run: the shard records cover exactly
+    // `0..shards`, each index once, and the fleet histogram is the
     // exact bucket-wise merge of the shard histograms.
     for (key, lines) in &runs {
-        let fleet: Vec<&LatencyLine> = lines.iter().filter(|l| l.shard < 0).collect();
+        let fleet: Vec<&LatencyLine> = lines.iter().filter(|l| l.shard.is_none()).collect();
         let [fleet] = fleet[..] else {
             return Err(format!(
                 "run {key:?}: expected exactly one fleet serve_latency record, found {}",
                 fleet.len()
             ));
         };
-        let shard_lines: Vec<&LatencyLine> = lines.iter().filter(|l| l.shard >= 0).collect();
+        let shard_lines: Vec<&LatencyLine> = lines.iter().filter(|l| l.shard.is_some()).collect();
         if shard_lines.len() as u64 != fleet.shards {
             return Err(format!(
                 "run {key:?}: {} shard histograms for {} shards",
                 shard_lines.len(),
                 fleet.shards
             ));
+        }
+        let mut seen = vec![false; shard_lines.len()];
+        for l in &shard_lines {
+            let s = l.shard.expect("shard records only");
+            match seen.get_mut(s as usize) {
+                Some(slot @ false) => *slot = true,
+                Some(true) => {
+                    return Err(format!(
+                        "line {}: shard {s} appears twice in run {key:?}",
+                        l.line
+                    ))
+                }
+                None => {
+                    return Err(format!(
+                        "line {}: shard {s} out of range for {} shards",
+                        l.line, fleet.shards
+                    ))
+                }
+            }
         }
         let mut merged = LatencyHist::new();
         for l in &shard_lines {
@@ -621,7 +637,10 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
                 "line {n} (sla_summary): no serve_latency records for this run"
             ));
         };
-        let fleet = lines.iter().find(|l| l.shard < 0).expect("checked above");
+        let fleet = lines
+            .iter()
+            .find(|l| l.shard.is_none())
+            .expect("checked above");
         if accepted + rejected != fleet.count {
             return Err(format!(
                 "line {n} (sla_summary): accepted + rejected = {} but the fleet \
@@ -825,6 +844,28 @@ mod tests {
             .collect();
         assert!(validate_sla(&no_summary, None).is_err());
         assert!(validate_sla("", None).is_err());
+    }
+
+    #[test]
+    fn sla_shard_records_cover_each_index_once() {
+        let outcome = run_service(&ServeConfig {
+            requests: 32,
+            batch_size: 4,
+            shards: 4,
+            seed: 5,
+            ..ServeConfig::new(CurveId::P192)
+        });
+        let good = sla_journal(&outcome);
+        assert!(validate_sla(&good, None).is_ok());
+        for (from, to, why) in [
+            ("\"shard\":1,", "\"shard\":1.5,", "an integer"),
+            ("\"shard\":2,", "\"shard\":7,", "out of range"),
+            ("\"shard\":2,", "\"shard\":1,", "appears twice"),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let err = validate_sla(&good.replacen(from, to, 1), None).unwrap_err();
+            assert!(err.contains(why), "{from} -> {to}: {err}");
+        }
     }
 
     #[test]
