@@ -53,7 +53,7 @@ where
         );
         done
     };
-    let done: Vec<(usize, R)> = std::thread::scope(|scope| {
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let worker = &worker;
         let mut handles = Vec::with_capacity(width);
         for w in 0..width {
@@ -87,14 +87,9 @@ where
         }
         done
     });
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
-    for (i, r) in done {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every item ran"))
-        .collect()
+    // The workers drain the queue, so every index occurs exactly once.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]

@@ -586,7 +586,8 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
                 fleet.len()
             ));
         };
-        let shard_lines: Vec<&LatencyLine> = lines.iter().filter(|l| l.shard.is_some()).collect();
+        let shard_lines: Vec<(u64, &LatencyLine)> =
+            lines.iter().filter_map(|l| Some((l.shard?, l))).collect();
         if shard_lines.len() as u64 != fleet.shards {
             return Err(format!(
                 "run {key:?}: {} shard histograms for {} shards",
@@ -595,9 +596,8 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
             ));
         }
         let mut seen = vec![false; shard_lines.len()];
-        for l in &shard_lines {
-            let s = l.shard.expect("shard records only");
-            match seen.get_mut(s as usize) {
+        for &(s, l) in &shard_lines {
+            match usize::try_from(s).ok().and_then(|i| seen.get_mut(i)) {
                 Some(slot @ false) => *slot = true,
                 Some(true) => {
                     return Err(format!(
@@ -614,7 +614,7 @@ pub fn validate_sla(text: &str, max_p99: Option<u64>) -> Result<SlaCheck, String
             }
         }
         let mut merged = LatencyHist::new();
-        for l in &shard_lines {
+        for (_, l) in &shard_lines {
             merged.merge(&l.hist);
         }
         if merged != fleet.hist {
