@@ -30,7 +30,7 @@
 
 use std::collections::VecDeque;
 use ule_isa::instr::Instr;
-use ule_mpmath::f2m::BinaryField;
+use ule_mpmath::f2m::{BinaryField, MAX_LIMBS};
 use ule_mpmath::mp::{self, Limb};
 use ule_mpmath::nist::NistBinary;
 use ule_pete::cop::{CopStats, Coprocessor};
@@ -42,12 +42,8 @@ pub const NUM_REGS: usize = 16;
 /// Depth of the instruction queue (§5.5.2).
 pub const QUEUE_DEPTH: usize = 4;
 
-/// Limbs of the widest register: GF(2^571), the largest field Billie is
-/// built for. Every register is stored at this width; a narrower field
-/// uses the low `k` limbs.
-const MAX_LIMBS: usize = 571usize.div_ceil(32);
-
-/// One register of the file.
+/// One register of the file, at the width of the widest field
+/// (GF(2^571)); a narrower field uses the low `k` limbs.
 type Register = [Limb; MAX_LIMBS];
 
 /// Billie build-time parameters.
@@ -168,10 +164,9 @@ impl Billie {
     }
 
     /// Reduces the `2k`-limb product in `wide` into register `fd`.
-    fn write_reduced(&mut self, fd: u8, wide: &mut [Limb]) {
-        let k = self.field.k();
-        self.field.reduce_in_place(wide);
-        self.regs[fd as usize][..k].copy_from_slice(&wide[..k]);
+    fn write_reduced(&mut self, fd: u8, wide: &[Limb]) {
+        let r = self.field.reduce(wide);
+        self.regs[fd as usize][..r.limbs().len()].copy_from_slice(r.limbs());
     }
 }
 
@@ -222,7 +217,7 @@ impl Coprocessor for Billie {
                 let (a, b) = (self.operand(fs), self.operand(ft));
                 let mut wide = [0; 2 * MAX_LIMBS];
                 self.field.clmul_wide(&a, &b, &mut wide[..2 * k]);
-                self.write_reduced(fd, &mut wide[..2 * k]);
+                self.write_reduced(fd, &wide[..2 * k]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -236,7 +231,7 @@ impl Coprocessor for Billie {
                 let a = self.operand(ft);
                 let mut wide = [0; 2 * MAX_LIMBS];
                 self.field.sqr_wide(&a, &mut wide[..2 * k]);
-                self.write_reduced(fd, &mut wide[..2 * k]);
+                self.write_reduced(fd, &wide[..2 * k]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -341,6 +336,56 @@ mod tests {
         let ec = f.from_limbs(&c);
         let expect = f.add(&f.sqr(&f.mul(&ea, &ec)), &ea);
         assert_eq!(got, expect.limbs());
+    }
+
+    /// `a·b mod f` by shift-and-add over the bits of `b` and a bit-serial
+    /// fold: shares no code with the host's carry-less product.
+    fn bit_serial_mul(f: &BinaryField, a: &[u32], b: &[u32]) -> Vec<u32> {
+        let bit = |v: &[u32], i: usize| (v[i / 32] >> (i % 32)) & 1 == 1;
+        let flip = |v: &mut [u32], i: usize| v[i / 32] ^= 1 << (i % 32);
+        let mut acc = vec![0u32; 2 * f.k()];
+        for i in (0..f.m()).filter(|&i| bit(b, i)) {
+            for j in (0..f.m()).filter(|&j| bit(a, j)) {
+                flip(&mut acc, i + j);
+            }
+        }
+        let poly = f.poly_mp().to_limbs(f.k() + 1);
+        for i in (f.m()..32 * acc.len()).rev() {
+            if bit(&acc, i) {
+                for j in (0..=f.m()).filter(|&j| bit(&poly, j)) {
+                    flip(&mut acc, i - f.m() + j);
+                }
+            }
+        }
+        acc.truncate(f.k());
+        acc
+    }
+
+    #[test]
+    fn mul_matches_bit_serial_product() {
+        for nb in [NistBinary::B163, NistBinary::B571] {
+            let mut b = Billie::new(nb);
+            let f = b.field().clone();
+            assert_eq!(f.k(), if nb == NistBinary::B163 { 6 } else { 18 });
+            let mut ram = Ram::new();
+            let rt = Reg::T0;
+            for seed in [3u64, 44, 555] {
+                let (x, y) = (sample(&f, seed), sample(&f, seed * 7 + 1));
+                ram.poke_words(RAM_BASE, &x);
+                ram.poke_words(RAM_BASE + 128, &y);
+                let mut cy = b.issue(Instr::BilLd { rt, fs: 1 }, RAM_BASE, 0, &mut ram);
+                cy = b.issue(Instr::BilLd { rt, fs: 2 }, RAM_BASE + 128, cy, &mut ram);
+                let mul = Instr::BilMul {
+                    fd: 3,
+                    fs: 1,
+                    ft: 2,
+                };
+                cy = b.issue(mul, 0, cy, &mut ram);
+                b.issue(Instr::BilSt { rt, fs: 3 }, RAM_BASE + 256, cy, &mut ram);
+                let got = ram.peek_words(RAM_BASE + 256, f.k());
+                assert_eq!(got, bit_serial_mul(&f, &x, &y), "{} seed {seed}", f.name());
+            }
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl BinaryCurve {
 
     /// The base point `G`.
     pub fn generator(&self) -> AffinePoint2m {
-        AffinePoint2m::new(self.gx.clone(), self.gy.clone())
+        AffinePoint2m::new(self.gx, self.gy)
     }
 
     /// Checks the curve equation `y^2 + xy = x^3 + ax^2 + b`.
@@ -137,7 +137,7 @@ impl BinaryCurve {
     pub fn neg(&self, p: &AffinePoint2m) -> AffinePoint2m {
         match p {
             AffinePoint2m::Infinity => AffinePoint2m::Infinity,
-            AffinePoint2m::Point { x, y } => AffinePoint2m::new(x.clone(), self.field.add(x, y)),
+            AffinePoint2m::Point { x, y } => AffinePoint2m::new(*x, self.field.add(x, y)),
         }
     }
 
@@ -202,8 +202,8 @@ impl BinaryCurve {
         match p {
             AffinePoint2m::Infinity => self.ld_identity(),
             AffinePoint2m::Point { x, y } => LdPoint {
-                x: x.clone(),
-                y: y.clone(),
+                x: *x,
+                y: *y,
                 z: self.field.one(),
             },
         }
@@ -244,8 +244,8 @@ impl BinaryCurve {
         };
         if p.z.is_zero() {
             return LdPoint {
-                x: x2.clone(),
-                y: y2.clone(),
+                x: *x2,
+                y: *y2,
                 z: f.one(),
             };
         }
@@ -298,7 +298,7 @@ impl BinaryCurve {
     pub fn solve_quadratic(&self, c: &F2mElement) -> Option<F2mElement> {
         let f = &self.field;
         assert!(f.m() % 2 == 1, "half-trace needs odd m");
-        let mut h = c.clone();
+        let mut h = *c;
         for _ in 0..(f.m() - 1) / 2 {
             h = f.add(&f.sqr(&f.sqr(&h)), c);
         }
@@ -348,14 +348,14 @@ mod tests {
         let g = {
             let c = BinaryCurve {
                 field: f.clone(),
-                a: a.clone(),
-                b: b.clone(),
+                a,
+                b,
                 gx: f.one(),
                 gy: f.one(),
             };
             c.find_point(1)
         };
-        let (gx, gy) = (g.x().unwrap().clone(), g.y().unwrap().clone());
+        let (gx, gy) = (*g.x().unwrap(), *g.y().unwrap());
         BinaryCurve::new(f, a, b, gx, gy)
     }
 
@@ -418,8 +418,8 @@ mod tests {
         let b = f.one();
         let mut c = BinaryCurve::new(f.clone(), a, b, f.one(), f.one());
         let g = c.find_point(2);
-        c.gx = g.x().unwrap().clone();
-        c.gy = g.y().unwrap().clone();
+        c.gx = *g.x().unwrap();
+        c.gy = *g.y().unwrap();
         assert!(c.is_on_curve(&c.generator()));
         let g = c.generator();
         let mut aff = g.clone();

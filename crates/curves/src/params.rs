@@ -374,13 +374,7 @@ impl Curve {
         assert!(rem.is_zero(), "cofactor must divide the curve order");
         // Derive a generator: first small-x point, multiplied by the
         // cofactor to land in the prime-order subgroup.
-        let mut probe = BinaryCurve::new(
-            field.clone(),
-            a.clone(),
-            b.clone(),
-            field.one(),
-            field.one(),
-        );
+        let mut probe = BinaryCurve::new(field.clone(), a, b, field.one(), field.one());
         let mut start = 2u64;
         let g = loop {
             let p = probe.find_point(start);
@@ -397,8 +391,8 @@ impl Curve {
             field,
             a,
             b,
-            g.x().expect("finite").clone(),
-            g.y().expect("finite").clone(),
+            *g.x().expect("finite"),
+            *g.y().expect("finite"),
         );
         let order_field = PrimeField::new(&format!("{} order", id.name()), &n);
         Curve {

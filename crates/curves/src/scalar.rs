@@ -561,7 +561,7 @@ pub fn montgomery_ladder_2m(
     let mut count = OpCount::default();
     let px = match p {
         AffinePoint2m::Infinity => panic!("ladder base point must be finite"),
-        AffinePoint2m::Point { x, .. } => x.clone(),
+        AffinePoint2m::Point { x, .. } => *x,
     };
     if k.is_zero() {
         return (AffinePoint2m::Infinity, count);
@@ -570,7 +570,7 @@ pub fn montgomery_ladder_2m(
         return (p.clone(), count);
     }
     // (X1, Z1) = P ; (X2, Z2) = 2P
-    let mut x1 = px.clone();
+    let mut x1 = px;
     let mut z1 = f.one();
     let mut x2 = f.add(&f.sqr(&f.sqr(&px)), curve.b()); // x^4 + b
     let mut z2 = f.sqr(&px);
@@ -613,7 +613,7 @@ pub fn montgomery_ladder_2m(
     // Two y candidates solve the curve equation at xk; pick the one for
     // which (xk, y) + P lands on x((k+1)P).
     for y in y_candidates(curve, &xk) {
-        let cand = AffinePoint2m::new(xk.clone(), y);
+        let cand = AffinePoint2m::new(xk, y);
         if !curve.is_on_curve(&cand) {
             continue;
         }
@@ -665,9 +665,9 @@ mod tests {
         let f = BinaryField::new("GF(2^7)", 7, &[1, 0]);
         let a = f.one();
         let b = f.one();
-        let c = BinaryCurve::new(f.clone(), a.clone(), b.clone(), f.one(), f.one());
+        let c = BinaryCurve::new(f.clone(), a, b, f.one(), f.one());
         let g = c.find_point(1);
-        BinaryCurve::new(f, a, b, g.x().unwrap().clone(), g.y().unwrap().clone())
+        BinaryCurve::new(f, a, b, *g.x().unwrap(), *g.y().unwrap())
     }
 
     #[test]

@@ -5,27 +5,53 @@
 //! little-endian limb arrays of `k = ceil(bits/32)` limbs, exactly the
 //! in-memory representation of the simulated software suite. Every
 //! element and every intermediate lives in a stack array of at most
-//! [`MAX_LIMBS`] limbs (two of them for a double-width product), so the
-//! field operations allocate nothing.
+//! [`MAX_LIMBS`] limbs, so the field operations allocate nothing.
 //!
-//! Multiplication is operand scanning (Algorithm 2) followed by fast
-//! reduction. Reduction exploits the *modular congruency* idea of §4.2.1:
-//! every power `2^(32*(k+j))` appearing in the double-width product is
-//! congruent to a precomputed k-limb constant, so the high half of the
-//! product can be folded back into the low half with `k` multiply-
-//! accumulate rows — for the sparse NIST primes these constants have very
-//! few non-zero limbs, which is what makes the technique "fast" in the
-//! paper. The result is verified against division-based reduction in the
-//! test suite.
+//! The host multiplies, reduces and inverts on 64-bit words: an operation
+//! packs its `k` limbs into `K = ceil(k/2)` words, computes on those with
+//! `u128` products, and unpacks the result. Multiplication is operand
+//! scanning (Algorithm 2) followed by fast reduction. Reduction exploits
+//! the *modular congruency* idea of §4.2.1: every power `2^(64*(K+j))`
+//! appearing in the double-width product is congruent to a precomputed
+//! K-word constant, so the high half of the product can be folded back
+//! into the low half with `K` multiply-accumulate rows — for the sparse
+//! NIST primes these constants have very few non-zero words, which is what
+//! makes the technique "fast" in the paper. The simulated suite runs the
+//! same algorithm on 32-bit words; canonical results make the two agree
+//! bit for bit. The result is verified against division-based reduction
+//! in the test suite.
 
 use crate::mp::{self, Limb, Mp};
 use crate::nist::NistPrime;
+use crate::word;
 use std::cmp::Ordering;
 use std::fmt;
 
 /// Limb capacity of an [`FpElement`]: 18 limbs (576 bits) hold the widest
 /// field in use, the 570-bit group-order field of K-571.
 pub const MAX_LIMBS: usize = 18;
+
+/// 64-bit words of the widest element.
+const MAX_WORDS: usize = MAX_LIMBS / 2;
+
+/// Calls `self.$op::<K>(args)` with the field's word count as the const
+/// `K`, so each width runs its own fully unrolled code.
+macro_rules! by_width {
+    ($self:ident.$op:ident($($arg:expr),*)) => {
+        match $self.kw {
+            1 => $self.$op::<1>($($arg),*),
+            2 => $self.$op::<2>($($arg),*),
+            3 => $self.$op::<3>($($arg),*),
+            4 => $self.$op::<4>($($arg),*),
+            5 => $self.$op::<5>($($arg),*),
+            6 => $self.$op::<6>($($arg),*),
+            7 => $self.$op::<7>($($arg),*),
+            8 => $self.$op::<8>($($arg),*),
+            9 => $self.$op::<9>($($arg),*),
+            _ => unreachable!("at most MAX_WORDS words"),
+        }
+    };
+}
 
 /// An element of a prime field: `k` little-endian limbs, always fully
 /// reduced (`< p`), in a fixed array whose limbs past `k` are zero.
@@ -76,10 +102,14 @@ pub struct PrimeField {
     modulus_mp: Mp,
     k: usize,
     bits: usize,
-    /// `fold[j] = 2^(32*(k+j)) mod p` for `j in 0..k`.
-    fold: [[Limb; MAX_LIMBS]; MAX_LIMBS],
+    /// Element width in 64-bit words, `K = ceil(k/2)`.
+    kw: usize,
+    /// The modulus as `K` words.
+    modulus_words: [u64; MAX_WORDS],
+    /// `fold[j] = 2^(64*(K+j)) mod p` for `j in 0..max(K, 2)`.
+    fold: [[u64; MAX_WORDS]; MAX_WORDS],
     /// `2^bits mod p`, for the bit-granular reduction tail.
-    two_b: [Limb; MAX_LIMBS],
+    two_b: [u64; MAX_WORDS],
 }
 
 impl PrimeField {
@@ -108,23 +138,34 @@ impl PrimeField {
             k <= MAX_LIMBS,
             "{name}: a {bits}-bit modulus needs {k} limbs, more than MAX_LIMBS = {MAX_LIMBS}"
         );
-        let limbs = |v: &Mp| {
-            let mut out = [0; MAX_LIMBS];
-            out[..k].copy_from_slice(&v.to_limbs(k));
+        let kw = k.div_ceil(2);
+        let words = |v: &Mp| {
+            let mut out = [0; MAX_WORDS];
+            word::pack(v.limbs(), &mut out);
             out
         };
-        let mut fold = [[0; MAX_LIMBS]; MAX_LIMBS];
-        for (j, row) in fold.iter_mut().enumerate().take(k) {
-            *row = limbs(&Mp::one().shl(32 * (k + j)).rem(modulus));
+        // Each row is the one before times 2^64, so every division is
+        // at most 65 quotient bits long.
+        let mut fold = [[0; MAX_WORDS]; MAX_WORDS];
+        let mut row = Mp::one().shl(64 * kw).rem(modulus);
+        for (j, slot) in fold.iter_mut().enumerate().take(kw.max(2)) {
+            if j > 0 {
+                row = row.shl(64).rem(modulus);
+            }
+            *slot = words(&row);
         }
+        let mut limbs = [0; MAX_LIMBS];
+        limbs[..k].copy_from_slice(&modulus.to_limbs(k));
         PrimeField {
             name: name.to_owned(),
-            modulus: limbs(modulus),
+            modulus: limbs,
             modulus_mp: modulus.clone(),
             k,
             bits,
+            kw,
+            modulus_words: words(modulus),
             fold,
-            two_b: limbs(&Mp::one().shl(bits).rem(modulus)),
+            two_b: words(&Mp::one().shl(bits).rem(modulus)),
         }
     }
 
@@ -195,13 +236,16 @@ impl PrimeField {
     pub fn add(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = [0; MAX_LIMBS];
-        let o = &mut out[..self.k];
-        let carry = mp::add3(o, a.limbs(), b.limbs());
-        if carry || mp::cmp(o, self.modulus_limbs()) != Ordering::Less {
-            mp::sub_into(o, self.modulus_limbs());
+        by_width!(self.add_k(a, b))
+    }
+
+    fn add_k<const K: usize>(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        let (mut x, y) = (words::<K>(a), words::<K>(b));
+        let (x, p) = (&mut x[..K], &self.modulus_words[..K]);
+        if word::add_into(x, &y[..K]) || word::cmp(x, p) != Ordering::Less {
+            word::sub_into(x, p);
         }
-        self.element(out)
+        self.element_from_words(x)
     }
 
     /// `a - b mod p` — subtraction with a conditional add-back of the
@@ -209,34 +253,36 @@ impl PrimeField {
     pub fn sub(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut out = [0; MAX_LIMBS];
-        let o = &mut out[..self.k];
-        if mp::sub3(o, a.limbs(), b.limbs()) {
-            mp::add_into(o, self.modulus_limbs());
+        by_width!(self.sub_k(a, b))
+    }
+
+    fn sub_k<const K: usize>(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        let (mut x, y) = (words::<K>(a), words::<K>(b));
+        let x = &mut x[..K];
+        if word::sub_into(x, &y[..K]) {
+            word::add_into(x, &self.modulus_words[..K]);
         }
-        self.element(out)
+        self.element_from_words(x)
     }
 
     /// `-a mod p`.
     pub fn neg(&self, a: &FpElement) -> FpElement {
-        self.check(a);
-        if a.is_zero() {
-            return self.zero();
-        }
-        let mut out = [0; MAX_LIMBS];
-        mp::sub3(&mut out[..self.k], self.modulus_limbs(), a.limbs());
-        self.element(out)
+        self.sub(&self.zero(), a)
     }
 
-    /// `a * b mod p`: operand-scanning multiplication (Algorithm 2) plus
-    /// fast reduction.
+    /// `a * b mod p`: operand-scanning multiplication (Algorithm 2) on
+    /// 64-bit words plus fast reduction.
     pub fn mul(&self, a: &FpElement, b: &FpElement) -> FpElement {
         self.check(a);
         self.check(b);
-        let mut wide = [0; 2 * MAX_LIMBS];
-        let wide = &mut wide[..2 * self.k];
-        mp::mul_operand_scanning_into(wide, a.limbs(), b.limbs());
-        self.reduce_wide(wide)
+        by_width!(self.mul_k(a, b))
+    }
+
+    fn mul_k<const K: usize>(&self, a: &FpElement, b: &FpElement) -> FpElement {
+        let (x, y) = (words::<K>(a), words::<K>(b));
+        let mut wide = [0; 2 * MAX_WORDS];
+        word::mul(&mut wide[..2 * K], &x[..K], &y[..K]);
+        self.reduce_k::<K>(&wide)
     }
 
     /// `a^2 mod p`.
@@ -249,10 +295,14 @@ impl PrimeField {
         self.add(a, a)
     }
 
-    /// Multiplies by a small scalar.
+    /// Multiplies by a small scalar: double-and-add from `a` at the top
+    /// set bit of `s`, so `×3` costs two additions and `×8` three.
     pub fn mul_u64(&self, a: &FpElement, s: u64) -> FpElement {
-        let mut acc = self.zero();
-        for i in (0..64 - s.leading_zeros() as usize).rev() {
+        if s == 0 {
+            return self.zero();
+        }
+        let mut acc = *a;
+        for i in (0..63 - s.leading_zeros() as usize).rev() {
             acc = self.dbl(&acc);
             if (s >> i) & 1 == 1 {
                 acc = self.add(&acc, a);
@@ -269,45 +319,48 @@ impl PrimeField {
     /// Panics if `wide.len() != 2k`.
     pub fn reduce_wide(&self, wide: &[Limb]) -> FpElement {
         assert_eq!(wide.len(), 2 * self.k, "wide operand width mismatch");
-        let k = self.k;
-        // Accumulator with two guard limbs: low half + sum of k folded rows.
-        let mut buf = [0; MAX_LIMBS + 2];
-        let acc = &mut buf[..k + 2];
-        acc[..k].copy_from_slice(&wide[..k]);
-        for (j, &h) in wide[k..].iter().enumerate() {
-            if h != 0 {
-                let carry = mp::mul_add_limb(acc, &self.fold[j][..k], h);
-                debug_assert_eq!(carry, 0, "guard limbs overflowed");
-            }
+        let mut w = [0; 2 * MAX_WORDS];
+        word::pack(wide, &mut w);
+        by_width!(self.reduce_k(&w))
+    }
+
+    /// Reduces the `2K`-word product in `wide[..2K]` by congruency
+    /// folding.
+    fn reduce_k<const K: usize>(&self, wide: &[u64; 2 * MAX_WORDS]) -> FpElement {
+        // Accumulator with two guard words: low half + sum of K folded rows.
+        let mut buf = [0; MAX_WORDS + 2];
+        let acc = &mut buf[..K + 2];
+        acc[..K].copy_from_slice(&wide[..K]);
+        for (row, &h) in self.fold.iter().zip(&wide[K..2 * K]) {
+            let carry = word::mul_add(acc, &row[..K], h);
+            debug_assert_eq!(carry, 0, "guard words overflowed");
         }
-        // Fold the guard limbs themselves, then finish at bit granularity.
+        // Fold the guard words themselves, then finish at bit granularity.
         loop {
-            let hi0 = acc[k];
-            let hi1 = acc[k + 1];
+            let hi0 = acc[K];
+            let hi1 = acc[K + 1];
             if hi0 == 0 && hi1 == 0 {
                 break;
             }
-            acc[k] = 0;
-            acc[k + 1] = 0;
-            if hi0 != 0 {
-                mp::mul_add_limb(acc, &self.fold[0][..k], hi0);
-            }
+            acc[K] = 0;
+            acc[K + 1] = 0;
+            word::mul_add(acc, &self.fold[0][..K], hi0);
             if hi1 != 0 {
-                mp::mul_add_limb(acc, &self.fold[1][..k], hi1);
+                word::mul_add(acc, &self.fold[1][..K], hi1);
             }
         }
-        // acc < 2^(32k), so the bits at and above `bits` span at most 31
-        // bits: fold them back as `hi * (2^bits mod p)` (k+1 limbs hold
+        // acc < 2^(64K), so the bits at and above `bits` span at most 63
+        // bits: fold them back as `hi * (2^bits mod p)` (K+1 words hold
         // the sum) until acc < 2^bits, then a final conditional
-        // subtraction (at most a few iterations since 2^bits < 2p).
-        let t = &mut acc[..k + 1];
-        let (top, sh) = (self.bits / 32, self.bits % 32);
+        // subtraction (2^bits < 2p, so at most one).
+        let t = &mut acc[..K + 1];
+        let (top, sh) = (self.bits / 64, self.bits % 64);
         loop {
             let hi = if sh == 0 {
                 t[top]
             } else {
-                debug_assert_eq!(t[top + 1] >> sh, 0, "tail wider than one limb");
-                (t[top] >> sh) | (t[top + 1] << (32 - sh))
+                debug_assert_eq!(t[top + 1] >> sh, 0, "tail wider than one word");
+                (t[top] >> sh) | (t[top + 1] << (64 - sh))
             };
             if hi == 0 {
                 break;
@@ -318,15 +371,13 @@ impl PrimeField {
                 t[top] &= (1 << sh) - 1;
                 t[top + 1] = 0;
             }
-            mp::mul_add_limb(t, &self.two_b[..k], hi);
+            word::mul_add(t, &self.two_b[..K], hi);
         }
-        let t = &mut t[..k];
-        while mp::cmp(t, self.modulus_limbs()) != Ordering::Less {
-            mp::sub_into(t, self.modulus_limbs());
+        let (t, p) = (&mut t[..K], &self.modulus_words[..K]);
+        if word::cmp(t, p) != Ordering::Less {
+            word::sub_into(t, p);
         }
-        let mut out = [0; MAX_LIMBS];
-        out[..k].copy_from_slice(t);
-        self.element(out)
+        self.element_from_words(t)
     }
 
     /// `a^e mod p` by left-to-right square-and-multiply.
@@ -344,41 +395,43 @@ impl PrimeField {
     /// Modular inverse by the **binary extended Euclidean algorithm**
     /// (§4.2.4, used on Pete), or `None` for zero.
     ///
-    /// `u, v <= p` fit in `k` limbs; the coefficients `x1, x2` stay below
-    /// `p` but `x + p` needs one guard limb.
+    /// Runs on 64-bit words: `u, v <= p` fit in `K` words; the
+    /// coefficients `x1, x2` stay below `p` but `x + p` needs one guard
+    /// word.
     pub fn inv(&self, a: &FpElement) -> Option<FpElement> {
         self.check(a);
         if a.is_zero() {
             return None;
         }
-        let k = self.k;
-        let p = self.modulus_limbs();
-        let (mut u, mut v) = (a.limbs, self.modulus);
-        let (u, v) = (&mut u[..k], &mut v[..k]);
-        let (mut x1, mut x2) = ([0; MAX_LIMBS + 1], [0; MAX_LIMBS + 1]);
-        let (x1, x2) = (&mut x1[..k + 1], &mut x2[..k + 1]);
+        Some(by_width!(self.inv_k(a)))
+    }
+
+    fn inv_k<const K: usize>(&self, a: &FpElement) -> FpElement {
+        let p = &self.modulus_words[..K];
+        let (mut u, mut v) = (words::<K>(a), self.modulus_words);
+        let (u, v) = (&mut u[..K], &mut v[..K]);
+        let (mut x1, mut x2) = ([0; MAX_WORDS + 1], [0; MAX_WORDS + 1]);
+        let (x1, x2) = (&mut x1[..K + 1], &mut x2[..K + 1]);
         x1[0] = 1;
         while !is_one(u) && !is_one(v) {
             while u[0] & 1 == 0 {
-                mp::shr1_into(u);
+                word::shr1(u);
                 halve_mod(x1, p);
             }
             while v[0] & 1 == 0 {
-                mp::shr1_into(v);
+                word::shr1(v);
                 halve_mod(x2, p);
             }
-            if mp::cmp(u, v) != Ordering::Less {
-                mp::sub_into(u, v);
+            if word::cmp(u, v) != Ordering::Less {
+                word::sub_into(u, v);
                 sub_mod(x1, x2, p);
             } else {
-                mp::sub_into(v, u);
+                word::sub_into(v, u);
                 sub_mod(x2, x1, p);
             }
         }
         let r = if is_one(u) { x1 } else { x2 };
-        let mut out = [0; MAX_LIMBS];
-        out[..k].copy_from_slice(&r[..k]);
-        Some(self.element(out))
+        self.element_from_words(&r[..K])
     }
 
     /// Modular inverse by **Fermat's little theorem** (`a^(p-2)`), the
@@ -395,6 +448,13 @@ impl PrimeField {
     /// Wraps limbs (zero past `k`, value below `p`) as an element.
     fn element(&self, limbs: [Limb; MAX_LIMBS]) -> FpElement {
         FpElement { limbs, k: self.k }
+    }
+
+    /// Wraps words holding a value below `p` as an element.
+    fn element_from_words(&self, w: &[u64]) -> FpElement {
+        let mut out = [0; MAX_LIMBS];
+        word::unpack(w, &mut out[..2 * w.len()]);
+        self.element(out)
     }
 
     /// The element with these (zero-extended) limbs, if their value
@@ -417,24 +477,31 @@ impl PrimeField {
     }
 }
 
-fn is_one(x: &[Limb]) -> bool {
-    x[0] == 1 && mp::is_zero(&x[1..])
+/// The first `K` words of an element (zero past its `k` limbs).
+fn words<const K: usize>(a: &FpElement) -> [u64; MAX_WORDS] {
+    let mut out = [0; MAX_WORDS];
+    word::pack(&a.limbs[..2 * K], &mut out[..K]);
+    out
 }
 
-/// `x = x / 2 mod p` for `x < p`, over `k + 1` limbs: an odd `x` becomes
+fn is_one(x: &[u64]) -> bool {
+    x[0] == 1 && x[1..].iter().all(|&w| w == 0)
+}
+
+/// `x = x / 2 mod p` for `x < p`, over `K + 1` words: an odd `x` becomes
 /// the even `x + p` first.
-fn halve_mod(x: &mut [Limb], p: &[Limb]) {
+fn halve_mod(x: &mut [u64], p: &[u64]) {
     if x[0] & 1 == 1 {
-        mp::add_into(x, p);
+        word::add_into(x, p);
     }
-    mp::shr1_into(x);
+    word::shr1(x);
 }
 
-/// `x = x - y mod p` for `x, y < p`, over `k + 1` limbs: on a borrow the
+/// `x = x - y mod p` for `x, y < p`, over `K + 1` words: on a borrow the
 /// wrapped difference plus `p` wraps back to `x - y + p`.
-fn sub_mod(x: &mut [Limb], y: &[Limb], p: &[Limb]) {
-    if mp::sub_into(x, y) {
-        mp::add_into(x, p);
+fn sub_mod(x: &mut [u64], y: &[u64], p: &[u64]) {
+    if word::sub_into(x, y) {
+        word::add_into(x, p);
     }
 }
 

@@ -13,8 +13,9 @@
 //! * Montgomery multiplication in the **CIOS** form of Algorithm 5
 //!   ([`mont`]),
 //! * binary fields GF(2^m) with the NIST reduction polynomials of
-//!   eq. 4.8–4.12, comb multiplication (Algorithm 6), fast squaring, and
-//!   word-level fast reduction (Algorithm 7) ([`f2m`]),
+//!   eq. 4.8–4.12, comb multiplication (Algorithm 6), Karatsuba
+//!   carry-less multiplication, fast squaring, and word-level fast
+//!   reduction (Algorithm 7) ([`f2m`]),
 //! * the RFC 7748 ladder primes 2^255−19 and 2^448−2^224−1 with their
 //!   one-term special-form reductions ([`xprime`]),
 //! * modular inversion by the binary extended Euclidean algorithm and by
@@ -43,6 +44,7 @@ pub mod fp;
 pub mod mont;
 pub mod mp;
 pub mod nist;
+mod word;
 pub mod xprime;
 
 pub use f2m::BinaryField;

@@ -7,10 +7,11 @@
 //!
 //! Two layers are provided:
 //!
-//! * **slice primitives** ([`add3`], [`sub3`], [`mul_operand_scanning`],
-//!   [`mul_product_scanning`], …) operating on caller-provided limb slices —
-//!   these mirror the multi-precision routines of §4.2 one-to-one and are
-//!   what the field contexts build upon;
+//! * **slice primitives** ([`add_into`], [`sub_into`],
+//!   [`mul_operand_scanning`], [`mul_product_scanning`], …) operating on
+//!   caller-provided limb slices — these mirror the multi-precision
+//!   routines of §4.2 one-to-one (the host fields run the same algorithms
+//!   on 64-bit words);
 //! * the owned [`Mp`] big-integer type for ergonomic host-side use
 //!   (tests, curve parameter handling, division-based reference reduction).
 
@@ -48,40 +49,6 @@ pub fn add_into(a: &mut [Limb], b: &[Limb]) -> bool {
         carry = sum >> LIMB_BITS;
     }
     carry != 0
-}
-
-/// `out = a + b`, element-wise over equal-length slices; returns the carry.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn add3(out: &mut [Limb], a: &[Limb], b: &[Limb]) -> bool {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(out.len(), a.len());
-    let mut carry = 0u64;
-    for i in 0..a.len() {
-        let sum = a[i] as u64 + b[i] as u64 + carry;
-        out[i] = sum as Limb;
-        carry = sum >> LIMB_BITS;
-    }
-    carry != 0
-}
-
-/// `out = a - b`, element-wise over equal-length slices; returns the borrow.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn sub3(out: &mut [Limb], a: &[Limb], b: &[Limb]) -> bool {
-    assert_eq!(a.len(), b.len());
-    assert_eq!(out.len(), a.len());
-    let mut borrow = 0i64;
-    for i in 0..a.len() {
-        let diff = a[i] as i64 - b[i] as i64 - borrow;
-        out[i] = diff as Limb;
-        borrow = (diff < 0) as i64;
-    }
-    borrow != 0
 }
 
 /// Subtracts `b` from `a` in place, returning the final borrow.
@@ -163,22 +130,10 @@ pub fn shr1_into(a: &mut [Limb]) {
 /// executes (§5.1.1).
 pub fn mul_operand_scanning(a: &[Limb], b: &[Limb]) -> Vec<Limb> {
     let mut p = vec![0 as Limb; a.len() + b.len()];
-    mul_operand_scanning_into(&mut p, a, b);
-    p
-}
-
-/// [`mul_operand_scanning`] into a caller-provided product slice (its
-/// previous contents are overwritten).
-///
-/// # Panics
-///
-/// Panics if `p.len() != a.len() + b.len()`.
-pub fn mul_operand_scanning_into(p: &mut [Limb], a: &[Limb], b: &[Limb]) {
-    assert_eq!(p.len(), a.len() + b.len(), "product width mismatch");
-    p.fill(0);
     for (i, &bi) in b.iter().enumerate() {
         p[i + a.len()] = mul_add_limb(&mut p[i..i + a.len()], a, bi);
     }
+    p
 }
 
 /// Product-scanning ("Comba") multiplication — Algorithm 3 of the paper.
@@ -452,7 +407,10 @@ impl Mp {
     /// Implemented as binary long division — slow but obviously correct;
     /// this is the oracle the fast reductions are tested against (the paper
     /// notes "big integer division is extremely costly" §2.1.3, which is
-    /// exactly why the targets never run it).
+    /// exactly why the targets never run it). The remainder and the
+    /// shifted divisor live in two buffers allocated once; each quotient
+    /// bit compares, subtracts and shifts only the limbs the shifted
+    /// divisor spans.
     ///
     /// # Panics
     ///
@@ -462,18 +420,25 @@ impl Mp {
         if cmp(&self.limbs, &divisor.limbs) == Ordering::Less {
             return (Mp::zero(), self.clone());
         }
-        let shift = self.bit_len() - divisor.bit_len();
-        let mut remainder = self.clone();
+        let dbits = divisor.bit_len();
+        let shift = self.bit_len() - dbits;
+        let mut r = self.limbs.clone();
+        // d = divisor << shift, as wide as the dividend.
+        let mut d = divisor.shl(shift).limbs;
+        d.resize(r.len(), 0);
         let mut quotient = vec![0 as Limb; shift / LIMB_BITS + 1];
-        let mut d = divisor.shl(shift);
         for i in (0..=shift).rev() {
-            if cmp(&remainder.limbs, &d.limbs) != Ordering::Less {
-                remainder = remainder.sub(&d);
+            // d = divisor << i spans limbs lo..hi, and r < 2d, so r's
+            // nonzero limbs end at hi as well.
+            let lo = i / LIMB_BITS;
+            let hi = (dbits + i + 1).div_ceil(LIMB_BITS).min(r.len());
+            if cmp(&r[lo..hi], &d[lo..hi]) != Ordering::Less {
+                sub_into(&mut r[lo..hi], &d[lo..hi]);
                 quotient[i / LIMB_BITS] |= 1 << (i % LIMB_BITS);
             }
-            d = d.shr(1);
+            shr1_into(&mut d[i.saturating_sub(1) / LIMB_BITS..hi]);
         }
-        (Mp::from_limbs(&quotient), remainder)
+        (Mp::from_limbs(&quotient), Mp::from_limbs(&r))
     }
 
     /// `self mod m`.
@@ -641,6 +606,47 @@ mod tests {
         let (q, r) = a.div_rem(&b);
         assert!(r < b);
         assert_eq!(q.mul(&b).add(&r), a);
+    }
+
+    #[test]
+    fn div_rem_identity_at_edge_and_random_widths() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut limbs = |n: usize| -> Vec<Limb> {
+            (0..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as Limb
+                })
+                .collect()
+        };
+        let mut cases = vec![
+            (Mp::from_u64(7), Mp::from_u64(7)),
+            (Mp::from_u64(6), Mp::from_u64(7)),
+            (Mp::one().shl(512), Mp::one()),
+            (
+                Mp::one().shl(512).sub(&Mp::one()),
+                Mp::one().shl(256).sub(&Mp::one()),
+            ),
+            (Mp::from_limbs(&[u32::MAX; 17]), Mp::from_u64(u64::MAX)),
+            (Mp::one().shl(96), Mp::one().shl(95).add(&Mp::one())),
+        ];
+        for (an, dn) in [(1, 1), (2, 1), (16, 8), (17, 9), (36, 18), (9, 17), (5, 2)] {
+            for _ in 0..20 {
+                let a = Mp::from_limbs(&limbs(an));
+                let mut d = Mp::from_limbs(&limbs(dn));
+                if d.is_zero() {
+                    d = Mp::one();
+                }
+                cases.push((a, d));
+            }
+        }
+        for (a, d) in cases {
+            let (q, r) = a.div_rem(&d);
+            assert!(r < d, "{a:?} / {d:?}");
+            assert_eq!(q.mul(&d).add(&r), a, "{a:?} / {d:?}");
+        }
     }
 
     #[test]

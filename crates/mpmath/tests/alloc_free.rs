@@ -1,16 +1,18 @@
-//! The prime-field hot path allocates nothing.
+//! The field hot paths allocate nothing.
 //!
 //! A counting global allocator tallies heap allocations made by the
-//! calling thread while a loop of P-256 and P-521 field operations runs,
-//! and the tally must stay at zero. Elements are fixed-width limb arrays
-//! and every intermediate (the double-width product, the reduction
-//! accumulator, the inversion state) lives on the stack.
+//! calling thread while a loop of P-256 and P-521, or B-163 and B-571,
+//! field operations runs, and the tally must stay at zero. Elements are
+//! fixed-width limb arrays and every intermediate (the double-width
+//! product, the reduction accumulator, the inversion state) lives on the
+//! stack.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use ule_mpmath::f2m::BinaryField;
 use ule_mpmath::fp::PrimeField;
 use ule_mpmath::mp::Mp;
-use ule_mpmath::nist::NistPrime;
+use ule_mpmath::nist::{NistBinary, NistPrime};
 
 thread_local! {
     /// `Some(n)`: counting on this thread, `n` allocations so far.
@@ -79,5 +81,20 @@ fn field_ops_do_not_allocate() {
         // The counter is live: converting to `Mp` does allocate.
         let v = allocations(|| drop(std::hint::black_box(a.to_mp())));
         assert!(v > 0, "the counting allocator saw nothing");
+    }
+    for nb in [NistBinary::B163, NistBinary::B571] {
+        let f = BinaryField::nist(nb);
+        let mut a = f.from_mp(&f.poly_mp().shr(2));
+        let mut b = f.from_mp(&Mp::from_u64(0x1234_5678_9abc_def1));
+        let wide = vec![u32::MAX; 2 * f.k()];
+        let n = allocations(|| {
+            for _ in 0..200 {
+                let m = f.mul(&a, &b);
+                let t = f.sqr(&f.add(&m, &a));
+                b = f.add(&t, &f.reduce(&wide));
+                a = f.inv(&f.add(&b, &f.one())).unwrap_or_else(|| f.one());
+            }
+        });
+        assert_eq!(n, 0, "{}: field ops allocated {n} times", f.name());
     }
 }

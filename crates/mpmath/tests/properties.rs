@@ -189,7 +189,7 @@ fn f2m_multipliers_agree() {
     for _ in 0..CASES {
         let a = f.from_limbs(&rand_f2m(&mut rng, NistBinary::B163));
         let b = f.from_limbs(&rand_f2m(&mut rng, NistBinary::B163));
-        assert_eq!(f.mul_comb(&a, &b), f.mul_clmul(&a, &b));
+        assert_eq!(f.mul_comb(&a, &b), f.mul(&a, &b));
     }
 }
 
@@ -200,7 +200,7 @@ fn f2m_multipliers_agree_b571() {
     for _ in 0..CASES {
         let a = f.from_limbs(&rand_f2m(&mut rng, NistBinary::B571));
         let b = f.from_limbs(&rand_f2m(&mut rng, NistBinary::B571));
-        assert_eq!(f.mul_comb(&a, &b), f.mul_clmul(&a, &b));
+        assert_eq!(f.mul_comb(&a, &b), f.mul(&a, &b));
     }
 }
 

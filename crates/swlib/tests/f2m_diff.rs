@@ -149,7 +149,7 @@ fn ext_mul_matches_host_all_fields() {
             let a = sample(&field, seed + 9);
             let b = sample(&field, seed + 90);
             let expect = field
-                .mul_clmul(&field.from_limbs(&a), &field.from_limbs(&b))
+                .mul(&field.from_limbs(&a), &field.from_limbs(&b))
                 .limbs()
                 .to_vec();
             assert_eq!(
@@ -192,7 +192,7 @@ fn reduction_matches_host_on_extremes() {
             run_entry_expect(&mut m, &fp.program, "main_red", 10_000_000);
             let got = read_buf(&m, &fp.program, "out", fp.k);
             let expect = field.reduce(&wide);
-            assert_eq!(got, expect, "{} red", nb.name());
+            assert_eq!(got, expect.limbs(), "{} red", nb.name());
         }
     }
 }
