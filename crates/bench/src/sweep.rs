@@ -34,8 +34,10 @@
 //!
 //! **One curve context per curve.** Every system the engine builds on a
 //! curve shares one [`CurveContext`], built on first use: one `Curve`
-//! (and so one k·G comb table) and one host reference, the expected
-//! value every simulated output is compared against.
+//! (and so one k·G comb table), one host reference (the expected value
+//! every simulated output is compared against) and one program image
+//! per arch. A [`System`] is then a free view of its context, so the
+//! engine builds one per simulation and keeps none.
 //!
 //! Determinism: an entry simulation is a pure function of its
 //! `(timing, entry)` key and a report of its full configuration, so
@@ -167,13 +169,9 @@ pub struct SweepEngine {
     entries: Mutex<HashMap<ConfigKey, Arc<OnceLock<Simulation>>>>,
     /// Report memo, keyed by full (configuration, workload).
     reports: Mutex<HashMap<ConfigKey, Arc<RunReport>>>,
-    /// Built systems, shared across the entries of one timing point
-    /// (`System::simulate_entry` takes `&self`, so concurrent runs share
-    /// one program image).
-    systems: Mutex<HashMap<SystemConfig, Arc<System>>>,
-    /// One curve context per curve, built on first use and shared by
-    /// every system on that curve.
-    curves: Mutex<HashMap<CurveId, Arc<CurveContext>>>,
+    /// One curve context per curve (indexed by `CurveId`), built on
+    /// first use and shared by every system on that curve.
+    curves: [OnceLock<Arc<CurveContext>>; CurveId::ALL.len() + CurveId::XCURVES.len()],
     threads: usize,
     /// Whether every simulation collects the per-routine profile; fixed
     /// for the engine's life, so a memoized report's `profile` never
@@ -260,8 +258,7 @@ impl SweepEngine {
         SweepEngine {
             entries: Mutex::new(HashMap::new()),
             reports: Mutex::new(HashMap::new()),
-            systems: Mutex::new(HashMap::new()),
-            curves: Mutex::new(HashMap::new()),
+            curves: Default::default(),
             threads,
             profile: false,
             simulations: AtomicU64::new(0),
@@ -321,23 +318,6 @@ impl SweepEngine {
     /// order — the harness track of the merged trace export.
     pub fn job_spans(&self) -> Vec<JobSpan> {
         lock(&self.spans).clone()
-    }
-
-    /// The shared built system for one timing point, on its curve's
-    /// shared context.
-    fn system(&self, config: SystemConfig) -> Arc<System> {
-        if let Some(s) = lock(&self.systems).get(&config) {
-            return s.clone();
-        }
-        let ctx = lock(&self.curves)
-            .entry(config.curve)
-            .or_insert_with(|| Arc::new(CurveContext::new(config.curve)))
-            .clone();
-        // Built outside the lock: suite codegen is much cheaper than a
-        // simulation, so a racing duplicate build is preferable to
-        // serializing every build behind one lock. First insert wins.
-        let sys = Arc::new(System::with_context(config, ctx));
-        lock(&self.systems).entry(config).or_insert(sys).clone()
     }
 
     /// Runs (or recalls) one workload on one configuration.
@@ -403,9 +383,13 @@ impl SweepEngine {
     /// Runs one entry simulation and records its span.
     fn simulate(&self, key: ConfigKey, entry: Entry) -> Simulation {
         let started = Instant::now();
-        let sim =
-            self.system(key.config)
-                .simulate_entry(entry, self.profile, EngineTier::default());
+        let curve = key.config.curve;
+        let ctx = self.curves[curve as usize].get_or_init(|| Arc::new(CurveContext::new(curve)));
+        let sim = System::with_context(key.config, Arc::clone(ctx)).simulate_entry(
+            entry,
+            self.profile,
+            EngineTier::default(),
+        );
         let wall = started.elapsed();
         self.simulations.fetch_add(1, Ordering::Relaxed);
         lock(&self.spans).push(JobSpan {

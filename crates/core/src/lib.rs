@@ -559,27 +559,29 @@ impl RunReport {
     }
 }
 
-/// The curve-only half of a system, shared by every system on one
-/// curve: the [`Curve`] (so one k·G comb table) and the host reference
-/// of every entry, computed on first use.
-///
-/// The host reference is the deterministic workload input plus the
-/// output each entry must reproduce. It depends on the curve alone, so
-/// systems that share a context share it; every simulated output is
-/// still compared against it. [`System::new`] builds a private context;
-/// a sweep that builds many systems hands them one per curve through
-/// [`System::with_context`].
+/// Everything a curve's systems share, each part built on first use:
+/// the [`Curve`] (so one k·G comb table), the host reference of every
+/// entry (the input plus the output it must reproduce; every simulated
+/// output is still compared against it) and one program image per
+/// [`Arch`]. An image depends on (curve, arch) alone: the instruction
+/// cache, Monte's front end and Billie's digit width are hardware knobs
+/// under one suite. [`System::new`] builds a private context; a caller
+/// that builds many systems hands them one per curve through
+/// [`System::with_context`], so each image is assembled once.
 pub struct CurveContext {
     curve: Curve,
     host: OnceLock<HostRef>,
+    suites: [OnceLock<Suite>; Arch::ALL.len()],
 }
 
 impl CurveContext {
-    /// Builds the curve; the host reference waits for its first use.
+    /// Builds the curve; the host reference and the program images wait
+    /// for their first use.
     pub fn new(id: CurveId) -> Self {
         CurveContext {
             curve: id.curve(),
             host: OnceLock::new(),
+            suites: Default::default(),
         }
     }
 
@@ -595,13 +597,24 @@ impl CurveContext {
             HostRef::new(&self.curve)
         })
     }
+
+    /// The program image for `arch` (suite codegen + link on first use;
+    /// panics on a pairing the arch cannot run).
+    fn suite(&self, arch: Arch) -> &Suite {
+        self.suites[arch as usize].get_or_init(|| {
+            let mut sp = ule_obs::span("sys.assemble");
+            sp.field("curve", self.curve.id().name())
+                .field("arch", format!("{arch:?}"));
+            build_suite(&self.curve, arch)
+        })
+    }
 }
 
-/// A built system: curve context + program image + configuration.
+/// A configuration viewing its curve context: free to build once the
+/// context holds the arch's program image.
 pub struct System {
     config: SystemConfig,
     ctx: Arc<CurveContext>,
-    suite: Suite,
 }
 
 impl System {
@@ -611,22 +624,17 @@ impl System {
         System::with_context(config, Arc::new(CurveContext::new(config.curve)))
     }
 
-    /// Builds the system on a shared curve context (suite codegen +
-    /// link only).
+    /// Builds the system on a shared curve context, which assembles the
+    /// arch's program image if no system on it has yet.
     ///
     /// # Panics
     ///
-    /// Panics if the context is for another curve.
+    /// Panics if the context is for another curve, and on a (curve,
+    /// arch) pairing no suite exists for.
     pub fn with_context(config: SystemConfig, ctx: Arc<CurveContext>) -> Self {
         assert_eq!(ctx.curve.id(), config.curve, "curve context mismatch");
-        let mut sp = ule_obs::span("sys.assemble");
-        sp.field("curve", config.curve.name())
-            .field("arch", format!("{:?}", config.arch));
-        System {
-            suite: build_suite(&ctx.curve, config.arch),
-            config,
-            ctx,
-        }
+        ctx.suite(config.arch);
+        System { config, ctx }
     }
 
     /// The configuration.
@@ -639,9 +647,10 @@ impl System {
         &self.ctx.curve
     }
 
-    /// The built program image.
+    /// The program image, shared with every system of this arch on its
+    /// context.
     pub fn suite(&self) -> &Suite {
-        &self.suite
+        self.ctx.suite(self.config.arch)
     }
 
     fn machine(&self, profiled: bool) -> Machine {
@@ -650,7 +659,7 @@ impl System {
             _ => MachineConfig::isa_ext(),
         };
         mc.icache = self.config.icache;
-        let b = Machine::builder(&self.suite.program, mc);
+        let b = Machine::builder(&self.suite().program, mc);
         let b = match self.config.arch {
             Arch::Monte => b.coprocessor(Box::new(Monte::with_config(self.config.monte))),
             Arch::Billie => b.coprocessor(Box::new(Billie::with_config(
@@ -662,7 +671,7 @@ impl System {
             _ => b,
         };
         let instr = if profiled {
-            Instrumentation::profile(&self.suite.program.text_symbols())
+            Instrumentation::profile(&self.suite().program.text_symbols())
         } else {
             Instrumentation::none()
         };
@@ -729,7 +738,7 @@ impl System {
         if let Err(e) = validate_workload(self.config.curve, self.config.arch, entry.workload()) {
             panic!("{e}");
         }
-        let (k, prog) = (self.suite.k, &self.suite.program);
+        let (k, prog) = (self.suite().k, &self.suite().program);
         let host = self.ctx.host();
         let args: &[(&str, &[u32])] = match (host, entry) {
             (HostRef::Ecdsa(h), Entry::Sign) => {
@@ -808,7 +817,7 @@ impl System {
         tier: EngineTier,
         profile: bool,
     ) -> (Machine, Result<(), RunError>) {
-        let prog = &self.suite.program;
+        let prog = &self.suite().program;
         let mut m = self.machine(profile);
         {
             let _sp = ule_obs::span("sys.load");
@@ -1085,6 +1094,41 @@ mod tests {
         assert!(r.cycles > 100_000);
         assert!(r.energy_uj() > 0.0);
         assert!(r.time_ms() > 0.0);
+    }
+
+    #[test]
+    fn systems_on_one_context_share_one_image_per_arch() {
+        let same = |ctx: &Arc<CurveContext>, a: SystemConfig, b: SystemConfig| {
+            let (a, b) = (
+                System::with_context(a, Arc::clone(ctx)),
+                System::with_context(b, Arc::clone(ctx)),
+            );
+            std::ptr::eq(a.suite(), b.suite())
+        };
+        let p192 = Arc::new(CurveContext::new(CurveId::P192));
+        let monte = SystemConfig::new(CurveId::P192, Arch::Monte);
+        let nodb = MonteConfig {
+            double_buffer: false,
+            ..MonteConfig::default()
+        };
+        assert!(same(&p192, monte, monte.with_monte(nodb)));
+        assert!(same(
+            &p192,
+            monte,
+            monte.with_icache(CacheConfig::real(1024, true))
+        ));
+        let base = SystemConfig::new(CurveId::P192, Arch::Baseline);
+        assert!(!same(&p192, monte, base));
+
+        let k163 = Arc::new(CurveContext::new(CurveId::K163));
+        let billie = SystemConfig::new(CurveId::K163, Arch::Billie);
+        assert!(same(&k163, billie, billie.with_billie_digit(4)));
+    }
+
+    #[test]
+    #[should_panic(expected = "Monte accelerates prime fields only")]
+    fn an_invalid_pairing_panics_at_construction() {
+        System::new(SystemConfig::new(CurveId::K163, Arch::Monte));
     }
 
     #[test]

@@ -72,8 +72,20 @@ pub struct BinaryCurve {
     field: BinaryField,
     a: F2mElement,
     b: F2mElement,
+    a_kind: Coeff,
+    b_kind: Coeff,
     gx: F2mElement,
     gy: F2mElement,
+}
+
+/// A curve coefficient classified by [`BinaryCurve::new`], so the LD
+/// formulas skip the multiply by 0 or 1 (every Koblitz curve has `b = 1`
+/// and `a` in {0, 1}).
+#[derive(Clone, Copy, Debug)]
+enum Coeff {
+    Zero,
+    One,
+    Other,
 }
 
 impl BinaryCurve {
@@ -90,12 +102,28 @@ impl BinaryCurve {
         gy: F2mElement,
     ) -> Self {
         assert!(!b.is_zero(), "singular curve (b = 0)");
+        let kind = |c: &F2mElement| match (c.is_zero(), *c == field.one()) {
+            (true, _) => Coeff::Zero,
+            (_, true) => Coeff::One,
+            _ => Coeff::Other,
+        };
         BinaryCurve {
+            a_kind: kind(&a),
+            b_kind: kind(&b),
             field,
             a,
             b,
             gx,
             gy,
+        }
+    }
+
+    /// `coeff · x`, with no multiply when `kind` is 0 or 1.
+    fn scale(&self, kind: Coeff, coeff: &F2mElement, x: &F2mElement) -> F2mElement {
+        match kind {
+            Coeff::Zero => self.field.zero(),
+            Coeff::One => *x,
+            Coeff::Other => self.field.mul(coeff, x),
         }
     }
 
@@ -219,10 +247,10 @@ impl BinaryCurve {
         }
         let x2 = f.sqr(&p.x);
         let z2 = f.sqr(&p.z);
-        let bz4 = f.mul(&self.b, &f.sqr(&z2));
+        let bz4 = self.scale(self.b_kind, &self.b, &f.sqr(&z2));
         let z3 = f.mul(&x2, &z2);
         let x3 = f.add(&f.sqr(&x2), &bz4);
-        let az3 = f.mul(&self.a, &z3);
+        let az3 = self.scale(self.a_kind, &self.a, &z3);
         let y3 = f.add(
             &f.mul(&bz4, &z3),
             &f.mul(&x3, &f.add(&f.add(&az3, &f.sqr(&p.y)), &bz4)),
@@ -259,7 +287,8 @@ impl BinaryCurve {
             return self.ld_identity();
         }
         let c_t = f.mul(&p.z, &b_t); // C = Z1 B
-        let d_t = f.mul(&f.sqr(&b_t), &f.add(&c_t, &f.mul(&self.a, &z1sq))); // D = B^2 (C + a Z1^2)
+        let az1sq = self.scale(self.a_kind, &self.a, &z1sq);
+        let d_t = f.mul(&f.sqr(&b_t), &f.add(&c_t, &az1sq)); // D = B^2 (C + a Z1^2)
         let z3 = f.sqr(&c_t);
         let e_t = f.mul(&a_t, &c_t);
         let x3 = f.add(&f.add(&f.sqr(&a_t), &d_t), &e_t);
@@ -342,21 +371,33 @@ mod tests {
     /// A tiny binary curve for exhaustive checks:
     /// y^2 + xy = x^3 + x^2 + 1 over GF(2^7), f = x^7 + x + 1.
     fn tiny() -> BinaryCurve {
+        tiny_with(1, 1)
+    }
+
+    /// y^2 + xy = x^3 + a x^2 + b over the same GF(2^7), with `a` and
+    /// `b` given as bit patterns, on a generator found by scanning x.
+    fn tiny_with(a: u64, b: u64) -> BinaryCurve {
         let f = BinaryField::new("GF(2^7)", 7, &[1, 0]);
-        let a = f.one();
-        let b = f.one();
-        let g = {
-            let c = BinaryCurve {
-                field: f.clone(),
-                a,
-                b,
-                gx: f.one(),
-                gy: f.one(),
-            };
-            c.find_point(1)
-        };
+        let (a, b) = (f.from_mp(&Mp::from_u64(a)), f.from_mp(&Mp::from_u64(b)));
+        let g = BinaryCurve::new(f.clone(), a, b, f.one(), f.one()).find_point(1);
         let (gx, gy) = (*g.x().unwrap(), *g.y().unwrap());
         BinaryCurve::new(f, a, b, gx, gy)
+    }
+
+    /// Walks `G, 2G + G, …` in LD and affine coordinates side by side.
+    fn assert_ld_matches_affine(c: &BinaryCurve, steps: usize) {
+        assert!(c.is_on_curve(&c.generator()));
+        let g = c.generator();
+        let mut aff = g.clone();
+        let mut ld = c.ld_from_affine(&g);
+        for _ in 0..steps {
+            aff = c.affine_double(&aff);
+            ld = c.ld_double(&ld);
+            assert_eq!(c.ld_to_affine(&ld), aff);
+            aff = c.affine_add(&aff, &g);
+            ld = c.ld_add_affine(&ld, &g);
+            assert_eq!(c.ld_to_affine(&ld), aff);
+        }
     }
 
     #[test]
@@ -397,40 +438,38 @@ mod tests {
 
     #[test]
     fn ld_matches_affine_tiny() {
-        let c = tiny();
-        let g = c.generator();
-        let mut aff = g.clone();
-        let mut ld = c.ld_from_affine(&g);
-        for _ in 0..40 {
-            aff = c.affine_double(&aff);
-            ld = c.ld_double(&ld);
-            assert_eq!(c.ld_to_affine(&ld), aff);
-            aff = c.affine_add(&aff, &g);
-            ld = c.ld_add_affine(&ld, &g);
-            assert_eq!(c.ld_to_affine(&ld), aff);
+        // a = 0 and a = 1 take the multiply-free paths (b = 1 too); the
+        // other coefficients take the general multiply.
+        for (a, b) in [
+            (0, 1),
+            (1, 1),
+            (0b101, 1),
+            (0, 0b11),
+            (1, 0b1011),
+            (0b110, 0b1001),
+        ] {
+            let c = tiny_with(a, b);
+            assert!(
+                matches!(
+                    (a, c.a_kind),
+                    (0, Coeff::Zero) | (1, Coeff::One) | (2.., Coeff::Other)
+                ),
+                "a = {a:#b} classified {:?}",
+                c.a_kind
+            );
+            assert_ld_matches_affine(&c, 40);
         }
     }
 
     #[test]
     fn ld_matches_affine_b163() {
         let f = BinaryField::nist(NistBinary::B163);
-        let a = f.one();
-        let b = f.one();
-        let mut c = BinaryCurve::new(f.clone(), a, b, f.one(), f.one());
-        let g = c.find_point(2);
-        c.gx = *g.x().unwrap();
-        c.gy = *g.y().unwrap();
-        assert!(c.is_on_curve(&c.generator()));
-        let g = c.generator();
-        let mut aff = g.clone();
-        let mut ld = c.ld_from_affine(&g);
-        for _ in 0..6 {
-            aff = c.affine_double(&aff);
-            ld = c.ld_double(&ld);
-            assert_eq!(c.ld_to_affine(&ld), aff);
-            aff = c.affine_add(&aff, &g);
-            ld = c.ld_add_affine(&ld, &g);
-            assert_eq!(c.ld_to_affine(&ld), aff);
+        let x3 = f.from_mp(&Mp::from_u64(0b1000));
+        for (a, b) in [(f.one(), f.one()), (f.zero(), f.one()), (f.one(), x3)] {
+            let probe = BinaryCurve::new(f.clone(), a, b, f.one(), f.one());
+            let g = probe.find_point(2);
+            let c = BinaryCurve::new(f.clone(), a, b, *g.x().unwrap(), *g.y().unwrap());
+            assert_ld_matches_affine(&c, 6);
         }
     }
 

@@ -429,8 +429,9 @@ fn verify_batch_family<C: scalar::GroupOps>(
             } else {
                 rlc_coefficient(seed, li.idx, &items[li.idx].sig)
             };
-            a = nf.add(&a, &nf.mul_u64(&nf.from_mp(&li.u1), z));
-            b = nf.add(&b, &nf.mul_u64(&nf.from_mp(&li.u2), z));
+            let zf = nf.from_u64(z);
+            a = nf.add(&a, &nf.mul(&nf.from_mp(&li.u1), &zf));
+            b = nf.add(&b, &nf.mul(&nf.from_mp(&li.u2), &zf));
             // −zᵢ·Rᵢ, as the scalar n − zᵢ on the hint point.
             terms.push((n.sub(&Mp::from_u64(z).rem(n)), (*hint).clone()));
         }

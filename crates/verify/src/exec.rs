@@ -2,7 +2,6 @@
 //! configurations and cross-checks every exposed RAM intermediate
 //! against the host reference model.
 
-use std::cell::OnceCell;
 use std::sync::Arc;
 
 use ule_core::{CurveContext, System, SystemConfig};
@@ -120,15 +119,6 @@ impl std::str::FromStr for ConfigKind {
     }
 }
 
-/// The configurations in scope for one curve (all five, or the single
-/// one a reproducer replay pinned).
-pub fn configs_for(_id: CurveId, only: Option<ConfigKind>) -> Vec<ConfigKind> {
-    match only {
-        Some(c) => vec![c],
-        None => ConfigKind::ALL.to_vec(),
-    }
-}
-
 /// Which execution-engine tier(s) a campaign exercises. Both tiers are
 /// contractually bit-identical, so any policy must find the same
 /// divergences; `Alternate` (the default) splits the corpus across the
@@ -189,28 +179,27 @@ impl std::str::FromStr for TierPolicy {
     }
 }
 
-/// Everything needed to simulate one curve: the shared curve context
-/// and one [`System`] per configuration, built on first use. Every
-/// entry run is one [`System::run_entry`] call, so the campaigns
-/// simulate exactly the machines that produce the published numbers.
+/// Everything needed to simulate one curve: the shared curve context,
+/// which assembles each arch's program image on first use. Every entry
+/// run is one [`System::run_entry`] call, so the campaigns simulate
+/// exactly the machines that produce the published numbers; the
+/// instruction-cache configurations run their cacheless sibling's image.
 pub struct CurveRig {
     /// The curve.
     pub id: CurveId,
     /// Field words.
     pub k: usize,
     ctx: Arc<CurveContext>,
-    systems: [OnceCell<System>; 5],
 }
 
 impl CurveRig {
-    /// The rig for a curve; its systems are built when first run.
+    /// The rig for a curve; its program images are built when first run.
     pub fn new(id: CurveId) -> CurveRig {
         let ctx = Arc::new(CurveContext::new(id));
         CurveRig {
             id,
             k: ctx.curve().limbs(),
             ctx,
-            systems: Default::default(),
         }
     }
 
@@ -220,9 +209,8 @@ impl CurveRig {
     }
 
     /// The system a configuration runs on.
-    pub fn system(&self, cfg: ConfigKind) -> &System {
-        self.systems[cfg as usize]
-            .get_or_init(|| System::with_context(cfg.system_config(self.id), Arc::clone(&self.ctx)))
+    pub fn system(&self, cfg: ConfigKind) -> System {
+        System::with_context(cfg.system_config(self.id), Arc::clone(&self.ctx))
     }
 
     /// Reads `n` limbs of a RAM buffer from a machine `cfg` ran.

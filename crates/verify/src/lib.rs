@@ -192,7 +192,10 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
     let mut rigs: Vec<CurveRig> = Vec::new();
     for &id in &campaign.curves {
         let rig = CurveRig::new(id);
-        let configs = exec::configs_for(id, campaign.only_config);
+        // All five, or the single one a reproducer replay pinned.
+        let configs = campaign
+            .only_config
+            .map_or(ConfigKind::ALL.to_vec(), |c| vec![c]);
         for c in &configs {
             let label = c.label(id.is_binary());
             if !report.configs.contains(&label) {
@@ -472,6 +475,23 @@ mod tests {
                 assert_eq!(cop_ops > 0, cfg == ConfigKind::Coproc, "{cfg:?}");
             }
         }
+    }
+
+    #[test]
+    fn icache_configs_run_their_siblings_image() {
+        let rig = CurveRig::new(CurveId::P192);
+        for (cached, sibling) in [
+            (ConfigKind::BaselineIcache, ConfigKind::Baseline),
+            (ConfigKind::IsaExtIcache, ConfigKind::IsaExt),
+        ] {
+            let (a, b) = (rig.system(cached), rig.system(sibling));
+            assert!(std::ptr::eq(a.suite(), b.suite()), "{cached:?}");
+        }
+        let (base, ext) = (
+            rig.system(ConfigKind::Baseline),
+            rig.system(ConfigKind::IsaExt),
+        );
+        assert!(!std::ptr::eq(base.suite(), ext.suite()));
     }
 
     #[test]
