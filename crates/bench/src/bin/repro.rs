@@ -23,9 +23,12 @@ use ule_bench::args::{usage_error, Args};
 use ule_bench::diff::{diff_metrics, DiffThresholds};
 use ule_bench::{metrics_out, ConfigKey, ExperimentId, Job, SweepEngine};
 use ule_core::attr::{self, FlameWeight};
+use ule_core::space::arch_supports_curve;
 use ule_core::{RunOptions, System, SystemConfig, Workload};
 use ule_curves::params::CurveId;
+use ule_obs::progress::stderr_is_tty;
 use ule_obs::trace_events::TraceEventsBuf;
+use ule_obs::{Entered, Recorder};
 use ule_pete::cpu::EngineTier;
 use ule_swlib::builder::Arch;
 
@@ -33,50 +36,62 @@ use ule_swlib::builder::Arch;
 /// that a full `repro all` keeps every harness-level span (jobs, sim
 /// runs) for the merged trace export, still bounded.
 const FLIGHT_CAPACITY: usize = 4096;
+/// Where post-mortems go without `--flight-dump`.
+const FLIGHT_DUMP: &str = "flight_dump.jsonl";
 
-/// Observability switches shared by the simulating subcommands, parsed
-/// from the global (pre-subcommand) options.
-struct ObsOptions {
-    /// `--trace PATH`: stream every event to a JSONL file (chained
-    /// behind the flight recorder).
-    trace: Option<PathBuf>,
-    /// `--flight-dump PATH`: where panic/cycle-limit post-mortems go.
-    flight_dump: PathBuf,
-    /// `--progress`/`--no-progress`; `None` = autodetect from stderr.
-    progress: Option<bool>,
+/// A subcommand's outcome: `Err` carries the nonzero exit code of a
+/// failure already reported on stderr.
+type Exit = Result<(), i32>;
+
+fn exit_code(code: i32) -> Exit {
+    (code == 0).then_some(()).ok_or(code)
 }
 
-impl Default for ObsOptions {
-    fn default() -> Self {
-        ObsOptions {
-            trace: None,
-            flight_dump: PathBuf::from("flight_dump.jsonl"),
-            progress: None,
-        }
-    }
+/// Observability switches shared by the simulating subcommands, parsed
+/// from the global (pre-subcommand) options, and the run's recorder
+/// once a subcommand starts it.
+#[derive(Default)]
+struct ObsOptions {
+    /// `--trace PATH`: stream every event to a JSONL file.
+    trace: Option<PathBuf>,
+    /// `--flight-dump PATH`: where panic/cycle-limit post-mortems go.
+    flight_dump: Option<PathBuf>,
+    /// `--progress`/`--no-progress`; `None` = autodetect from stderr.
+    progress: Option<bool>,
+    /// The started recorder, current on the main thread.
+    run: Option<(Recorder, Entered)>,
 }
 
 impl ObsOptions {
-    /// Installs the flight recorder (chaining the `--trace` sink when
-    /// requested) and arms post-mortem dumping. Called once by every
-    /// simulating subcommand before the first run.
-    fn install(&self) {
-        let inner: Option<Box<dyn ule_obs::EventSink>> = match &self.trace {
-            Some(path) => match ule_obs::JsonlFileSink::create(path) {
-                Ok(sink) => Some(Box::new(sink)),
+    /// Builds the run's one recorder and makes it current: the flight
+    /// ring armed to dump at `--flight-dump`, the `--trace` writer, and a
+    /// reporter labelled `progress` when progress is on. Called once by
+    /// every simulating subcommand before the first run.
+    fn start(&mut self, progress: Option<&str>) {
+        let dump = self.flight_dump.clone().unwrap_or(FLIGHT_DUMP.into());
+        let mut rec = Recorder::builder().flight(FLIGHT_CAPACITY, Some(dump));
+        if let Some(path) = &self.trace {
+            match std::fs::File::create(path) {
+                Ok(f) => rec = rec.trace(std::io::BufWriter::new(f)),
                 Err(e) => usage_error(format!("cannot open trace file {}: {e}", path.display())),
-            },
-            None => None,
-        };
-        ule_obs::flight::install(FLIGHT_CAPACITY, inner);
-        ule_obs::flight::arm_auto_dump(self.flight_dump.clone());
+            }
+        }
+        let on = self.progress.unwrap_or_else(stderr_is_tty);
+        if let Some(label) = progress.filter(|_| on) {
+            rec = rec.progress(label);
+        }
+        let rec = rec.build();
+        self.run = Some((rec.clone(), rec.enter()));
     }
 
-    /// Whether to run the live progress reporter: explicit flag wins,
-    /// otherwise on iff stderr is a terminal.
-    fn progress_on(&self) -> bool {
-        self.progress
-            .unwrap_or_else(ule_obs::progress::stderr_is_tty)
+    /// Finishes the started recorder: the final progress line, the trace
+    /// flushed. `main` also calls it before its one exit.
+    fn finish(&self) {
+        if let Some((rec, _)) = &self.run {
+            if let Err(e) = rec.finish() {
+                eprintln!("cannot write trace: {e}");
+            }
+        }
     }
 }
 
@@ -91,7 +106,7 @@ fn print_help() {
     println!("                   [--flight-dump PATH] [--serve PATH [--serve-min-gain G]]");
     println!("                   [--sla PATH [--max-p99 CYCLES]]");
     println!("       repro selftest-flight    (panics on purpose; the armed flight");
-    println!("                                recorder must dump first — CI self-test)");
+    println!("                                recorder must dump first — a self-test)");
     println!();
     println!("options:");
     println!("  --list              list experiment ids and exit");
@@ -232,17 +247,18 @@ fn read_or_die(path: &Path) -> String {
         .unwrap_or_else(|e| usage_error(format!("cannot read {}: {e}", path.display())))
 }
 
-fn write_or_die(path: &Path, contents: &str, what: &str) {
+fn write_file(path: &Path, contents: &str, what: &str) -> Exit {
     if let Err(e) = std::fs::write(path, contents) {
         eprintln!("cannot write {what} to {}: {e}", path.display());
-        std::process::exit(1);
+        return Err(1);
     }
     eprintln!("wrote {what} to {}", path.display());
+    Ok(())
 }
 
 /// `repro diff OLD NEW`: compare two metrics JSONL files on the
 /// deterministic headline metrics. Exit 0 clean, 1 drift, 2 usage.
-fn run_diff(mut args: Args) -> ! {
+fn run_diff(mut args: Args) -> Exit {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut thresholds = DiffThresholds::default();
     let pct = |v: &str| v.parse::<f64>().ok().filter(|p| p.is_finite() && *p >= 0.0);
@@ -276,13 +292,13 @@ fn run_diff(mut args: Args) -> ! {
     )
     .unwrap_or_else(|e| usage_error(format!("diff: {e}")));
     print!("{report}");
-    std::process::exit(report.exit_code());
+    exit_code(report.exit_code())
 }
 
 /// `repro check`: validate exported observability files (folded stacks
 /// and/or trace-event JSON) the way a consumer would. Exit 0 valid,
 /// 1 invalid, 2 usage.
-fn run_check(mut args: Args) -> ! {
+fn run_check(mut args: Args) -> Exit {
     let mut files: Vec<(String, PathBuf)> = Vec::new();
     let mut serve_min_gain: Option<f64> = None;
     let mut max_p99: Option<u64> = None;
@@ -409,14 +425,14 @@ fn run_check(mut args: Args) -> ! {
             }
         }
     }
-    std::process::exit(i32::from(failed));
+    exit_code(i32::from(failed))
 }
 
 /// `repro profile`: simulate one design point with the exact profiler
 /// attached and print the per-routine energy attribution table. The
 /// profile is the same on either engine tier (`--tier reference` runs
 /// the differential oracle).
-fn run_profile(mut args: Args, obs: ObsOptions) -> ! {
+fn run_profile(mut args: Args, obs: &mut ObsOptions) -> Exit {
     let mut curve = CurveId::P256;
     let mut arch = Arch::IsaExt;
     let mut workload = Workload::Sign;
@@ -443,7 +459,7 @@ fn run_profile(mut args: Args, obs: ObsOptions) -> ! {
     if let Err(e) = ule_core::validate_workload(curve, arch, workload) {
         usage_error(e);
     }
-    obs.install();
+    obs.start(None);
     let config = SystemConfig::new(curve, arch);
     let label = ConfigKey::new(config, workload).label();
     let started = std::time::Instant::now();
@@ -463,14 +479,14 @@ fn run_profile(mut args: Args, obs: ObsOptions) -> ! {
     eprintln!("profile wall-clock: {} ms", wall.as_millis());
     if let Some(path) = &flame {
         let stacks = attr::folded_stacks(p, &report.energy, flame_weight, &label);
-        write_or_die(path, &ule_obs::flame::to_folded(&stacks), "folded stacks");
+        write_file(path, &ule_obs::flame::to_folded(&stacks), "folded stacks")?;
     }
     if let Some(path) = &trace {
         let mut buf = TraceEventsBuf::new();
         attr::trace_events_into(&mut buf, 1, &label, p);
-        write_or_die(path, &buf.finish(), "trace events");
+        write_file(path, &buf.finish(), "trace events")?;
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `repro serve`: the batched signing/verification service model.
@@ -481,7 +497,7 @@ fn run_profile(mut args: Args, obs: ObsOptions) -> ! {
 /// records plus — behind `--sla-out` — `serve_latency`/`sla_summary`
 /// latency records (schema v5). Exit 1 iff any batch verdict disagreed
 /// with `verify_prehashed`.
-fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
+fn run_serve(mut args: Args, obs: &mut ObsOptions) -> Exit {
     let mut curves: Vec<CurveId> = Vec::new();
     let mut batch_sizes: Vec<usize> = Vec::new();
     let mut shards = 4usize;
@@ -532,10 +548,14 @@ fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
         // The batch-size-1 reference anchors op_scale and the gains.
         batch_sizes.insert(0, 1);
     }
-    obs.install();
-    if obs.progress_on() {
-        ule_obs::progress::start("repro serve");
+    // Usage errors exit before the recorder starts, so no run is cut short.
+    if let Some(c) = curves.iter().find(|&&c| !arch_supports_curve(arch, c)) {
+        let (a, n) = (arch.key(), c.name());
+        usage_error(format!(
+            "arch {a} is not valid on {n} (family accelerator mismatch)"
+        ));
     }
+    obs.start(Some("repro serve"));
     let engine = SweepEngine::new();
     // Per-verification simulated costs for the energy projection: the
     // valid accelerator set differs by family (Monte fronts the prime
@@ -566,15 +586,8 @@ fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
     for &curve in &curves {
         let family_archs: Vec<Arch> = Arch::ALL
             .into_iter()
-            .filter(|&a| ule_core::space::arch_supports_curve(a, curve))
+            .filter(|&a| arch_supports_curve(a, curve))
             .collect();
-        if !family_archs.contains(&arch) {
-            usage_error(format!(
-                "arch {} is not valid on {} (family accelerator mismatch)",
-                arch.key(),
-                curve.name()
-            ));
-        }
         let costs = sim_costs(curve, &family_archs);
         let point_costs = costs
             .iter()
@@ -680,17 +693,16 @@ fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
             registry.push(record);
         }
     }
-    ule_obs::progress::finish();
     if let Some(path) = &metrics_path {
-        write_or_die(path, &registry.to_jsonl(), "serve metrics");
+        write_file(path, &registry.to_jsonl(), "serve metrics")?;
     }
     if let Some(path) = &sla_path {
         // Every field in the SLA journal is virtual-time: the file is
         // byte-identical across reruns (CI pins this with `cmp`).
-        write_or_die(path, &sla_registry.to_jsonl(), "SLA records");
+        write_file(path, &sla_registry.to_jsonl(), "SLA records")?;
     }
     if let Some(path) = &trace_events_path {
-        write_or_die(path, &trace_buf.finish(), "serve trace events");
+        write_file(path, &trace_buf.finish(), "serve trace events")?;
     }
     // One-line gain summary appended to BENCH_history.jsonl (next to
     // --metrics-out when given): the batching-gain trajectory across
@@ -713,23 +725,23 @@ fn run_serve(mut args: Args, obs: ObsOptions) -> ! {
         .and_then(|mut f| std::io::Write::write_all(&mut f, format!("{line}\n").as_bytes()));
     if let Err(e) = append {
         eprintln!("cannot append {}: {e}", history.display());
-        std::process::exit(1);
+        return Err(1);
     }
     if mismatches_total > 0 {
         eprintln!("serve: {mismatches_total} batch verdicts diverged from verify_prehashed");
-        std::process::exit(1);
+        return Err(1);
     }
-    std::process::exit(0);
+    Ok(())
 }
 
 /// `repro selftest-flight`: end-to-end self-test of the flight
-/// recorder's panic path. Installs the recorder exactly as every other
+/// recorder's panic path. Starts the recorder exactly as every other
 /// subcommand does, emits a recognizable event trail, then panics
-/// deliberately — the armed hook must write the dump before the
-/// process dies. CI runs this expecting a nonzero exit and then
-/// validates the dump with `repro check --flight-dump`.
-fn run_selftest_flight(obs: &ObsOptions) -> ! {
-    obs.install();
+/// deliberately — the panic hook must write the dump before the
+/// process dies. The `ule-bench` CLI tests run this expecting a nonzero
+/// exit and a dump that `flight::validate_dump` accepts.
+fn run_selftest_flight(obs: &mut ObsOptions) -> Exit {
+    obs.start(None);
     for i in 0..8u64 {
         ule_obs::obs_event!("selftest.tick", index = i);
     }
@@ -740,7 +752,7 @@ fn run_selftest_flight(obs: &ObsOptions) -> ! {
 /// `repro verify …`: run a differential campaign and exit. Exit code 0
 /// means the campaign matched expectations (zero divergences, or — with
 /// `--inject-fault` — exactly the injected fault was caught).
-fn run_verify(mut args: Args, mut obs: ObsOptions) -> ! {
+fn run_verify(mut args: Args, obs: &mut ObsOptions) -> Exit {
     let mut campaign = ule_verify::Campaign::new(ule_verify::parse_seed("0xULE"), 16);
     let mut curves: Vec<CurveId> = Vec::new();
     let mut batch_oracle = false;
@@ -764,15 +776,15 @@ fn run_verify(mut args: Args, mut obs: ObsOptions) -> ! {
             "--batch-case" => {
                 batch_case = Some(args.value_with(&arg, "a case index", |v| v.parse().ok()))
             }
-            "--progress" => obs.progress = Some(true),
-            "--no-progress" => obs.progress = Some(false),
+            "--progress" | "--no-progress" => obs.progress = Some(arg == "--progress"),
             other => Args::unknown("verify", other),
         }
     }
     if !curves.is_empty() {
         campaign.curves = curves;
     }
-    obs.install();
+    // The host-only batch oracle reports no jobs to a progress line.
+    obs.start(Some("repro verify").filter(|_| !batch_oracle));
     if batch_oracle {
         // Host-only differential campaign for the batch verifier: no
         // simulator involved, so it runs before (and independently of)
@@ -786,33 +798,27 @@ fn run_verify(mut args: Args, mut obs: ObsOptions) -> ! {
         };
         let report = ule_verify::run_batch_oracle(&cfg);
         print!("{}", report.render(&cfg));
-        ule_obs::clear_sink();
-        std::process::exit(if report.divergences.is_empty() { 0 } else { 1 });
-    }
-    if obs.progress_on() {
-        ule_obs::progress::start("repro verify");
+        return exit_code(i32::from(!report.divergences.is_empty()));
     }
     let report = ule_verify::run_campaign(&campaign);
-    ule_obs::progress::finish();
     print!("{}", report.render(&campaign));
-    ule_obs::clear_sink();
     if campaign.inject_fault {
         // Self-test: the deliberate corruption must be caught.
         if report.divergences.is_empty() {
             eprintln!("verify: injected fault was NOT caught");
-            std::process::exit(1);
+            return Err(1);
         }
         println!("verify: injected fault caught and shrunk (self-test ok)");
-        std::process::exit(0);
+        return Ok(());
     }
-    std::process::exit(if report.divergences.is_empty() { 0 } else { 1 });
+    exit_code(i32::from(!report.divergences.is_empty()))
 }
 
 /// `repro explore …`: enumerate a design-space lattice, evaluate it
 /// through the memoizing engine, and print the Pareto frontier. With
 /// `--report`, skip exploration and render the frontier table of an
 /// existing journal instead.
-fn run_explore(mut args: Args, mut obs: ObsOptions) -> ! {
+fn run_explore(mut args: Args, obs: &mut ObsOptions) -> Exit {
     let mut space_arg: Option<String> = None;
     let mut strategy = ule_dse::StrategyKind::Grid;
     let mut seed = ule_verify::parse_seed("0xULE");
@@ -827,8 +833,7 @@ fn run_explore(mut args: Args, mut obs: ObsOptions) -> ! {
             "--out" => out = Some(args.value(&arg)),
             "--threads" => threads = Some(args.positive(&arg)),
             "--report" => report = true,
-            "--progress" => obs.progress = Some(true),
-            "--no-progress" => obs.progress = Some(false),
+            "--progress" | "--no-progress" => obs.progress = Some(arg == "--progress"),
             other => Args::unknown("explore", other),
         }
     }
@@ -860,17 +865,14 @@ fn run_explore(mut args: Args, mut obs: ObsOptions) -> ! {
             ule_dse::spaces::parse_space_file(&text)
                 .unwrap_or_else(|e| usage_error(format!("{space_str}: {e}")))
         });
-        obs.install();
-        if obs.progress_on() {
-            ule_obs::progress::start("repro explore");
-        }
+        obs.start(Some("repro explore"));
         let mut strategy = strategy.build(seed);
         let outcome = ule_dse::explore(&engine, &space, strategy.as_mut(), seed, out.as_deref())
-            .unwrap_or_else(|e| {
+            .map_err(|e| {
                 eprintln!("explore: {e}");
-                std::process::exit(1);
-            });
-        ule_obs::progress::finish();
+                1
+            })?;
+        obs.finish();
         println!(
             "space {} ({}): {} lattice points, {} pruned, {} evaluated \
              ({} resumed, {} simulated), frontier {}",
@@ -889,14 +891,12 @@ fn run_explore(mut args: Args, mut obs: ObsOptions) -> ! {
         println!();
         outcome
     };
-    match ule_dse::explore::render_report(&engine, &outcome) {
-        Ok(table) => print!("{table}"),
-        Err(e) => {
-            eprintln!("report: {e}");
-            std::process::exit(1);
-        }
-    }
-    std::process::exit(0)
+    let table = ule_dse::explore::render_report(&engine, &outcome).map_err(|e| {
+        eprintln!("report: {e}");
+        1
+    })?;
+    print!("{table}");
+    Ok(())
 }
 
 fn id_list() -> String {
@@ -905,10 +905,18 @@ fn id_list() -> String {
 }
 
 fn main() {
+    let mut obs = ObsOptions::default();
+    let exit = run(&mut obs);
+    obs.finish();
+    std::process::exit(exit.err().unwrap_or(0));
+}
+
+/// Parses the global options and runs the selected experiments or
+/// subcommand.
+fn run(obs: &mut ObsOptions) -> Exit {
     let mut threads: Option<usize> = None;
     let mut json = false;
     let mut metrics_path: Option<PathBuf> = None;
-    let mut obs = ObsOptions::default();
     let mut profile = false;
     let mut flame_path: Option<PathBuf> = None;
     let mut flame_weight = FlameWeight::Cycles;
@@ -919,14 +927,14 @@ fn main() {
         match arg.as_str() {
             "-h" | "--help" => {
                 print_help();
-                return;
+                return Ok(());
             }
             "--list" => {
                 for id in ExperimentId::VARIANTS {
                     println!("{id}");
                 }
                 println!("all");
-                return;
+                return Ok(());
             }
             "--threads" => threads = Some(args.positive(&arg)),
             "--format" => {
@@ -938,9 +946,8 @@ fn main() {
             }
             "--metrics-out" => metrics_path = Some(args.value(&arg)),
             "--trace" => obs.trace = Some(args.value(&arg)),
-            "--flight-dump" => obs.flight_dump = args.value(&arg),
-            "--progress" => obs.progress = Some(true),
-            "--no-progress" => obs.progress = Some(false),
+            "--flight-dump" => obs.flight_dump = Some(args.value(&arg)),
+            "--progress" | "--no-progress" => obs.progress = Some(arg == "--progress"),
             "--profile" => profile = true,
             "--flame" => flame_path = Some(args.value(&arg)),
             "--flame-weight" => {
@@ -948,13 +955,13 @@ fn main() {
             }
             "--trace-events" => trace_events_path = Some(args.value(&arg)),
             // Subcommands own the rest of the argument list.
-            "verify" => run_verify(args, obs),
-            "diff" => run_diff(args),
-            "check" => run_check(args),
-            "profile" => run_profile(args, obs),
-            "explore" => run_explore(args, obs),
-            "serve" => run_serve(args, obs),
-            "selftest-flight" => run_selftest_flight(&obs),
+            "verify" => return run_verify(args, obs),
+            "diff" => return run_diff(args),
+            "check" => return run_check(args),
+            "profile" => return run_profile(args, obs),
+            "explore" => return run_explore(args, obs),
+            "serve" => return run_serve(args, obs),
+            "selftest-flight" => return run_selftest_flight(obs),
             "all" => selected.extend(ExperimentId::ALL),
             other => match ExperimentId::from_str(other) {
                 Ok(id) => selected.push(id),
@@ -973,9 +980,9 @@ fn main() {
         usage_error("--flame needs --profile (the call graph is only built on profiled runs)");
     }
 
-    // The flight recorder is installed before the engine so their
-    // epochs align in the merged trace.
-    obs.install();
+    // The recorder is built before the engine so their epochs align in
+    // the merged trace.
+    obs.start(Some("repro"));
     let mut engine = SweepEngine::new();
     if let Some(n) = threads {
         engine = engine.with_threads(n);
@@ -987,11 +994,8 @@ fn main() {
     // Pre-warm the memo cache in parallel over the union of design
     // points, then render serially in order.
     let jobs: Vec<Job> = selected.iter().flat_map(|id| id.jobs()).collect();
-    if obs.progress_on() {
-        ule_obs::progress::start("repro");
-    }
     let reports = engine.run_batch(&jobs);
-    ule_obs::progress::finish();
+    obs.finish();
     if json {
         let reg = metrics_out::metrics_registry(&jobs, &reports, &engine);
         print!("{}", reg.to_jsonl());
@@ -1001,13 +1005,11 @@ fn main() {
         }
     }
     if let Some(path) = &metrics_path {
-        match metrics_out::write_metrics(path, &jobs, &reports, &engine) {
-            Ok(n) => eprintln!("wrote {n} metrics records to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write metrics to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
+        let n = metrics_out::write_metrics(path, &jobs, &reports, &engine).map_err(|e| {
+            eprintln!("cannot write metrics to {}: {e}", path.display());
+            1
+        })?;
+        eprintln!("wrote {n} metrics records to {}", path.display());
     }
 
     // Aggregated call-graph exports: one prefix/process per distinct
@@ -1039,32 +1041,28 @@ fn main() {
             }
         }
         if let Some(path) = &flame_path {
-            write_or_die(path, &ule_obs::flame::to_folded(&stacks), "folded stacks");
+            write_file(path, &ule_obs::flame::to_folded(&stacks), "folded stacks")?;
         }
         if let Some(path) = &trace_events_path {
-            write_or_die(path, &tbuf.finish(), "trace events");
+            write_file(path, &tbuf.finish(), "trace events")?;
         }
     }
-    ule_obs::clear_sink();
+    Ok(())
 }
 
 /// Writes the harness timeline into `buf` as process 0: one thread per
 /// sweep worker, a complete event per simulation executed (from the
 /// engine's [`job spans`](SweepEngine::job_spans)), with the `sys.sim`
-/// and `sweep.batch` spans recovered from the flight recorder's ring
+/// and `sweep.batch` spans recovered from the current recorder's ring
 /// nested on the same tracks. Loading the merged file in Perfetto shows
 /// SweepEngine scheduling directly above the per-design-point routine
 /// processes.
 fn merge_harness_track(buf: &mut TraceEventsBuf, engine: &SweepEngine) {
     let spans = engine.job_spans();
-    let handle = ule_obs::flight::handle();
-    let recovered: String = handle
-        .map(|h| {
-            let mut lines = h.lines_of_kind("sweep.batch");
-            lines.extend(h.lines_of_kind("sys.sim"));
-            lines.join("\n")
-        })
-        .unwrap_or_default();
+    let rec = Recorder::current();
+    let mut recovered = rec.lines_of_kind("sweep.batch");
+    recovered.extend(rec.lines_of_kind("sys.sim"));
+    let recovered = recovered.join("\n");
     if spans.is_empty() && recovered.is_empty() {
         return;
     }
@@ -1093,8 +1091,8 @@ fn merge_harness_track(buf: &mut TraceEventsBuf, engine: &SweepEngine) {
         );
     }
     // Span events carry their end time (`t_us`, the drop) and duration;
-    // start = end - dur. The flight epoch is the recorder's install
-    // time, microseconds before the engine's, so the tracks align.
+    // start = end - dur. The ring's epoch is the recorder's build time,
+    // microseconds before the engine's, so the tracks align.
     for (_, _, v) in ule_obs::json::records(&recovered) {
         let Ok(v) = v else {
             continue;

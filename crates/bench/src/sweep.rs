@@ -329,10 +329,9 @@ impl SweepEngine {
     pub fn run(&self, config: SystemConfig, workload: Workload) -> Arc<RunReport> {
         let key = ConfigKey::new(config, workload);
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let label = key.label();
-        // Progress hooks are process-global no-ops unless the CLI
-        // started a reporter; token 0 makes `job_done` a no-op too.
-        let progress = ule_obs::progress::job_started(&label);
+        // A no-op, and no label, unless the current recorder runs a
+        // progress reporter.
+        let _progress = ule_obs::progress::job(|| key.label());
         let memoized = lock(&self.reports).get(&key).cloned();
         let mut cold = false;
         let report = match memoized {
@@ -353,10 +352,9 @@ impl SweepEngine {
         };
         if !cold {
             self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            ule_obs::obs_event!("sweep.memo_hit", job = label.as_str());
+            ule_obs::obs_event!("sweep.memo_hit", job = key.label());
             ule_obs::progress::memo_hit();
         }
-        ule_obs::progress::job_done(progress);
         report
     }
 

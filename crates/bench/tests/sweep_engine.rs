@@ -301,6 +301,48 @@ fn workload_changes_key_but_config_reuses_system() {
     assert_eq!(engine.simulations(), 2);
 }
 
+/// A batch run under a recorder with a trace writer traces its batch
+/// span, its simulations, and one `sweep.job` per engine simulation,
+/// workers included.
+#[test]
+fn a_recorded_batch_traces_every_simulation() {
+    let path = std::env::temp_dir().join(format!("ule-sweep-trace-{}.jsonl", std::process::id()));
+    let file = std::fs::File::create(&path).unwrap();
+    let rec = ule_obs::Recorder::builder()
+        .trace(std::io::BufWriter::new(file))
+        .build();
+    let p = fieldmul(CurveId::P192, Arch::Baseline);
+    let jobs = vec![
+        p,
+        fieldmul(CurveId::P256, Arch::IsaExt),
+        fieldmul(CurveId::K163, Arch::Baseline),
+        p,
+    ];
+    let engine = SweepEngine::new().with_threads(2);
+    {
+        let _in = rec.enter();
+        engine.run_batch(&jobs);
+    }
+    rec.finish().unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let mut kinds: Vec<String> = Vec::new();
+    for (n, _, v) in ule_obs::json::records(&text) {
+        let v = v.unwrap_or_else(|e| panic!("trace line {n}: {e}"));
+        kinds.push(v.get("kind").and_then(|k| k.as_str()).unwrap().to_owned());
+    }
+    let count = |kind: &str| kinds.iter().filter(|k| *k == kind).count() as u64;
+    assert!(
+        count("sweep.batch") > 0,
+        "no batch span in trace: {kinds:?}"
+    );
+    assert!(
+        count("sys.sim") > 0,
+        "no simulation spans in trace: {kinds:?}"
+    );
+    assert_eq!(count("sweep.job"), engine.stats().simulations);
+}
+
 #[test]
 fn blocked_worker_spawns_degrade_gracefully() {
     let jobs: Vec<Job> = [CurveId::P192, CurveId::P256, CurveId::K163, CurveId::K233]

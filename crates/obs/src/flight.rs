@@ -1,15 +1,16 @@
-//! Flight recorder: an always-on bounded ring buffer of the last N
-//! structured events per thread, dumped as validated JSONL when
-//! something goes wrong — a panic (installed hook), a simulation that
-//! hits its cycle budget, or an explicit request.
+//! Flight recorder: a bounded ring of the last N structured events per
+//! thread, dumped as validated JSONL when something goes wrong — a
+//! panic, a simulation that hits its cycle budget, or an explicit
+//! request.
 //!
-//! The recorder is an [`EventSink`], so it plugs into the existing
-//! event layer: installed via [`install`], it receives every
-//! `obs_event!`/span emission at the same (lazy-field, one-branch)
-//! cost as any other sink, keeps only the most recent
-//! [`DEFAULT_CAPACITY`] lines per emitting thread, and optionally
-//! chains to an inner sink (so `--trace <path>` still streams the full
-//! log while the ring holds the post-mortem tail).
+//! The ring is one consumer of a [`Recorder`]
+//! ([`RecorderBuilder::flight`](crate::RecorderBuilder::flight)): it
+//! receives every event of that recorder at the same (lazy-field,
+//! one-branch) cost as its other consumers, keeps only the most recent
+//! lines per emitting thread, and shares each event's serialized line
+//! with the `--trace` writer. [`Recorder::dump`] renders it;
+//! [`note_incident`] and the panic hook write it to the recorder's dump
+//! path, once per recorder.
 //!
 //! A dump is a self-describing JSONL document:
 //!
@@ -27,11 +28,8 @@
 //! the whole document — every consumer (tests, CI self-tests, triage
 //! tooling) goes through it.
 
-use crate::{json, EventSink, Value};
+use crate::{json, Recorder};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Default per-thread ring capacity (events). Sized so a dump covers
 /// the last few batches of a sweep without holding a long run's whole
@@ -47,17 +45,47 @@ struct ThreadRing {
     dropped: u64,
 }
 
-/// Shared recorder state: the per-thread rings (keyed by thread label,
-/// ordered for deterministic dumps) and the global sequence counter.
-#[derive(Default)]
-struct FlightState {
+/// The per-thread rings of one recorder, keyed by thread label and
+/// ordered for deterministic dumps.
+pub(crate) struct Rings {
     threads: BTreeMap<String, ThreadRing>,
-    seq: u64,
     capacity: usize,
 }
 
-impl FlightState {
-    fn dump_into(&self, reason: &str, out: &mut String) {
+impl Rings {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Rings {
+            threads: BTreeMap::new(),
+            capacity,
+        }
+    }
+
+    /// Appends one serialized event line to `thread`'s ring, evicting
+    /// its oldest line when full.
+    pub(crate) fn push(&mut self, thread: String, line: String) {
+        let ring = self.threads.entry(thread).or_default();
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
+            ring.dropped += 1;
+        }
+        ring.events.push_back(line);
+    }
+
+    /// The retained lines (oldest first per thread) whose `kind` field
+    /// equals `kind` — parsed consumers (e.g. the merged trace export)
+    /// filter the ring without re-implementing the dump format.
+    pub(crate) fn lines_of_kind(&self, kind: &str) -> Vec<String> {
+        let needle = format!("\"kind\":{}", json::escape(kind));
+        self.threads
+            .values()
+            .flat_map(|t| t.events.iter())
+            .filter(|l| l.contains(&needle))
+            .cloned()
+            .collect()
+    }
+
+    /// Renders the rings as a dump document.
+    pub(crate) fn dump(&self, reason: &str) -> String {
         let events: u64 = self.threads.values().map(|t| t.events.len() as u64).sum();
         let dropped: u64 = self.threads.values().map(|t| t.dropped).sum();
         let mut b = json::JsonBuf::new();
@@ -70,7 +98,7 @@ impl FlightState {
         b.key("events").value_u64(events);
         b.key("dropped").value_u64(dropped);
         b.end_object();
-        out.push_str(&b.finish());
+        let mut out = b.finish();
         out.push('\n');
         for (name, ring) in &self.threads {
             let mut b = json::JsonBuf::new();
@@ -90,203 +118,15 @@ impl FlightState {
                 out.push('\n');
             }
         }
-    }
-}
-
-/// The flight-recorder [`EventSink`]: bounded per-thread rings plus an
-/// optional chained inner sink that still sees every event.
-pub struct FlightRecorder {
-    state: Arc<Mutex<FlightState>>,
-    epoch: Instant,
-    inner: Option<Box<dyn EventSink>>,
-}
-
-impl FlightRecorder {
-    /// A recorder with the given per-thread capacity, optionally
-    /// wrapping an inner sink (e.g. the `--trace` JSONL file sink).
-    /// Returns the recorder and a [`FlightHandle`] for dumping.
-    pub fn new(capacity: usize, inner: Option<Box<dyn EventSink>>) -> (Self, FlightHandle) {
-        assert!(capacity > 0, "flight-recorder capacity must be positive");
-        let state = Arc::new(Mutex::new(FlightState {
-            capacity,
-            ..Default::default()
-        }));
-        let handle = FlightHandle {
-            state: state.clone(),
-        };
-        (
-            FlightRecorder {
-                state,
-                epoch: Instant::now(),
-                inner,
-            },
-            handle,
-        )
-    }
-}
-
-impl EventSink for FlightRecorder {
-    fn event(&mut self, kind: &str, fields: &[(&str, Value)]) {
-        let thread = crate::current_thread_label();
-        let t_us = self.epoch.elapsed().as_micros() as u64;
-        {
-            let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-            let seq = st.seq;
-            st.seq += 1;
-            let line = crate::event_line(seq, t_us, &thread, kind, fields);
-            let capacity = st.capacity;
-            let ring = st.threads.entry(thread).or_default();
-            if ring.events.len() == capacity {
-                ring.events.pop_front();
-                ring.dropped += 1;
-            }
-            ring.events.push_back(line);
-        }
-        if let Some(inner) = self.inner.as_mut() {
-            inner.event(kind, fields);
-        }
-    }
-
-    fn flush(&mut self) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.flush();
-        }
-    }
-}
-
-/// A cloneable handle onto a recorder's rings, valid independently of
-/// the sink's installation (the global registry holds one; tests can
-/// hold their own).
-#[derive(Clone)]
-pub struct FlightHandle {
-    state: Arc<Mutex<FlightState>>,
-}
-
-impl FlightHandle {
-    /// Renders the current ring contents as a JSONL dump document.
-    pub fn dump(&self, reason: &str) -> String {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let mut out = String::new();
-        st.dump_into(reason, &mut out);
         out
     }
-
-    /// Writes a dump document to `path` (truncating).
-    pub fn dump_to(&self, path: &std::path::Path, reason: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.dump(reason))
-    }
-
-    /// Total events currently retained across all threads.
-    pub fn retained(&self) -> usize {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.threads.values().map(|t| t.events.len()).sum()
-    }
-
-    /// The retained event lines (oldest first per thread) whose `kind`
-    /// field equals `kind` — parsed consumers (e.g. the merged trace
-    /// export) filter the ring without re-implementing the dump format.
-    pub fn lines_of_kind(&self, kind: &str) -> Vec<String> {
-        let needle = format!("\"kind\":{}", json::escape(kind));
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.threads
-            .values()
-            .flat_map(|t| t.events.iter())
-            .filter(|l| l.contains(&needle))
-            .cloned()
-            .collect()
-    }
 }
 
-/// Registry of the installed recorder's handle plus the armed auto-dump
-/// path, reachable from the panic hook and incident sites.
-static REGISTRY: Mutex<Option<(FlightHandle, Option<std::path::PathBuf>)>> = Mutex::new(None);
-
-/// One-shot latch so a panicking process (or a run with repeated cycle
-/// overruns) writes exactly one post-mortem; later incidents keep the
-/// first dump, which holds the events closest to the original fault.
-static DUMPED: AtomicBool = AtomicBool::new(false);
-
-/// Builds a flight recorder (optionally chaining `inner`), installs it
-/// as the process-global event sink, and registers its handle so
-/// [`note_incident`] and the panic hook can reach it.
-pub fn install(capacity: usize, inner: Option<Box<dyn EventSink>>) -> FlightHandle {
-    let (recorder, handle) = FlightRecorder::new(capacity, inner);
-    crate::set_sink(Box::new(recorder));
-    let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    let auto = reg.take().and_then(|(_, p)| p);
-    *reg = Some((handle.clone(), auto));
-    DUMPED.store(false, Ordering::SeqCst);
-    handle
-}
-
-/// The installed recorder's handle, if one is registered.
-pub fn handle() -> Option<FlightHandle> {
-    REGISTRY
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .as_ref()
-        .map(|(h, _)| h.clone())
-}
-
-/// Arms automatic dumping to `path` and installs a chained panic hook
-/// (once per process): on panic, the ring is dumped to the armed path
-/// before the previous hook runs. Also the destination for
-/// [`note_incident`].
-pub fn arm_auto_dump(path: std::path::PathBuf) {
-    {
-        let mut reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        match reg.as_mut() {
-            Some((_, auto)) => *auto = Some(path),
-            None => *reg = Some((FlightHandle::default_detached(), Some(path))),
-        }
-    }
-    static HOOK: OnceLock<()> = OnceLock::new();
-    HOOK.get_or_init(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            dump_armed("panic");
-            prev(info);
-        }));
-    });
-}
-
-impl FlightHandle {
-    /// An empty, unregistered handle — placeholder when arming before
-    /// install (its dump is a valid, empty document).
-    fn default_detached() -> FlightHandle {
-        FlightHandle {
-            state: Arc::new(Mutex::new(FlightState {
-                capacity: DEFAULT_CAPACITY,
-                ..Default::default()
-            })),
-        }
-    }
-}
-
-/// Records an incident (e.g. `"cycle_limit"`): dumps the ring to the
-/// armed auto-dump path, at most once per process. No-op when no
-/// recorder is installed or no path is armed.
+/// Records an incident (e.g. `"cycle_limit"`): writes the calling
+/// thread's current recorder's flight ring to its dump path, at most
+/// once per recorder. No-op without a ring or a dump path.
 pub fn note_incident(reason: &str) {
-    dump_armed(reason);
-}
-
-fn dump_armed(reason: &str) {
-    let target = {
-        let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-        match reg.as_ref() {
-            Some((h, Some(p))) => Some((h.clone(), p.clone())),
-            _ => None,
-        }
-    };
-    if let Some((handle, path)) = target {
-        if DUMPED.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        match handle.dump_to(&path, reason) {
-            Ok(()) => eprintln!("flight recorder: dumped to {} ({reason})", path.display()),
-            Err(e) => eprintln!("flight recorder: dump to {} failed: {e}", path.display()),
-        }
-    }
+    Recorder::current().note_incident(reason);
 }
 
 /// Statistics of a validated dump document.
@@ -393,24 +233,27 @@ pub fn validate_dump(doc: &str) -> Result<DumpStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
-    fn fill(rec: &mut FlightRecorder, n: usize) {
+    fn ring(capacity: usize) -> Recorder {
+        Recorder::builder().flight(capacity, None).build()
+    }
+
+    fn fill(rec: &Recorder, n: usize) {
         for i in 0..n {
-            rec.event("test.tick", &[("i", Value::U64(i as u64))]);
+            rec.emit("test.tick", &[("i", Value::U64(i as u64))]);
         }
     }
 
     #[test]
     fn ring_bounds_and_dump_validates() {
-        let (mut rec, handle) = FlightRecorder::new(8, None);
-        fill(&mut rec, 20);
-        rec.event("test.done", &[("ok", Value::Bool(true))]);
-        assert_eq!(handle.retained(), 8, "ring keeps the last 8");
-
-        let doc = handle.dump("unit_test");
+        let rec = ring(8);
+        fill(&rec, 20);
+        rec.emit("test.done", &[("ok", Value::Bool(true))]);
+        let doc = rec.dump("unit_test").unwrap();
         let stats = validate_dump(&doc).expect("dump validates");
         assert_eq!(stats.threads, 1);
-        assert_eq!(stats.events, 8);
+        assert_eq!(stats.events, 8, "ring keeps the last 8");
         assert_eq!(stats.dropped, 13);
         assert!(stats.wrapped, "eviction must be surfaced");
         // The newest event survived; the oldest did not.
@@ -420,41 +263,68 @@ mod tests {
 
     #[test]
     fn unwrapped_dump_reports_no_drops() {
-        let (mut rec, handle) = FlightRecorder::new(8, None);
-        fill(&mut rec, 3);
-        let stats = validate_dump(&handle.dump("x")).unwrap();
+        let rec = ring(8);
+        fill(&rec, 3);
+        let stats = validate_dump(&rec.dump("x").unwrap()).unwrap();
         assert_eq!((stats.events, stats.dropped), (3, 0));
         assert!(!stats.wrapped);
     }
 
     #[test]
-    fn chained_inner_sink_sees_every_event() {
-        let (inner, events) = crate::VecSink::new();
-        let (mut rec, handle) = FlightRecorder::new(2, Some(Box::new(inner)));
-        fill(&mut rec, 5);
-        assert_eq!(handle.retained(), 2, "ring is bounded");
-        assert_eq!(events.lock().unwrap().len(), 5, "inner sink is not bounded");
+    fn other_consumers_see_every_event() {
+        let (sink, events) = crate::tests::VecSink::new();
+        let rec = Recorder::builder()
+            .flight(2, None)
+            .sink(Box::new(sink))
+            .build();
+        fill(&rec, 5);
+        assert_eq!(validate_dump(&rec.dump("x").unwrap()).unwrap().events, 2);
+        assert_eq!(events.lock().unwrap().len(), 5, "a sink is not bounded");
     }
 
     #[test]
     fn lines_of_kind_filters() {
-        let (mut rec, handle) = FlightRecorder::new(16, None);
-        rec.event("sys.sim", &[("entry", Value::Str("main_sign".into()))]);
-        rec.event("sweep.job", &[]);
-        rec.event("sys.sim", &[("entry", Value::Str("main_verify".into()))]);
-        let sims = handle.lines_of_kind("sys.sim");
+        let rec = ring(16);
+        rec.emit("sys.sim", &[("entry", Value::Str("main_sign".into()))]);
+        rec.emit("sweep.job", &[]);
+        rec.emit("sys.sim", &[("entry", Value::Str("main_verify".into()))]);
+        let sims = rec.lines_of_kind("sys.sim");
         assert_eq!(sims.len(), 2);
         assert!(sims[0].contains("main_sign"));
-        assert!(handle.lines_of_kind("nope").is_empty());
+        assert!(rec.lines_of_kind("nope").is_empty());
+        assert!(Recorder::default().dump("x").is_none(), "no ring, no dump");
+    }
+
+    #[test]
+    fn an_incident_dumps_the_current_recorder_once() {
+        let path = std::env::temp_dir().join(format!(
+            "ule-obs-incident-{}-{:?}.jsonl",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let rec = Recorder::builder().flight(4, Some(path.clone())).build();
+        let _in = rec.enter();
+        crate::obs_event!("test.first");
+        note_incident("cycle_limit");
+        crate::obs_event!("test.second");
+        note_incident("cycle_limit");
+        let doc = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            validate_dump(&doc).unwrap().events,
+            1,
+            "the first dump stays"
+        );
+        assert!(doc.contains("\"reason\":\"cycle_limit\""));
     }
 
     #[test]
     fn validator_rejects_malformed_documents() {
         assert!(validate_dump("").is_err());
         assert!(validate_dump("{\"record\":\"other\"}").is_err());
-        let (mut rec, handle) = FlightRecorder::new(4, None);
-        fill(&mut rec, 2);
-        let good = handle.dump("x");
+        let rec = ring(4);
+        fill(&rec, 2);
+        let good = rec.dump("x").unwrap();
         // Doctor the header's event count.
         let bad = good.replacen("\"events\":2", "\"events\":3", 1);
         assert!(validate_dump(&bad).unwrap_err().contains("claims 3 events"));

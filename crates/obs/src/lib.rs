@@ -4,15 +4,18 @@
 //!
 //! # Design
 //!
-//! - **Null sink by default, one branch on hot paths.** Event emission
-//!   is gated by a process-global [`AtomicBool`]; when no sink is
-//!   installed (the default), [`enabled`] is `false` and the
-//!   [`obs_event!`] macro evaluates none of its field expressions — the
-//!   cost in instrumented loops is a single relaxed atomic load and a
-//!   predictable branch.
-//! - **JSONL sink for `--trace`.** [`JsonlFileSink`] appends one JSON
-//!   object per event with a sequence number, microsecond timestamp
-//!   relative to sink installation, and the OS thread that emitted it.
+//! - **One recorder per run.** A [`Recorder`] owns one campaign's
+//!   consumers: the `--trace` JSONL writer, the [`flight`] ring and its
+//!   dump path, any [`EventSink`]s, and the [`progress`] reporter. A run
+//!   makes it current on its thread with [`Recorder::enter`];
+//!   [`obs_event!`], [`span`], [`warn`] and the progress hooks read the
+//!   calling thread's current recorder, and [`pool::map`] carries it to
+//!   every worker. No sink, reporter or ring is process-global: the
+//!   panic hook (installed once) and the per-call-site
+//!   [`obs_warn_once!`] latches are the only process-wide state.
+//! - **One branch on hot paths without a consumer.** [`enabled`] is one
+//!   thread-local load; without a consumer the [`obs_event!`] macro
+//!   evaluates none of its field expressions and a span reads no clock.
 //! - **Flat, versioned metrics.** [`record::Record`] /
 //!   [`record::MetricsRegistry`] snapshot counter structs into flat
 //!   key/value records carrying [`record::SCHEMA_VERSION`]; the schema
@@ -32,9 +35,11 @@ pub mod json;
 pub mod pool;
 pub mod progress;
 pub mod record;
+mod recorder;
 pub mod trace_events;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub use recorder::{enabled, Entered, Recorder, RecorderBuilder};
+
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -101,87 +106,36 @@ impl From<String> for Value {
     }
 }
 
-/// Receives structured events from the instrumented crates.
+/// An extra consumer of a [`Recorder`]'s events
+/// ([`RecorderBuilder::sink`]).
 pub trait EventSink: Send {
     /// Handles one event. `kind` is a short static tag
     /// (e.g. `"sweep.job"`); `fields` are flat key/value pairs.
     fn event(&mut self, kind: &str, fields: &[(&str, Value)]);
-    /// Flushes any buffered output.
-    fn flush(&mut self) {}
 }
 
-/// Fast-path gate: true iff a sink is installed. Instrumented loops
-/// check this (one relaxed load) before building any event fields.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static SINK: Mutex<Option<Box<dyn EventSink>>> = Mutex::new(None);
-
-/// True iff an event sink is installed. The [`obs_event!`] and
-/// [`obs_span!`] macros check this so the null-sink cost is one branch.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// Locks `m`, recovering the data of a poisoned lock: a panic elsewhere
+/// must not silence observability.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Installs `sink` as the process-global event sink, replacing (and
-/// flushing) any previous one.
-pub fn set_sink(sink: Box<dyn EventSink>) {
-    let mut s = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(old) = s.replace(sink) {
-        drop_flushed(old);
-    }
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Removes the installed sink (flushing it) and restores the free null
-/// sink.
-pub fn clear_sink() {
-    let mut s = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = s.take() {
-        drop_flushed(old);
-    }
-}
-
-fn drop_flushed(mut sink: Box<dyn EventSink>) {
-    sink.flush();
-}
-
-/// Delivers one event to the installed sink, if any. Prefer the
-/// [`obs_event!`] macro, which skips field construction when disabled.
-pub fn emit(kind: &str, fields: &[(&str, Value)]) {
-    if !enabled() {
-        return;
-    }
-    let mut s = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(sink) = s.as_mut() {
-        sink.event(kind, fields);
-    }
-}
-
-/// Flushes the installed sink, if any.
-pub fn flush() {
-    let mut s = SINK.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(sink) = s.as_mut() {
-        sink.flush();
-    }
-}
-
-/// Emits a `warn` event and mirrors it on stderr (so warnings surface
-/// even under the null sink). Prefer [`obs_warn_once!`] at call sites
-/// that can fire per-job.
+/// Emits a `warn` event to the current recorder and mirrors it on
+/// stderr (so warnings surface without a consumer). Prefer
+/// [`obs_warn_once!`] at call sites that can fire per-job.
 pub fn warn(msg: &str, fields: &[(&str, Value)]) {
     eprintln!("warning: {msg}");
     if enabled() {
         let mut all = Vec::with_capacity(fields.len() + 1);
         all.push(("message", Value::Str(msg.to_owned())));
         all.extend_from_slice(fields);
-        emit("warn", &all);
+        Recorder::emit_current("warn", &all);
     }
 }
 
-/// Emits a structured event iff a sink is installed. Field expressions
-/// are not evaluated under the null sink.
+/// Emits a structured event to the calling thread's current recorder
+/// iff it has a consumer. Field expressions are not evaluated without
+/// one.
 ///
 /// ```
 /// ule_obs::obs_event!("sweep.job", id = 3u64, memo_hit = false);
@@ -190,7 +144,7 @@ pub fn warn(msg: &str, fields: &[(&str, Value)]) {
 macro_rules! obs_event {
     ($kind:expr $(, $key:ident = $val:expr)* $(,)?) => {
         if $crate::enabled() {
-            $crate::emit($kind, &[
+            $crate::Recorder::emit_current($kind, &[
                 $((stringify!($key), $crate::Value::from($val)),)*
             ]);
         }
@@ -211,16 +165,13 @@ macro_rules! obs_warn_once {
     }};
 }
 
-/// Starts a [`Span`] guard that emits `<kind>` with a `dur_us` field
-/// when dropped. Returns a no-op guard under the null sink.
+/// Starts a [`Span`] guard that emits `<kind>` with a `dur_us` field to
+/// the current recorder when dropped. Returns a no-op guard without a
+/// consumer.
 pub fn span(kind: &'static str) -> Span {
     Span {
         kind,
-        start: if enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        },
+        start: enabled().then(Instant::now),
         fields: Vec::new(),
     }
 }
@@ -235,8 +186,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// Attaches a field to the eventual span event. No-op under the
-    /// null sink.
+    /// Attaches a field to the eventual span event. No-op without a
+    /// consumer.
     pub fn field(&mut self, key: &'static str, value: impl Into<Value>) -> &mut Self {
         if self.start.is_some() {
             self.fields.push((key, value.into()));
@@ -251,42 +202,8 @@ impl Drop for Span {
             let dur_us = start.elapsed().as_micros() as u64;
             let mut fields = std::mem::take(&mut self.fields);
             fields.push(("dur_us", Value::U64(dur_us)));
-            emit(self.kind, &fields);
+            Recorder::emit_current(self.kind, &fields);
         }
-    }
-}
-
-/// A sink that appends one JSON object per event to a writer (the
-/// `--trace <path>` backend). Each line carries `seq` (per-sink event
-/// number), `t_us` (microseconds since sink construction), `thread`
-/// (OS thread name-or-id), `kind`, and the event's own fields.
-pub struct JsonlFileSink<W: std::io::Write + Send> {
-    out: W,
-    epoch: Instant,
-    seq: AtomicU64,
-}
-
-impl JsonlFileSink<std::io::BufWriter<std::fs::File>> {
-    /// Creates (truncating) `path` and returns a buffered sink over it.
-    pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
-        let f = std::fs::File::create(path)?;
-        Ok(JsonlFileSink::new(std::io::BufWriter::new(f)))
-    }
-}
-
-impl<W: std::io::Write + Send> JsonlFileSink<W> {
-    /// Wraps an arbitrary writer.
-    pub fn new(out: W) -> Self {
-        JsonlFileSink {
-            out,
-            epoch: Instant::now(),
-            seq: AtomicU64::new(0),
-        }
-    }
-
-    /// Consumes the sink, returning the writer.
-    pub fn into_inner(self) -> W {
-        self.out
     }
 }
 
@@ -300,7 +217,7 @@ pub(crate) fn current_thread_label() -> String {
 }
 
 /// Serializes one event into the canonical JSONL line shape shared by
-/// [`JsonlFileSink`] and the flight recorder: `seq`, `t_us`, `thread`,
+/// the trace writer and the flight ring: `seq`, `t_us`, `thread`,
 /// `kind`, then the event's own fields.
 pub(crate) fn event_line(
     seq: u64,
@@ -330,64 +247,50 @@ pub(crate) fn event_line(
     b.finish()
 }
 
-impl<W: std::io::Write + Send> EventSink for JsonlFileSink<W> {
-    fn event(&mut self, kind: &str, fields: &[(&str, Value)]) {
-        let line = event_line(
-            self.seq.fetch_add(1, Ordering::Relaxed),
-            self.epoch.elapsed().as_micros() as u64,
-            &current_thread_label(),
-            kind,
-            fields,
-        );
-        let _ = writeln!(self.out, "{line}");
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-/// One event collected by a [`VecSink`]: `(kind, fields)`.
-pub type CollectedEvent = (String, Vec<(String, Value)>);
-
-/// A sink that collects events in memory — test support.
-#[derive(Default)]
-pub struct VecSink {
-    shared: std::sync::Arc<Mutex<Vec<CollectedEvent>>>,
-}
-
-impl VecSink {
-    /// A fresh sink plus a shared handle to the events it will collect.
-    pub fn new() -> (Self, std::sync::Arc<Mutex<Vec<CollectedEvent>>>) {
-        let sink = VecSink::default();
-        let handle = sink.shared.clone();
-        (sink, handle)
-    }
-}
-
-impl EventSink for VecSink {
-    fn event(&mut self, kind: &str, fields: &[(&str, Value)]) {
-        let fields = fields
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
-            .collect();
-        self.shared
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((kind.to_owned(), fields));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    // The sink is process-global, so everything that installs one runs
-    // in this single test (Rust runs tests in parallel threads).
+    /// One event collected by a [`VecSink`]: `(kind, fields)`.
+    pub(crate) type CollectedEvent = (String, Vec<(String, Value)>);
+
+    /// A sink that collects events in memory.
+    #[derive(Default)]
+    pub(crate) struct VecSink {
+        shared: std::sync::Arc<Mutex<Vec<CollectedEvent>>>,
+    }
+
+    impl VecSink {
+        /// A fresh sink plus a shared handle to the events it will collect.
+        pub(crate) fn new() -> (Self, std::sync::Arc<Mutex<Vec<CollectedEvent>>>) {
+            let sink = VecSink::default();
+            let handle = sink.shared.clone();
+            (sink, handle)
+        }
+    }
+
+    impl EventSink for VecSink {
+        fn event(&mut self, kind: &str, fields: &[(&str, Value)]) {
+            let fields = fields
+                .iter()
+                .map(|(k, v)| ((*k).to_owned(), v.clone()))
+                .collect();
+            lock(&self.shared).push((kind.to_owned(), fields));
+        }
+    }
+
+    fn collecting() -> (Recorder, Arc<Mutex<Vec<CollectedEvent>>>) {
+        let (sink, events) = VecSink::new();
+        (Recorder::builder().sink(Box::new(sink)).build(), events)
+    }
+
     #[test]
-    fn sink_lifecycle_events_spans_and_jsonl() {
+    fn without_a_consumer_fields_are_not_evaluated() {
         assert!(!enabled());
-        // Null sink: macro must not evaluate its fields.
+        let _in = Recorder::default().enter();
+        assert!(!enabled(), "the default recorder has no consumer");
         let mut evaluated = false;
         obs_event!(
             "x",
@@ -397,19 +300,23 @@ mod tests {
             }
         );
         assert!(!evaluated);
+        let mut sp = span("phase");
+        sp.field("tag", 1u64);
+        assert!(sp.start.is_none(), "no clock read without a consumer");
+    }
 
-        let (sink, events) = VecSink::new();
-        set_sink(Box::new(sink));
-        assert!(enabled());
-        obs_event!("k", a = 7u64, b = "s");
+    #[test]
+    fn events_and_spans_reach_the_entered_recorder_only_while_entered() {
+        let (rec, events) = collecting();
         {
+            let _in = rec.enter();
+            assert!(enabled());
+            obs_event!("k", a = 7u64, b = "s");
             let mut sp = span("phase");
             sp.field("tag", 1u64);
         }
-        clear_sink();
-        assert!(!enabled());
+        assert!(!enabled(), "leaving restores the previous recorder");
         obs_event!("dropped");
-
         let events = events.lock().unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].0, "k");
@@ -423,13 +330,48 @@ mod tests {
         assert_eq!(events[1].0, "phase");
         assert_eq!(events[1].1[0], ("tag".to_owned(), Value::U64(1)));
         assert_eq!(events[1].1[1].0, "dur_us");
+    }
 
-        // JSONL sink writes one valid object per event.
-        let mut jsink = JsonlFileSink::new(Vec::new());
-        jsink.event("k", &[("n", Value::U64(1)), ("s", Value::Str("x".into()))]);
-        jsink.event("k2", &[]);
-        let out = String::from_utf8(jsink.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
+    #[test]
+    fn entering_nests() {
+        let (outer, outer_events) = collecting();
+        let (inner, inner_events) = collecting();
+        let _o = outer.enter();
+        {
+            let _i = inner.enter();
+            obs_event!("inner");
+        }
+        obs_event!("outer");
+        assert_eq!(inner_events.lock().unwrap().len(), 1);
+        let outer_events = outer_events.lock().unwrap();
+        assert_eq!(outer_events.len(), 1);
+        assert_eq!(outer_events[0].0, "outer");
+    }
+
+    /// A `Vec<u8>` writer the test can read back after the recorder
+    /// has taken it.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn trace_writes_one_numbered_object_per_event() {
+        let out = Shared::default();
+        let rec = Recorder::builder().trace(out.clone()).build();
+        rec.emit("k", &[("n", Value::U64(1)), ("s", Value::Str("x".into()))]);
+        rec.emit("k2", &[]);
+        rec.finish().unwrap();
+        let text = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         for l in &lines {
             assert!(json::is_valid(l), "{l}");
@@ -437,6 +379,29 @@ mod tests {
         assert!(lines[0].contains(r#""kind":"k""#));
         assert!(lines[0].contains(r#""seq":0"#));
         assert!(lines[1].contains(r#""seq":1"#));
+    }
+
+    #[test]
+    fn two_recorders_on_two_threads_see_only_their_own_events() {
+        let runs: Vec<_> = (0..2).map(|_| collecting()).collect();
+        let both_entered = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (i, (rec, _)) in runs.iter().enumerate() {
+                let both_entered = &both_entered;
+                s.spawn(move || {
+                    let _in = rec.enter();
+                    both_entered.wait();
+                    for _ in 0..500 {
+                        obs_event!("run", id = i);
+                    }
+                });
+            }
+        });
+        for (i, (_, events)) in runs.iter().enumerate() {
+            let events = events.lock().unwrap();
+            assert_eq!(events.len(), 500);
+            assert!(events.iter().all(|(_, f)| f[0].1 == Value::U64(i as u64)));
+        }
     }
 
     #[test]

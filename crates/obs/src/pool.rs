@@ -7,8 +7,10 @@
 //! exhaustion, or [`ule_testkit::threads`]'s test shim) shrinks the pool
 //! instead of panicking: the workers already spawned, or with none the
 //! caller thread itself, drain the same queue, so every item still runs
-//! exactly once.
+//! exactly once. Every worker enters the caller's current [`Recorder`],
+//! so its events, progress and panic dump reach the caller's run.
 
+use crate::Recorder;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -31,7 +33,9 @@ where
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let rec = Recorder::current();
     let worker = |worker: usize| {
+        let _rec = rec.enter();
         let spawned = Instant::now();
         let mut busy = Duration::ZERO;
         let mut done = Vec::new();
@@ -95,6 +99,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::map;
+    use crate::{flight, Recorder};
 
     #[test]
     fn a_panic_reaches_the_caller_with_its_payload() {
@@ -110,5 +115,46 @@ mod tests {
         };
         let err = std::panic::catch_unwind(run).unwrap_err();
         assert_eq!(err.downcast_ref::<&str>(), Some(&"item two"));
+    }
+
+    #[test]
+    fn worker_events_reach_the_callers_recorder() {
+        let rec = Recorder::builder().flight(64, None).build();
+        let _in = rec.enter();
+        let items: Vec<u64> = (0..8).collect();
+        map(&items, 4, "test", |&i| {
+            crate::obs_event!("test.item", i = i)
+        });
+        assert_eq!(rec.lines_of_kind("test.item").len(), 8);
+        let workers = rec.lines_of_kind("test.worker");
+        assert!(!workers.is_empty());
+        assert!(workers.iter().all(|l| l.contains("\"thread\":\"test-")));
+    }
+
+    #[test]
+    fn a_worker_panic_writes_the_callers_flight_dump() {
+        let path =
+            std::env::temp_dir().join(format!("ule-obs-pool-panic-{}.jsonl", std::process::id()));
+        let rec = Recorder::builder().flight(64, Some(path.clone())).build();
+        let _in = rec.enter();
+        let items = [1, 2, 3];
+        let run = || {
+            map(&items, 3, "boom", |&i| {
+                crate::obs_event!("test.before", i = i);
+                if i == 2 {
+                    panic!("item two")
+                }
+            })
+        };
+        assert!(std::panic::catch_unwind(run).is_err());
+        let doc = std::fs::read_to_string(&path).expect("the panic wrote a dump");
+        std::fs::remove_file(&path).unwrap();
+        let stats = flight::validate_dump(&doc).expect("the dump validates");
+        assert!(stats.events >= 1);
+        assert!(doc.contains("\"reason\":\"panic\""));
+        assert!(
+            doc.contains("\"i\":2"),
+            "the panicking item's event is kept"
+        );
     }
 }

@@ -1,57 +1,50 @@
-//! Live harness telemetry: a process-global progress reporter that
-//! prints periodic heartbeat lines to stderr while a long campaign
-//! (sweep batch, exploration, verification) runs.
+//! Live harness telemetry: a recorder's progress reporter prints
+//! periodic heartbeat lines to stderr while a long campaign (sweep
+//! batch, exploration, verification) runs.
 //!
-//! Instrumented engines call the cheap hooks ([`job_started`],
-//! [`job_done`], [`memo_hit`], [`add_total`]); a background heartbeat
-//! thread renders one line every ~2 s:
+//! Instrumented engines call the cheap hooks ([`add_total`], [`job`],
+//! [`memo_hit`]), which reach the calling thread's current
+//! [`Recorder`]; a background heartbeat thread renders one line every
+//! ~2 s:
 //!
 //! ```text
 //! repro all: 12/48 jobs, 3 memo hits | slowest in-flight P-521/baseline/sign_verify 14.2s | ETA 3m10s
 //! ```
 //!
-//! The reporter is opt-in ([`start`] is called by the CLI behind
-//! `--progress` or a TTY check) and all hooks are no-ops when inactive,
-//! so library code can call them unconditionally. ETA comes from the
-//! completed-job wall-clock history: observed throughput extrapolated
-//! over the remaining job count.
+//! The reporter is opt-in ([`RecorderBuilder::progress`], which the CLI
+//! sets behind `--progress` or a TTY check) and every hook is a no-op
+//! without one, so library code calls them unconditionally; a job's
+//! label is built only when a reporter runs. [`Recorder::finish`] stops
+//! the heartbeat and prints the final line. ETA extrapolates the
+//! observed completion rate over the remaining job count.
+//!
+//! [`RecorderBuilder::progress`]: crate::RecorderBuilder::progress
 
+use crate::{lock, Recorder, Value};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Heartbeat cadence.
 const TICK: Duration = Duration::from_millis(2000);
 
-struct State {
+/// One recorder's progress state, shared with its heartbeat thread.
+pub(crate) struct Progress {
     label: String,
     started: Instant,
     /// Known job count (grows via [`add_total`]); 0 until first add.
     total: AtomicU64,
     done: AtomicU64,
     memo_hits: AtomicU64,
-    /// Completed-job wall times, µs (the ETA history).
-    walls: Mutex<Vec<u64>>,
-    /// In-flight jobs: token -> (key, start).
+    /// In-flight jobs: token -> (label, start).
     inflight: Mutex<BTreeMap<u64, (String, Instant)>>,
     next_token: AtomicU64,
-    /// Heartbeat shutdown: flag + wakeup.
+    /// Heartbeat shutdown: flag + wakeup, and the thread to join.
     stop: Mutex<bool>,
     cv: Condvar,
-}
-
-/// The installed reporter, if any. A `Mutex<Option<Arc>>` rather than a
-/// `OnceLock` so a process can run several campaigns in sequence.
-static ACTIVE: Mutex<Option<Arc<State>>> = Mutex::new(None);
-
-fn active() -> Option<Arc<State>> {
-    ACTIVE.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// True iff a reporter is running (hooks will record).
-pub fn is_active() -> bool {
-    active().is_some()
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 /// Whether stderr is a terminal — the CLI's autodetect default for
@@ -61,137 +54,130 @@ pub fn stderr_is_tty() -> bool {
     std::io::stderr().is_terminal()
 }
 
-/// Starts the reporter (replacing any previous one) and spawns the
-/// heartbeat thread. `label` prefixes every line (e.g. `"repro all"`).
-///
-/// Progress is telemetry, never correctness: if the heartbeat thread
-/// cannot be spawned (thread limit, resource exhaustion), the reporter
-/// is rolled back and the campaign runs without progress lines instead
-/// of panicking.
-pub fn start(label: &str) {
-    let state = Arc::new(State {
-        label: label.to_owned(),
-        started: Instant::now(),
-        total: AtomicU64::new(0),
-        done: AtomicU64::new(0),
-        memo_hits: AtomicU64::new(0),
-        walls: Mutex::new(Vec::new()),
-        inflight: Mutex::new(BTreeMap::new()),
-        next_token: AtomicU64::new(1),
-        stop: Mutex::new(false),
-        cv: Condvar::new(),
-    });
-    {
-        let mut a = ACTIVE.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(old) = a.replace(state.clone()) {
-            stop_state(&old);
+impl Progress {
+    /// Starts a reporter and its heartbeat thread, which hands the
+    /// fields of each `progress.heartbeat` event to `emit`.
+    ///
+    /// Progress is telemetry, never correctness: if the heartbeat thread
+    /// cannot be spawned (thread limit, resource exhaustion), there is no
+    /// reporter and the campaign runs without progress lines instead of
+    /// panicking.
+    pub(crate) fn start(
+        label: String,
+        emit: impl Fn(&[(&str, Value)]) + Send + 'static,
+    ) -> Option<Arc<Progress>> {
+        let state = Arc::new(Progress {
+            label,
+            started: Instant::now(),
+            total: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            memo_hits: AtomicU64::new(0),
+            inflight: Mutex::new(BTreeMap::new()),
+            next_token: AtomicU64::new(1),
+            stop: Mutex::new(false),
+            cv: Condvar::new(),
+            thread: Mutex::new(None),
+        });
+        let hb = state.clone();
+        let spawned = if ule_testkit::threads::spawn_blocked() {
+            Err(std::io::Error::other("spawn blocked by test shim"))
+        } else {
+            std::thread::Builder::new()
+                .name("progress-heartbeat".into())
+                .spawn(move || heartbeat(&hb, emit))
+        };
+        match spawned {
+            Ok(thread) => {
+                *lock(&state.thread) = Some(thread);
+                Some(state)
+            }
+            Err(err) => {
+                crate::obs_warn_once!(
+                    "progress heartbeat thread could not be spawned; progress reporting disabled",
+                    error = err.to_string(),
+                );
+                None
+            }
         }
     }
-    let hb = state.clone();
-    let spawned = if ule_testkit::threads::spawn_blocked() {
-        Err(std::io::Error::other("spawn blocked by test shim"))
-    } else {
-        std::thread::Builder::new()
-            .name("progress-heartbeat".into())
-            .spawn(move || heartbeat(hb))
-    };
-    if let Err(err) = spawned {
-        crate::obs_warn_once!(
-            "progress heartbeat thread could not be spawned; progress reporting disabled",
-            error = err.to_string(),
-        );
-        // Uninstall the reporter we just published: without a heartbeat
-        // nothing would ever render it, and hooks would record into a
-        // state that never stops.
-        let mut a = ACTIVE.lock().unwrap_or_else(|p| p.into_inner());
-        if a.as_ref().is_some_and(|s| Arc::ptr_eq(s, &state)) {
-            *a = None;
+
+    /// Stops the heartbeat; true iff it was still running.
+    pub(crate) fn stop(&self) -> bool {
+        let was_running = !std::mem::replace(&mut *lock(&self.stop), true);
+        self.cv.notify_all();
+        was_running
+    }
+
+    /// Stops and joins the heartbeat, and prints the final summary
+    /// line, once.
+    pub(crate) fn finish(&self) {
+        if self.stop() {
+            if let Some(thread) = lock(&self.thread).take() {
+                let _ = thread.join();
+            }
+            eprintln!("{}", render(self, true));
         }
     }
 }
 
-/// Stops the reporter (if running) and prints a final summary line.
-pub fn finish() {
-    let state = ACTIVE.lock().unwrap_or_else(|p| p.into_inner()).take();
-    if let Some(state) = state {
-        stop_state(&state);
-        eprintln!("{}", render(&state, true));
-    }
-}
-
-fn stop_state(state: &State) {
-    *state.stop.lock().unwrap_or_else(|p| p.into_inner()) = true;
-    state.cv.notify_all();
+/// The current recorder's reporter, if it runs one.
+fn current() -> Option<Arc<Progress>> {
+    Recorder::current().progress().cloned()
 }
 
 /// Adds `n` jobs to the known total (batches announce their size).
 pub fn add_total(n: u64) {
-    if let Some(s) = active() {
+    if let Some(s) = current() {
         s.total.fetch_add(n, Ordering::Relaxed);
     }
 }
 
 /// Records a memo hit (a job answered from cache).
 pub fn memo_hit() {
-    if let Some(s) = active() {
+    if let Some(s) = current() {
         s.memo_hits.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Marks a job as in flight; pass the returned token to [`job_done`].
-/// Token 0 means "no reporter" and is accepted by `job_done` as a
-/// no-op, so callers need no conditional.
-pub fn job_started(key: &str) -> u64 {
-    match active() {
-        Some(s) => {
-            let token = s.next_token.fetch_add(1, Ordering::Relaxed);
-            s.inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .insert(token, (key.to_owned(), Instant::now()));
-            token
-        }
-        None => 0,
-    }
+/// Marks a job as in flight until the returned guard drops, which counts
+/// it done. `label` runs only when a reporter is running.
+pub fn job(label: impl FnOnce() -> String) -> Job {
+    Job(current().map(|s| {
+        let token = s.next_token.fetch_add(1, Ordering::Relaxed);
+        lock(&s.inflight).insert(token, (label(), Instant::now()));
+        (s, token)
+    }))
 }
 
-/// Completes an in-flight job, feeding its wall time into the ETA
-/// history.
-pub fn job_done(token: u64) {
-    if token == 0 {
-        return;
-    }
-    if let Some(s) = active() {
-        let entry = s
-            .inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&token);
-        if let Some((_, started)) = entry {
-            s.walls
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(started.elapsed().as_micros() as u64);
-        }
+/// An in-flight job of the current reporter; see [`job`].
+#[must_use = "the job completes when the guard drops"]
+pub struct Job(Option<(Arc<Progress>, u64)>);
+
+impl Drop for Job {
+    fn drop(&mut self) {
+        let Some((s, token)) = self.0.take() else {
+            return;
+        };
+        lock(&s.inflight).remove(&token);
         s.done.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-fn heartbeat(state: Arc<State>) {
+fn heartbeat(state: &Progress, emit: impl Fn(&[(&str, Value)])) {
     loop {
         let stopped = {
-            let guard = state.stop.lock().unwrap_or_else(|p| p.into_inner());
+            let guard = lock(&state.stop);
             let (guard, _) = state
                 .cv
-                .wait_timeout(guard, TICK)
+                .wait_timeout_while(guard, TICK, |stop| !*stop)
                 .unwrap_or_else(|p| p.into_inner());
             *guard
         };
         if stopped {
             return;
         }
-        eprintln!("{}", render(&state, false));
-        emit_heartbeat(&state);
+        eprintln!("{}", render(state, false));
+        emit(&heartbeat_fields(state));
     }
 }
 
@@ -205,7 +191,7 @@ fn fmt_duration(secs: u64) -> String {
     }
 }
 
-fn render(state: &State, final_line: bool) -> String {
+fn render(state: &Progress, final_line: bool) -> String {
     let done = state.done.load(Ordering::Relaxed);
     let total = state.total.load(Ordering::Relaxed);
     let memo = state.memo_hits.load(Ordering::Relaxed);
@@ -228,7 +214,7 @@ fn render(state: &State, final_line: bool) -> String {
     // to a moment after the max was chosen (and the formatting below
     // stays outside the mutex).
     let slowest = {
-        let inflight = state.inflight.lock().unwrap_or_else(|p| p.into_inner());
+        let inflight = lock(&state.inflight);
         inflight
             .values()
             .map(|(key, started)| (started.elapsed(), key.clone()))
@@ -265,65 +251,51 @@ fn eta_seconds(total: u64, done: u64, memo_hits: u64, elapsed: Duration) -> Opti
     Some((per_job * (total - done) as f64) as u64)
 }
 
-/// Emits one `progress.heartbeat` telemetry event mirroring the stderr
-/// line; `eta_seconds` is JSON `null` while no estimate exists.
-fn emit_heartbeat(state: &State) {
-    if !crate::enabled() {
-        return;
-    }
+/// The fields of one `progress.heartbeat` telemetry event, mirroring
+/// the stderr line; `eta_seconds` is JSON `null` while no estimate
+/// exists.
+fn heartbeat_fields(state: &Progress) -> [(&'static str, Value); 5] {
     let done = state.done.load(Ordering::Relaxed);
     let total = state.total.load(Ordering::Relaxed);
     let memo = state.memo_hits.load(Ordering::Relaxed);
     let eta = match eta_seconds(total, done, memo, state.started.elapsed()) {
-        Some(secs) => crate::Value::U64(secs),
-        None => crate::Value::Raw("null".into()),
+        Some(secs) => Value::U64(secs),
+        None => Value::Raw("null".into()),
     };
-    crate::emit(
-        "progress.heartbeat",
-        &[
-            ("label", crate::Value::Str(state.label.clone())),
-            ("jobs_done", crate::Value::U64(done)),
-            ("jobs_total", crate::Value::U64(total)),
-            ("memo_hits", crate::Value::U64(memo)),
-            ("eta_seconds", eta),
-        ],
-    );
-}
-
-/// Returns the heartbeat line the reporter would print right now —
-/// test and debugging support (`None` when inactive).
-pub fn snapshot() -> Option<String> {
-    active().map(|s| render(&s, false))
-}
-
-/// Process-wide guard used by tests to serialize progress sessions.
-pub fn test_mutex() -> &'static Mutex<()> {
-    static M: OnceLock<Mutex<()>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(()))
+    [
+        ("label", Value::Str(state.label.clone())),
+        ("jobs_done", Value::U64(done)),
+        ("jobs_total", Value::U64(total)),
+        ("memo_hits", Value::U64(memo)),
+        ("eta_seconds", eta),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The line the recorder's reporter would print right now.
+    fn snapshot(rec: &Recorder) -> String {
+        render(rec.progress().expect("a reporter runs"), false)
+    }
+
     #[test]
     fn lifecycle_counts_and_renders() {
-        let _g = test_mutex().lock().unwrap_or_else(|p| p.into_inner());
-        assert!(!is_active());
-        assert_eq!(job_started("x"), 0, "inactive hooks are no-ops");
-        job_done(0);
-
-        start("unit");
-        assert!(is_active());
+        let rec = Recorder::builder().progress("unit").build();
+        {
+            let _in = Recorder::default().enter();
+            let _ = job(|| unreachable!("no reporter, no label"));
+        }
+        let _in = rec.enter();
         add_total(4);
         memo_hit();
-        let t1 = job_started("P-192/baseline/sign");
-        let t2 = job_started("P-521/baseline/sign");
-        assert_ne!(t1, 0);
-        job_done(t1);
+        let t1 = job(|| "P-192/baseline/sign".into());
+        let t2 = job(|| "P-521/baseline/sign".into());
+        drop(t1);
         // One completion, and it was the memo hit: no rate signal yet,
         // so the line must not hallucinate an ETA.
-        let line = snapshot().unwrap();
+        let line = snapshot(&rec);
         assert!(line.starts_with("unit: 1/4 jobs"), "{line}");
         assert!(line.contains("1 memo hits"), "{line}");
         assert!(
@@ -332,14 +304,15 @@ mod tests {
         );
         assert!(!line.contains("ETA"), "{line}");
         // A second, genuinely timed completion unlocks the estimate.
-        let t3 = job_started("P-256/baseline/sign");
-        job_done(t3);
-        let line = snapshot().unwrap();
+        drop(job(|| "P-256/baseline/sign".into()));
+        let line = snapshot(&rec);
         assert!(line.starts_with("unit: 2/4 jobs"), "{line}");
         assert!(line.contains("ETA"), "{line}");
-        job_done(t2);
-        finish();
-        assert!(!is_active());
+        drop(t2);
+        let p = rec.progress().unwrap().clone();
+        rec.finish().unwrap();
+        assert!(!p.stop(), "finish stopped the heartbeat");
+        assert!(lock(&p.thread).is_none(), "finish joined the heartbeat");
     }
 
     /// The ETA guard: no estimate without a total, without completions,
@@ -357,26 +330,27 @@ mod tests {
         assert_eq!(eta_seconds(8, 4, 2, minute), Some(120));
     }
 
-    /// A failed heartbeat spawn must disable progress (hooks become
-    /// no-ops) instead of panicking, and a later `start` must recover.
+    /// A failed heartbeat spawn must leave the recorder without a
+    /// reporter (hooks become no-ops) instead of panicking, and a later
+    /// recorder must get one.
     #[test]
     fn blocked_heartbeat_spawn_disables_progress() {
-        let _g = test_mutex().lock().unwrap_or_else(|p| p.into_inner());
-        assert!(!is_active());
-        {
+        let blocked = {
             let _shim = ule_testkit::threads::fail_next_spawns(1);
-            start("blocked");
-        }
-        assert!(!is_active(), "reporter must be rolled back");
-        assert_eq!(job_started("x"), 0, "hooks are no-ops after rollback");
-        assert!(snapshot().is_none());
-        finish(); // must be a no-op, not a panic
+            Recorder::builder().progress("blocked").build()
+        };
+        assert!(
+            blocked.progress().is_none(),
+            "no reporter without a heartbeat"
+        );
+        let _in = blocked.enter();
+        let _ = job(|| unreachable!("hooks are no-ops"));
+        blocked.finish().unwrap(); // must be a no-op, not a panic
 
-        // The shim budget is spent; progress recovers on the next start.
-        start("recovered");
-        assert!(is_active());
-        finish();
-        assert!(!is_active());
+        // The shim budget is spent; the next recorder reports.
+        let recovered = Recorder::builder().progress("recovered").build();
+        assert!(recovered.progress().is_some());
+        recovered.finish().unwrap();
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! floats, control-character escaping, nesting depth, and validator
 //! round-trips over real flight-recorder dumps.
 
-use ule_obs::flight::{validate_dump, FlightRecorder};
+use ule_obs::flight::validate_dump;
 use ule_obs::json::{self, Json, JsonBuf};
-use ule_obs::{EventSink, Value};
+use ule_obs::{Recorder, Value};
 
 #[test]
 fn non_finite_floats_serialize_as_null_and_round_trip() {
@@ -58,11 +58,11 @@ fn every_control_character_is_escaped_and_recovered() {
         Json::Str(back) => assert_eq!(back, s),
         other => panic!("expected string, got {other:?}"),
     }
-    // And embedded in an event line via the sink path.
+    // And embedded in an event line via the recorder path.
     let line = {
-        let (mut rec, handle) = FlightRecorder::new(4, None);
-        rec.event("edge", &[("payload", Value::Str(s.clone()))]);
-        handle.dump("test")
+        let rec = Recorder::builder().flight(4, None).build();
+        rec.emit("edge", &[("payload", Value::Str(s.clone()))]);
+        rec.dump("test").unwrap()
     };
     for l in line.lines() {
         assert!(json::is_valid(l), "{l:?}");
@@ -104,14 +104,14 @@ fn nesting_up_to_the_cap_parses_and_beyond_is_rejected() {
 
 #[test]
 fn flight_dump_round_trips_through_parse_and_validate() {
-    let (mut rec, handle) = FlightRecorder::new(3, None);
+    let rec = Recorder::builder().flight(3, None).build();
     // Filler first so the ring wraps, then the awkward events (quotes,
     // newlines, non-finite floats, negative numbers, raw fragments)
     // land in the retained tail.
     for i in 0..5u64 {
-        rec.event("edge.fill", &[("i", Value::U64(i))]);
+        rec.emit("edge.fill", &[("i", Value::U64(i))]);
     }
-    rec.event(
+    rec.emit(
         "edge.one",
         &[
             ("msg", Value::Str("say \"hi\"\nplease".into())),
@@ -119,8 +119,8 @@ fn flight_dump_round_trips_through_parse_and_validate() {
             ("neg", Value::I64(-42)),
         ],
     );
-    rec.event("edge.two", &[("frag", Value::Raw("[1,2,3]".into()))]);
-    let doc = handle.dump("round_trip");
+    rec.emit("edge.two", &[("frag", Value::Raw("[1,2,3]".into()))]);
+    let doc = rec.dump("round_trip").unwrap();
     let stats = validate_dump(&doc).expect("dump validates");
     assert_eq!(stats.events, 3, "capacity 3 keeps the last 3");
     assert_eq!(stats.dropped, 4);

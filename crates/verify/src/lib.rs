@@ -238,11 +238,10 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
             ule_obs::progress::add_total(cases.len() as u64);
             for (case_index, case) in cases.iter().enumerate() {
                 let tier = campaign.tier.for_case(case_index);
-                let progress =
-                    ule_obs::progress::job_started(&format!("{}/case{case_index}", id.name()));
+                let progress = ule_obs::progress::job(|| format!("{}/case{case_index}", id.name()));
                 let outcome =
                     ladder::run_ladder_case(&rig, case, &configs, tier, &mut fault_pending);
-                ule_obs::progress::job_done(progress);
+                drop(progress);
                 record(outcome, &mut tally, &mut report, &mut raw);
             }
         } else {
@@ -257,10 +256,9 @@ pub fn run_campaign(campaign: &Campaign) -> Report {
             ule_obs::progress::add_total(cases.len() as u64);
             for (case_index, case) in cases.iter().enumerate() {
                 let tier = campaign.tier.for_case(case_index);
-                let progress =
-                    ule_obs::progress::job_started(&format!("{}/case{case_index}", id.name()));
+                let progress = ule_obs::progress::job(|| format!("{}/case{case_index}", id.name()));
                 let outcome = exec::run_case(&rig, case, &configs, tier, &mut fault_pending);
-                ule_obs::progress::job_done(progress);
+                drop(progress);
                 record(outcome, &mut tally, &mut report, &mut raw);
             }
             // Engine-tier A/B spot check on the cheap curves: one case
