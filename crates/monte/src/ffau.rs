@@ -58,6 +58,9 @@ pub struct Ffau {
     n: Vec<u64>,
     /// Result buffer.
     result: Vec<u64>,
+    /// Host scratch for [`Ffau::montmul`]: the operands packed into
+    /// 64-bit words and the CIOS accumulator, reused across commands.
+    words: Vec<u64>,
     /// The CIOS quotient constant `n0' = -n^{-1} mod 2^w` (control reg).
     n0_prime: u64,
     /// Special-form fold extension (control regs 3–5): the constant
@@ -87,6 +90,7 @@ impl Ffau {
             b: Vec::new(),
             n: Vec::new(),
             result: Vec::new(),
+            words: Vec::new(),
             n0_prime: 0,
             fold_c: 0,
             fold_delta: 0,
@@ -127,18 +131,33 @@ impl Ffau {
     }
 
     /// Loads operand A (w-bit limbs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a limb is wider than the datapath.
     pub fn load_a(&mut self, limbs: &[u64]) {
-        self.a = limbs.to_vec();
+        let mask = self.mask();
+        load(&mut self.a, limbs, mask);
     }
 
     /// Loads operand B.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a limb is wider than the datapath.
     pub fn load_b(&mut self, limbs: &[u64]) {
-        self.b = limbs.to_vec();
+        let mask = self.mask();
+        load(&mut self.b, limbs, mask);
     }
 
     /// Loads the modulus N.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a limb is wider than the datapath.
     pub fn load_n(&mut self, limbs: &[u64]) {
-        self.n = limbs.to_vec();
+        let mask = self.mask();
+        load(&mut self.n, limbs, mask);
     }
 
     /// The result buffer after an operation.
@@ -161,8 +180,18 @@ impl Ffau {
     }
 
     /// Executes one CIOS Montgomery multiplication over the loaded
-    /// operands: `result = A * B * R^{-1} mod N`. Returns the cycle
-    /// count.
+    /// operands: `result = A * B * R^{-1} mod N` with `R = 2^(w·k)`,
+    /// followed by one conditional subtraction of N (so operands anywhere
+    /// in `[0, R)` are accepted and the result is below R). Returns the
+    /// cycle count.
+    ///
+    /// The host computes the product on 64-bit words rather than w-bit
+    /// limbs: ⌊wk/64⌋ full word rounds, then one closing round over the
+    /// remaining `wk mod 64` bits. The result is the same as the
+    /// hardware's limb-by-limb CIOS (Algorithm 5) for every accepted
+    /// input: both compute `(A·B + M·N) / R` for the unique `M` in
+    /// `[0, R)` that makes the sum divisible by R, whatever the round
+    /// size.
     ///
     /// # Panics
     ///
@@ -175,60 +204,73 @@ impl Ffau {
         assert_eq!(self.b.len(), k, "operand B width mismatch");
         let w = self.width;
         let mask = self.mask();
-        debug_assert_eq!(
+        assert_eq!(
             self.n[0].wrapping_mul(self.n0_prime) & mask,
             mask, // -1 mod 2^w
             "n0' inconsistent with N"
         );
-        // Functional CIOS on w-bit limbs (Algorithm 5).
-        let mut t = vec![0u128; k + 2];
-        for i in 0..k {
-            let bi = self.b[i] as u128;
-            let mut c: u128 = 0;
-            for j in 0..k {
-                let cs = t[j] + (self.a[j] as u128) * bi + c;
-                t[j] = cs & mask as u128;
-                c = cs >> w;
-            }
-            let cs = t[k] + c;
-            t[k] = cs & mask as u128;
-            t[k + 1] = cs >> w;
-            let m = (t[0] as u64).wrapping_mul(self.n0_prime) & mask;
-            let cs = t[0] + (m as u128) * (self.n[0] as u128);
-            let mut c = cs >> w;
-            for j in 1..k {
-                let cs = t[j] + (m as u128) * (self.n[j] as u128) + c;
-                t[j - 1] = cs & mask as u128;
-                c = cs >> w;
-            }
-            let cs = t[k] + c;
-            t[k - 1] = cs & mask as u128;
-            t[k] = (t[k + 1] + (cs >> w)) & mask as u128;
-            t[k + 1] = 0;
+        let bits = w * k;
+        let len = bits.div_ceil(64);
+        // Scratch layout: A | B | N (len words each) | T (len + 2 words).
+        self.words.clear();
+        self.words.resize(4 * len + 2, 0);
+        let (a, rest) = self.words.split_at_mut(len);
+        let (b, rest) = rest.split_at_mut(len);
+        let (n, t) = rest.split_at_mut(len);
+        pack(&self.a, w, a);
+        pack(&self.b, w, b);
+        pack(&self.n, w, n);
+        // n0' mod 2^64 from the w-bit control value: -n0' is N^{-1}
+        // mod 2^w, and each Newton step doubles its bits (8 → 16 → 32
+        // → 64).
+        let mut inv = self.n0_prime.wrapping_neg();
+        for _ in 0..3 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
         }
-        // Final correction.
-        let ge = t[k] != 0 || {
-            let mut ge = true; // equal counts as >=
-            for j in (0..k).rev() {
-                if t[j] > self.n[j] as u128 {
-                    break;
-                }
-                if t[j] < self.n[j] as u128 {
-                    ge = false;
-                    break;
-                }
+        let n0 = inv.wrapping_neg();
+        let full = bits / 64;
+        for &bi in &b[..full] {
+            mul_add_row(t, a, bi);
+            let m = t[0].wrapping_mul(n0);
+            // t = (t + m·N) / 2^64: the low word cancels, the rest shifts
+            // down one word as it is produced.
+            let (_, mut c) = mac(t[0], m, n[0], 0);
+            for j in 1..len {
+                let (lo, hi) = mac(t[j], m, n[j], c);
+                t[j - 1] = lo;
+                c = hi;
             }
-            ge
-        };
+            let (s, o) = t[len].overflowing_add(c);
+            t[len - 1] = s;
+            t[len] = t[len + 1] + o as u64;
+            t[len + 1] = 0;
+        }
+        let r = bits % 64;
+        if r != 0 {
+            // Closing round over the top r bits: B's last word is below
+            // 2^r, m is taken mod 2^r, and T shifts down r bits.
+            mul_add_row(t, a, b[full]);
+            let m = t[0].wrapping_mul(n0) & ((1u64 << r) - 1);
+            mul_add_row(t, n, m);
+            for j in 0..=len {
+                t[j] = (t[j] >> r) | (t[j + 1] << (64 - r));
+            }
+            t[len + 1] = 0;
+        }
+        // Final correction: T < A + N < 2R, and T - N < R when T ≥ N.
+        let ge = t[len] != 0 || !lt(&t[..len], n);
         if ge {
-            let mut borrow: i128 = 0;
-            for j in 0..k {
-                let d = t[j] as i128 - self.n[j] as i128 - borrow;
-                t[j] = (d & mask as i128) as u128;
-                borrow = (d < 0) as i128;
+            let mut borrow = false;
+            for (tj, &nj) in t.iter_mut().zip(n.iter()) {
+                let (d, b1) = tj.overflowing_sub(nj);
+                let (d, b2) = d.overflowing_sub(borrow as u64);
+                *tj = d;
+                borrow = b1 || b2;
             }
         }
-        self.result = t[..k].iter().map(|&x| x as u64).collect();
+        self.result.clear();
+        self.result
+            .extend((0..k).map(|i| (t[i * w / 64] >> (i * w % 64)) & mask));
         // Timing per eq. 5.2, decomposed per the module docs.
         let kk = k as u64;
         let p = self.pipeline_latency;
@@ -325,19 +367,20 @@ impl Ffau {
         let w = self.width;
         let mask = self.mask() as u128;
         // value = a +/- b, then conditional +/- n.
-        let mut out = vec![0u128; k];
+        let out = &mut self.result;
+        out.clear();
         if sub {
             let mut borrow: i128 = 0;
             for j in 0..k {
                 let d = self.a[j] as i128 - self.b[j] as i128 - borrow;
-                out[j] = (d & mask as i128) as u128;
+                out.push((d & mask as i128) as u64);
                 borrow = (d < 0) as i128;
             }
             if borrow != 0 {
                 let mut carry: u128 = 0;
                 for j in 0..k {
-                    let s = out[j] + self.n[j] as u128 + carry;
-                    out[j] = s & mask;
+                    let s = out[j] as u128 + self.n[j] as u128 + carry;
+                    out[j] = (s & mask) as u64;
                     carry = s >> w;
                 }
             }
@@ -345,32 +388,18 @@ impl Ffau {
             let mut carry: u128 = 0;
             for j in 0..k {
                 let s = self.a[j] as u128 + self.b[j] as u128 + carry;
-                out[j] = s & mask;
+                out.push((s & mask) as u64);
                 carry = s >> w;
             }
-            let mut ge = carry != 0;
-            if !ge {
-                ge = true;
-                for j in (0..k).rev() {
-                    if out[j] > self.n[j] as u128 {
-                        break;
-                    }
-                    if out[j] < self.n[j] as u128 {
-                        ge = false;
-                        break;
-                    }
-                }
-            }
-            if ge {
+            if carry != 0 || !lt(out, &self.n) {
                 let mut borrow: i128 = 0;
                 for j in 0..k {
                     let d = out[j] as i128 - self.n[j] as i128 - borrow;
-                    out[j] = (d & mask as i128) as u128;
+                    out[j] = (d & mask as i128) as u64;
                     borrow = (d < 0) as i128;
                 }
             }
         }
-        self.result = out.iter().map(|&x| x as u64).collect();
         // Two pipelined passes (op, conditional correction) plus drain.
         let cycles = 2 * k as u64 + self.pipeline_latency + 6;
         self.stats.busy_cycles += cycles;
@@ -379,6 +408,49 @@ impl Ffau {
         self.stats.operations += 1;
         cycles
     }
+}
+
+/// Replaces `buf` with `limbs`, reusing its allocation.
+fn load(buf: &mut Vec<u64>, limbs: &[u64], mask: u64) {
+    assert!(
+        limbs.iter().all(|&l| l <= mask),
+        "limb wider than the datapath"
+    );
+    buf.clear();
+    buf.extend_from_slice(limbs);
+}
+
+/// Packs w-bit limbs into zeroed 64-bit words; w divides 64, so no limb
+/// straddles two words.
+fn pack(limbs: &[u64], w: usize, words: &mut [u64]) {
+    for (i, &l) in limbs.iter().enumerate() {
+        words[i * w / 64] |= l << (i * w % 64);
+    }
+}
+
+/// `t + a·b + c` as (low word, high word); cannot overflow.
+fn mac(t: u64, a: u64, b: u64, c: u64) -> (u64, u64) {
+    let s = a as u128 * b as u128 + t as u128 + c as u128;
+    (s as u64, (s >> 64) as u64)
+}
+
+/// `t += x·y`, carrying into the two words of `t` above `x.len()`.
+fn mul_add_row(t: &mut [u64], x: &[u64], y: u64) {
+    let len = x.len();
+    let mut c = 0;
+    for (tj, &xj) in t[..len].iter_mut().zip(x) {
+        let (lo, hi) = mac(*tj, xj, y, c);
+        *tj = lo;
+        c = hi;
+    }
+    let (s, o) = t[len].overflowing_add(c);
+    t[len] = s;
+    t[len + 1] += o as u64;
+}
+
+/// `x < y` for equal-length little-endian digit strings.
+fn lt(x: &[u64], y: &[u64]) -> bool {
+    x.iter().rev().cmp(y.iter().rev()).is_lt()
 }
 
 #[cfg(test)]
@@ -404,6 +476,166 @@ mod tests {
             *limb = v;
         }
         out
+    }
+
+    /// The hardware's limb-by-limb CIOS (Algorithm 5) on w-bit limbs in
+    /// `u128`: the oracle for [`Ffau::montmul`]'s host-word path.
+    fn montmul_limbs(a: &[u64], b: &[u64], n: &[u64], n0_prime: u64, w: usize) -> Vec<u64> {
+        let k = n.len();
+        let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+        let mut t = vec![0u128; k + 2];
+        for i in 0..k {
+            let bi = b[i] as u128;
+            let mut c: u128 = 0;
+            for j in 0..k {
+                let cs = t[j] + (a[j] as u128) * bi + c;
+                t[j] = cs & mask as u128;
+                c = cs >> w;
+            }
+            let cs = t[k] + c;
+            t[k] = cs & mask as u128;
+            t[k + 1] = cs >> w;
+            let m = (t[0] as u64).wrapping_mul(n0_prime) & mask;
+            let cs = t[0] + (m as u128) * (n[0] as u128);
+            let mut c = cs >> w;
+            for j in 1..k {
+                let cs = t[j] + (m as u128) * (n[j] as u128) + c;
+                t[j - 1] = cs & mask as u128;
+                c = cs >> w;
+            }
+            let cs = t[k] + c;
+            t[k - 1] = cs & mask as u128;
+            t[k] = (t[k + 1] + (cs >> w)) & mask as u128;
+            t[k + 1] = 0;
+        }
+        // Final correction.
+        let ge = t[k] != 0 || {
+            let mut ge = true; // equal counts as >=
+            for j in (0..k).rev() {
+                if t[j] > n[j] as u128 {
+                    break;
+                }
+                if t[j] < n[j] as u128 {
+                    ge = false;
+                    break;
+                }
+            }
+            ge
+        };
+        if ge {
+            let mut borrow: i128 = 0;
+            for j in 0..k {
+                let d = t[j] as i128 - n[j] as i128 - borrow;
+                t[j] = (d & mask as i128) as u128;
+                borrow = (d < 0) as i128;
+            }
+        }
+        t[..k].iter().map(|&x| x as u64).collect()
+    }
+
+    /// SplitMix64: a seeded, dependency-free operand source.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// `k` random w-bit limbs: a value anywhere in `[0, 2^(wk))`.
+        fn limbs(&mut self, k: usize, mask: u64) -> Vec<u64> {
+            (0..k).map(|_| self.next() & mask).collect()
+        }
+    }
+
+    /// Runs `montmul` on `f` and the limb oracle over one operand set.
+    fn check_against_oracle(f: &mut Ffau, a: &[u64], b: &[u64], n: &[u64], n0: u64, what: &str) {
+        f.load_a(a);
+        f.load_b(b);
+        f.montmul();
+        let expect = montmul_limbs(a, b, n, n0, f.width());
+        assert_eq!(f.result(), &expect[..], "{what}: a={a:x?} b={b:x?}");
+    }
+
+    #[test]
+    fn host_words_match_the_limb_loop() {
+        let mut rng = Rng(0x5eed_f0a0);
+        let named: Vec<(&str, Mp)> = [
+            NistPrime::P192,
+            NistPrime::P224,
+            NistPrime::P256,
+            NistPrime::P384,
+            NistPrime::P521,
+        ]
+        .into_iter()
+        .map(|p| (p.name(), p.modulus()))
+        .chain([
+            ("2^255-19", Mp::one().shl(255).sub(&Mp::from_u64(19))),
+            (
+                "2^448-2^224-1",
+                Mp::one().shl(448).sub(&Mp::one().shl(224)).sub(&Mp::one()),
+            ),
+        ])
+        .collect();
+        for w in [8usize, 16, 32, 64] {
+            let mask = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
+            let mut moduli: Vec<(String, Vec<u64>)> = named
+                .iter()
+                .map(|(name, p)| {
+                    let bits = p.bit_len();
+                    let limbs = repack(&p.to_limbs(bits.div_ceil(32)), bits, w);
+                    (name.to_string(), limbs)
+                })
+                .collect();
+            for k in 1..=18 {
+                for i in 0..4 {
+                    let mut n = rng.limbs(k, mask);
+                    n[0] |= 1;
+                    if i == 0 {
+                        n[k - 1] |= 1 << (w - 1); // full-width modulus
+                    }
+                    moduli.push((format!("random k={k}"), n));
+                }
+                moduli.push((format!("all-ones k={k}"), vec![mask; k]));
+            }
+            for (name, n) in &moduli {
+                let k = n.len();
+                let what = format!("w={w} {name}");
+                let n0 = n0_prime_w(n[0], w);
+                let mut f = Ffau::new(w);
+                f.load_n(n);
+                f.set_n0_prime(n0);
+                let zero = vec![0; k];
+                let ones = vec![mask; k];
+                for (a, b) in [(&zero, &ones), (&ones, &zero), (&ones, &ones), (n, &ones)] {
+                    check_against_oracle(&mut f, a, b, n, n0, &what);
+                }
+                for _ in 0..24 {
+                    let (a, b) = (rng.limbs(k, mask), rng.limbs(k, mask));
+                    check_against_oracle(&mut f, &a, &b, n, n0, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n0' inconsistent with N")]
+    fn rejects_an_inconsistent_n0_prime() {
+        let mut f = Ffau::new(32);
+        f.load_n(&[0xffff_fffb, 7]);
+        f.set_n0_prime(1);
+        f.load_a(&[1, 0]);
+        f.load_b(&[1, 0]);
+        f.montmul();
+    }
+
+    #[test]
+    #[should_panic(expected = "limb wider than the datapath")]
+    fn rejects_a_limb_wider_than_the_datapath() {
+        Ffau::new(16).load_a(&[0x1_0000]);
     }
 
     fn n0_prime_w(n0: u64, w: usize) -> u64 {

@@ -67,6 +67,9 @@ pub struct Monte {
     operands_ready_at: u64,
     /// Address of the most recent store (for forwarding).
     last_store_addr: Option<u32>,
+    /// DMA staging buffer: the words of the latest load, reused across
+    /// commands.
+    dma_words: Vec<u64>,
     /// A store waiting in the reservation register: `(addr, ready_at)` —
     /// it may not begin its DMA before `ready_at` (the computation whose
     /// result it stores), and later loads are allowed to overtake it
@@ -94,6 +97,7 @@ impl Monte {
             ffau_free_at: 0,
             operands_ready_at: 0,
             last_store_addr: None,
+            dma_words: Vec::new(),
             pending_store: None,
             stats: CopStats::default(),
         }
@@ -121,11 +125,6 @@ impl Monte {
         }
     }
 
-    fn read_words(&mut self, ram: &mut Ram, addr: u32) -> Vec<u64> {
-        let words = ram.peek_words(addr, self.k);
-        words.iter().map(|&w| w as u64).collect()
-    }
-
     /// Executes the store waiting in the reservation register (if any):
     /// it may begin only after both the DMA engine and the computation it
     /// depends on are done.
@@ -148,7 +147,9 @@ impl Monte {
         .max(base)
     }
 
-    fn dma_load(&mut self, cycle: u64, addr: u32, ram: &mut Ram) -> (Vec<u64>, u64) {
+    /// Transfers `k` words from `addr` into `dma_words` and
+    /// returns the cycle the transfer completes.
+    fn dma_load(&mut self, cycle: u64, addr: u32, ram: &mut Ram) -> u64 {
         // Forwarding: a load of the address a (possibly still pending)
         // store wrote is satisfied from the result buffer.
         let forwarded = self.config.forwarding
@@ -173,7 +174,10 @@ impl Monte {
         self.stats.dma_cycles += dur;
         let done = start + dur;
         self.dma_free_at = done;
-        (self.read_words(ram, addr), done)
+        self.dma_words.clear();
+        self.dma_words
+            .extend((0..self.k as u32).map(|i| ram.peek(addr + 4 * i) as u64));
+        done
     }
 }
 
@@ -200,20 +204,20 @@ impl Coprocessor for Monte {
                 }
             }
             Instr::Cop2LdA { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_a(&words);
+                let done = self.dma_load(cycle, rt_value, ram);
+                self.ffau.load_a(&self.dma_words);
                 self.operands_ready_at = self.operands_ready_at.max(done);
                 self.inflight.push_back(done);
             }
             Instr::Cop2LdB { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_b(&words);
+                let done = self.dma_load(cycle, rt_value, ram);
+                self.ffau.load_b(&self.dma_words);
                 self.operands_ready_at = self.operands_ready_at.max(done);
                 self.inflight.push_back(done);
             }
             Instr::Cop2LdN { .. } => {
-                let (words, done) = self.dma_load(cycle, rt_value, ram);
-                self.ffau.load_n(&words);
+                let done = self.dma_load(cycle, rt_value, ram);
+                self.ffau.load_n(&self.dma_words);
                 self.operands_ready_at = self.operands_ready_at.max(done);
                 self.inflight.push_back(done);
             }
@@ -246,8 +250,9 @@ impl Coprocessor for Monte {
                 self.stats.ls_ops += 1;
                 // Functional effect now; timing deferred until the
                 // computation completes (the reservation register).
-                let words: Vec<u32> = self.ffau.result().iter().map(|&w| w as u32).collect();
-                ram.poke_words(rt_value, &words);
+                for (i, &w) in self.ffau.result().iter().enumerate() {
+                    ram.poke(rt_value + 4 * i as u32, w as u32);
+                }
                 let ready_at = self.ffau_free_at.max(cycle);
                 if self.config.double_buffer {
                     self.pending_store = Some((rt_value, ready_at));

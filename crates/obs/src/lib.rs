@@ -190,6 +190,8 @@ impl Span {
     /// consumer.
     pub fn field(&mut self, key: &'static str, value: impl Into<Value>) -> &mut Self {
         if self.start.is_some() {
+            // Keep a free slot for `dur_us`, so the drop never allocates.
+            self.fields.reserve(2);
             self.fields.push((key, value.into()));
         }
         self
@@ -199,10 +201,13 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let dur_us = start.elapsed().as_micros() as u64;
-            let mut fields = std::mem::take(&mut self.fields);
-            fields.push(("dur_us", Value::U64(dur_us)));
-            Recorder::emit_current(self.kind, &fields);
+            let dur = ("dur_us", Value::U64(start.elapsed().as_micros() as u64));
+            if self.fields.is_empty() {
+                Recorder::emit_current(self.kind, &[dur]);
+            } else {
+                self.fields.push(dur);
+                Recorder::emit_current(self.kind, &self.fields);
+            }
         }
     }
 }
