@@ -30,8 +30,8 @@
 
 use std::collections::VecDeque;
 use ule_isa::instr::Instr;
-use ule_mpmath::f2m::{BinaryField, MAX_LIMBS};
-use ule_mpmath::mp::{self, Limb};
+use ule_mpmath::f2m::{BinaryField, MAX_LIMBS, MAX_WORDS};
+use ule_mpmath::mp::Limb;
 use ule_mpmath::nist::NistBinary;
 use ule_pete::cop::{CopStats, Coprocessor};
 use ule_pete::mem::Ram;
@@ -43,8 +43,10 @@ pub const NUM_REGS: usize = 16;
 pub const QUEUE_DEPTH: usize = 4;
 
 /// One register of the file, at the width of the widest field
-/// (GF(2^571)); a narrower field uses the low `k` limbs.
-type Register = [Limb; MAX_LIMBS];
+/// (GF(2^571)), in the 64-bit words the host field computes on: word `i`
+/// holds coefficients `64i .. 64i + 63`. A narrower field uses the low
+/// `ceil(k/2)` words; the rest stay zero.
+type Register = [u64; MAX_WORDS];
 
 /// Billie build-time parameters.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +96,7 @@ impl Billie {
         Billie {
             field: f,
             config,
-            regs: [[0; MAX_LIMBS]; NUM_REGS],
+            regs: [[0; MAX_WORDS]; NUM_REGS],
             reg_ready: [0; NUM_REGS],
             mul_free: 0,
             sqr_free: 0,
@@ -148,25 +150,16 @@ impl Billie {
         granted
     }
 
-    /// A copy of register `r` as a field operand.
+    /// Register `r` as a field operand.
     ///
     /// # Panics
     ///
     /// Panics if the register holds a coefficient at position `>= m`
     /// (a load of an unreduced value) — the field's element invariant.
-    fn operand(&self, r: u8) -> Register {
-        let v = self.regs[r as usize];
-        assert!(
-            mp::bit_len(&v[..self.field.k()]) <= self.field.m(),
-            "element not reduced"
-        );
+    fn operand(&self, r: u8) -> &Register {
+        let v = &self.regs[r as usize];
+        assert!(self.field.words_reduced(v), "element not reduced");
         v
-    }
-
-    /// Reduces the `2k`-limb product in `wide` into register `fd`.
-    fn write_reduced(&mut self, fd: u8, wide: &[Limb]) {
-        let r = self.field.reduce(wide);
-        self.regs[fd as usize][..r.limbs().len()].copy_from_slice(r.limbs());
     }
 }
 
@@ -186,8 +179,11 @@ impl Coprocessor for Billie {
                 self.stats.ram_reads += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                for (i, w) in self.regs[fs as usize][..k].iter_mut().enumerate() {
-                    *w = ram.peek(rt_value + 4 * i as u32);
+                // The 32-bit port fills each word low limb first.
+                let reg = &mut self.regs[fs as usize];
+                *reg = [0; MAX_WORDS];
+                for i in 0..k {
+                    reg[i / 2] |= (ram.peek(rt_value + 4 * i as u32) as u64) << (32 * (i % 2));
                 }
                 self.reg_ready[fs as usize] = wb;
                 self.inflight.push_back(wb);
@@ -200,7 +196,11 @@ impl Coprocessor for Billie {
                 self.stats.ram_writes += k as u64;
                 self.stats.dma_cycles += self.lsu_latency();
                 self.stats.ls_ops += 1;
-                ram.poke_words(rt_value, &self.regs[fs as usize][..k]);
+                let mut limbs = [0; MAX_LIMBS];
+                for (i, l) in limbs[..k].iter_mut().enumerate() {
+                    *l = (self.regs[fs as usize][i / 2] >> (32 * (i % 2))) as Limb;
+                }
+                ram.poke_words(rt_value, &limbs[..k]);
                 self.inflight.push_back(done);
             }
             Instr::BilMul { fd, fs, ft } => {
@@ -214,10 +214,7 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += self.mul_latency();
                 self.stats.mul_ops += 1;
-                let (a, b) = (self.operand(fs), self.operand(ft));
-                let mut wide = [0; 2 * MAX_LIMBS];
-                self.field.clmul_wide(&a, &b, &mut wide[..2 * k]);
-                self.write_reduced(fd, &wide[..2 * k]);
+                self.regs[fd as usize] = self.field.mul_words(self.operand(fs), self.operand(ft));
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -228,10 +225,7 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_a_busy, done);
                 self.stats.busy_cycles += 1;
                 self.stats.mul_ops += 1;
-                let a = self.operand(ft);
-                let mut wide = [0; 2 * MAX_LIMBS];
-                self.field.sqr_wide(&a, &mut wide[..2 * k]);
-                self.write_reduced(fd, &wide[..2 * k]);
+                self.regs[fd as usize] = self.field.sqr_words(self.operand(ft));
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -246,9 +240,7 @@ impl Coprocessor for Billie {
                 let wb = Self::claim_port(&mut self.port_b_busy, done);
                 self.stats.busy_cycles += 1;
                 let (a, b) = (self.operand(fs), self.operand(ft));
-                for (i, w) in self.regs[fd as usize][..k].iter_mut().enumerate() {
-                    *w = a[i] ^ b[i];
-                }
+                self.regs[fd as usize] = std::array::from_fn(|i| a[i] ^ b[i]);
                 self.reg_ready[fd as usize] = wb;
                 self.inflight.push_back(wb);
             }
@@ -361,31 +353,76 @@ mod tests {
         acc
     }
 
+    /// Issues `op` on registers 1 and 2 loaded with `x` and `y`, and
+    /// returns register 3 as stored to RAM.
+    fn run_op(b: &mut Billie, ram: &mut Ram, x: &[u32], y: &[u32], op: Instr) -> Vec<u32> {
+        let rt = Reg::T0;
+        ram.poke_words(RAM_BASE, x);
+        ram.poke_words(RAM_BASE + 128, y);
+        let mut cy = b.issue(Instr::BilLd { rt, fs: 1 }, RAM_BASE, 0, ram);
+        cy = b.issue(Instr::BilLd { rt, fs: 2 }, RAM_BASE + 128, cy, ram);
+        cy = b.issue(op, 0, cy, ram);
+        b.issue(Instr::BilSt { rt, fs: 3 }, RAM_BASE + 256, cy, ram);
+        ram.peek_words(RAM_BASE + 256, b.field().k())
+    }
+
     #[test]
     fn mul_matches_bit_serial_product() {
-        for nb in [NistBinary::B163, NistBinary::B571] {
+        let (mul, sqr, add) = (
+            Instr::BilMul {
+                fd: 3,
+                fs: 1,
+                ft: 2,
+            },
+            Instr::BilSqr { fd: 3, ft: 1 },
+            Instr::BilAdd {
+                fd: 3,
+                fs: 1,
+                ft: 2,
+            },
+        );
+        for nb in NistBinary::ALL {
             let mut b = Billie::new(nb);
             let f = b.field().clone();
-            assert_eq!(f.k(), if nb == NistBinary::B163 { 6 } else { 18 });
             let mut ram = Ram::new();
-            let rt = Reg::T0;
-            for seed in [3u64, 44, 555] {
-                let (x, y) = (sample(&f, seed), sample(&f, seed * 7 + 1));
-                ram.poke_words(RAM_BASE, &x);
-                ram.poke_words(RAM_BASE + 128, &y);
-                let mut cy = b.issue(Instr::BilLd { rt, fs: 1 }, RAM_BASE, 0, &mut ram);
-                cy = b.issue(Instr::BilLd { rt, fs: 2 }, RAM_BASE + 128, cy, &mut ram);
-                let mul = Instr::BilMul {
-                    fd: 3,
-                    fs: 1,
-                    ft: 2,
-                };
-                cy = b.issue(mul, 0, cy, &mut ram);
-                b.issue(Instr::BilSt { rt, fs: 3 }, RAM_BASE + 256, cy, &mut ram);
-                let got = ram.peek_words(RAM_BASE + 256, f.k());
-                assert_eq!(got, bit_serial_mul(&f, &x, &y), "{} seed {seed}", f.name());
+            let top = f.from_mp(&Mp::one().shl(f.m() - 1)).limbs().to_vec();
+            let mut ones = vec![u32::MAX; f.k()];
+            ones[f.k() - 1] &= (1u32 << (f.m() % 32)) - 1;
+            let mut cases: Vec<_> = [3u64, 44, 555]
+                .map(|seed| (sample(&f, seed), sample(&f, seed * 7 + 1)))
+                .into();
+            cases.push((ones.clone(), ones));
+            cases.push((top.clone(), top));
+            for (x, y) in &cases {
+                let name = f.name();
+                let got = run_op(&mut b, &mut ram, x, y, mul);
+                assert_eq!(got, bit_serial_mul(&f, x, y), "{name} BilMul {x:x?}");
+                let got = run_op(&mut b, &mut ram, x, y, sqr);
+                assert_eq!(got, bit_serial_mul(&f, x, x), "{name} BilSqr {x:x?}");
+                let got = run_op(&mut b, &mut ram, x, y, add);
+                let xor: Vec<u32> = x.iter().zip(y).map(|(p, q)| p ^ q).collect();
+                assert_eq!(got, xor, "{name} BilAdd {x:x?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "element not reduced")]
+    fn unreduced_load_panics_as_an_operand() {
+        let mut b = Billie::new(NistBinary::B283);
+        let f = b.field().clone();
+        let mut ram = Ram::new();
+        // Coefficient m = 283 set: bit 27 of limb 8. BilAdd reads its
+        // operands without the field, so only the register check sees it.
+        let mut x = sample(&f, 9);
+        x[f.m() / 32] |= 1 << (f.m() % 32);
+        let y = sample(&f, 10);
+        let add = Instr::BilAdd {
+            fd: 3,
+            fs: 1,
+            ft: 2,
+        };
+        run_op(&mut b, &mut ram, &x, &y, add);
     }
 
     #[test]

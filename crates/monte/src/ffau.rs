@@ -69,6 +69,9 @@ pub struct Ffau {
     fold_c: u64,
     fold_delta: u64,
     fold_offset: u64,
+    /// The fold microprogram [`Ffau::cmul`] runs, assembled on first use
+    /// for the one- or two-injection form (the flag) and kept.
+    cmul_engine: Option<(bool, crate::ucode::MicroEngine)>,
     stats: FfauStats,
 }
 
@@ -95,6 +98,7 @@ impl Ffau {
             fold_c: 0,
             fold_delta: 0,
             fold_offset: 0,
+            cmul_engine: None,
             stats: FfauStats::default(),
         }
     }
@@ -319,17 +323,23 @@ impl Ffau {
         assert_eq!(self.a.len(), k, "operand A width mismatch");
         assert!(self.width >= 32, "fold constant exceeds the datapath word");
         assert!(self.fold_c != 0, "fold constants not loaded");
-        let mut eng = crate::ucode::MicroEngine::new(
-            self.width,
-            crate::ucode::assemble_cmul_fold(self.fold_offset != 0),
-        );
+        let dual = self.fold_offset != 0;
+        let width = self.width;
+        let eng = match &mut self.cmul_engine {
+            Some((d, eng)) if *d == dual => eng,
+            slot => {
+                let program = crate::ucode::assemble_cmul_fold(dual);
+                &mut slot
+                    .insert((dual, crate::ucode::MicroEngine::new(width, program)))
+                    .1
+            }
+        };
         eng.set_const(0, k as u64);
         eng.set_const(2, self.fold_c);
         eng.set_const(3, self.fold_delta);
         eng.set_const(4, self.fold_offset);
-        let b = self.a.clone(); // operand B is unused by the program
-        let (result, cycles) = eng.run(&self.a, &b, &self.n, 0);
-        self.result = result;
+        // The program never reads operand B; A stands in for it.
+        let cycles = eng.run_into(&self.a, &self.a, &self.n, 0, &mut self.result);
         debug_assert_eq!(
             cycles,
             Self::cmul_cycles(k as u64, self.pipeline_latency, self.fold_offset)

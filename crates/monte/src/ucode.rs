@@ -374,6 +374,8 @@ pub struct MicroEngine {
     program: Vec<Micro>,
     /// Constant RAM (8 entries, §5.4.2.1): slot 0 = k.
     consts: [u64; 8],
+    /// The T memory of [`MicroEngine::run_into`], reused across runs.
+    t: Vec<u128>,
 }
 
 /// State while executing one operation.
@@ -399,6 +401,7 @@ impl MicroEngine {
             p: 3,
             program,
             consts: [0; 8],
+            t: Vec::new(),
         }
     }
 
@@ -414,7 +417,27 @@ impl MicroEngine {
     ///
     /// Panics if the program runs away (no `End` within a conservative
     /// bound) — a microprogramming bug.
-    pub fn run(&self, a: &[u64], b: &[u64], n: &[u64], n0_prime: u64) -> (Vec<u64>, u64) {
+    pub fn run(&mut self, a: &[u64], b: &[u64], n: &[u64], n0_prime: u64) -> (Vec<u64>, u64) {
+        let mut result = Vec::new();
+        let cycles = self.run_into(a, b, n, n0_prime, &mut result);
+        (result, cycles)
+    }
+
+    /// [`MicroEngine::run`] into a caller's result buffer, with the
+    /// engine's own T memory: allocates nothing once both have held `k`
+    /// limbs. Returns the cycle count.
+    ///
+    /// # Panics
+    ///
+    /// As [`MicroEngine::run`].
+    pub fn run_into(
+        &mut self,
+        a: &[u64],
+        b: &[u64],
+        n: &[u64],
+        n0_prime: u64,
+        result: &mut Vec<u64>,
+    ) -> u64 {
         let k = self.consts[0] as usize;
         assert!(k > 0, "element width constant not loaded");
         assert_eq!(a.len(), k);
@@ -426,8 +449,11 @@ impl MicroEngine {
         } else {
             (1u128 << w) - 1
         };
+        let mut t = std::mem::take(&mut self.t);
+        t.clear();
+        t.resize(k + 2, 0);
         let mut st = Exec {
-            t: vec![0u128; k + 2],
+            t,
             carry: 0,
             m: 0,
             out_carry: 0,
@@ -476,8 +502,10 @@ impl MicroEngine {
                     }
                 }
                 Seq::End => {
-                    let result = st.t[..k].iter().map(|&x| x as u64).collect();
-                    return (result, cycles);
+                    result.clear();
+                    result.extend(st.t[..k].iter().map(|&x| x as u64));
+                    self.t = st.t;
+                    return cycles;
                 }
             }
         }

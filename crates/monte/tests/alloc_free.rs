@@ -7,7 +7,8 @@
 //! and stores, including loads the front end forwards from the result
 //! buffer. The first pass warms the reused buffers; the tally of the
 //! second pass must be zero, with and without double buffering and
-//! forwarding.
+//! forwarding. The fold-mode constant multiply of the X25519/X448
+//! ladders (2^255−19 and 2^448−2^224−1) is held to the same rule.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +19,7 @@ use ule_monte::{Monte, MonteConfig};
 use ule_mpmath::mont::Montgomery;
 use ule_mpmath::mp::Mp;
 use ule_mpmath::nist::NistPrime;
+use ule_mpmath::xprime::XPrime;
 use ule_pete::cop::Coprocessor;
 use ule_pete::mem::Ram;
 
@@ -94,6 +96,64 @@ fn command_stream(m: &mut Monte, ram: &mut Ram, p: NistPrime, n0: u32, mut c: u6
         c = m.issue(Instr::Cop2St { rt }, y, c, ram);
     }
     c
+}
+
+/// Issues one pass of fold-mode commands for `p`: constant multiplies by
+/// `a24`, stores and forwarded reloads, then a Montgomery multiply with
+/// fold mode off and back on; returns the cycle Pete resumes at.
+fn fold_stream(m: &mut Monte, ram: &mut Ram, p: XPrime, n0: u32, mut c: u64) -> u64 {
+    let rt = Reg::T0;
+    let (n, x, out) = (RAM_BASE, RAM_BASE + 0x100, RAM_BASE + 0x300);
+    let fold = |m: &mut Monte, ram: &mut Ram, c: u64, on: u32| {
+        m.issue(Instr::Ctc2 { rt, rd: 2 }, on, c, ram)
+    };
+    c = m.issue(Instr::Ctc2 { rt, rd: 0 }, p.limbs() as u32, c, ram);
+    c = m.issue(Instr::Ctc2 { rt, rd: 1 }, n0, c, ram);
+    c = m.issue(Instr::Ctc2 { rt, rd: 3 }, p.a24() as u32, c, ram);
+    c = m.issue(Instr::Ctc2 { rt, rd: 4 }, p.fold_delta() as u32, c, ram);
+    c = m.issue(
+        Instr::Ctc2 { rt, rd: 5 },
+        p.fold_second_offset() as u32,
+        c,
+        ram,
+    );
+    c = fold(m, ram, c, 1);
+    c = m.issue(Instr::Cop2LdN { rt }, n, c, ram);
+    for _ in 0..4 {
+        c = m.issue(Instr::Cop2LdA { rt }, x, c, ram);
+        c = m.issue(Instr::Cop2Mul, 0, c, ram);
+        c = m.issue(Instr::Cop2St { rt }, out, c, ram);
+        c = m.issue(Instr::Cop2LdA { rt }, out, c, ram);
+        c = m.issue(Instr::Cop2Mul, 0, c, ram);
+        c = m.issue(Instr::Cop2St { rt }, x, c, ram);
+    }
+    c = fold(m, ram, c, 0);
+    c = m.issue(Instr::Cop2LdB { rt }, x, c, ram);
+    c = m.issue(Instr::Cop2Mul, 0, c, ram);
+    c = m.issue(Instr::Cop2St { rt }, out, c, ram);
+    fold(m, ram, c, 1)
+}
+
+#[test]
+fn fold_mode_commands_do_not_allocate() {
+    for p in XPrime::ALL {
+        let modulus = p.modulus();
+        let k = p.limbs();
+        let n0 = Montgomery::new(&modulus).n0_prime();
+        let mut ram = Ram::new();
+        ram.poke_words(RAM_BASE, &modulus.to_limbs(k));
+        let x = modulus.sub(&Mp::from_u64(0x1234_5678));
+        ram.poke_words(RAM_BASE + 0x100, &x.to_limbs(k));
+        let mut m = Monte::new();
+        let warm = fold_stream(&mut m, &mut ram, p, n0, 0);
+        let before = ram.peek_words(RAM_BASE + 0x100, k);
+        let n = allocations(|| {
+            fold_stream(&mut m, &mut ram, p, n0, warm);
+        });
+        assert_eq!(n, 0, "{}: fold-mode commands allocated {n} times", p.name());
+        // The stream did real work: the stored product moved.
+        assert_ne!(ram.peek_words(RAM_BASE + 0x100, k), before);
+    }
 }
 
 #[test]

@@ -8,22 +8,29 @@
 //! Elements are fixed-width arrays of at most [`MAX_LIMBS`] 32-bit limbs,
 //! the in-memory representation of the simulated software suite, and every
 //! operation runs on stack arrays: the field operations allocate nothing.
-//! The host computes on 64-bit words, two limbs at a time. Two multipliers
-//! are provided:
+//! The host computes on 64-bit words, two limbs at a time, and
+//! [`BinaryField::mul_words`] / [`BinaryField::sqr_words`] take and return
+//! those words directly (Billie's register file holds them). Two
+//! multipliers are provided:
 //!
 //! * [`BinaryField::mul_comb`] — the left-to-right **comb method with
 //!   4-bit windows** (Algorithm 6), what the *baseline* (no carry-less
 //!   hardware) runs;
-//! * [`BinaryField::mul`] — the host reference: a **Karatsuba** carry-less
-//!   product over 64-bit words (the split Pete's hardware multiplier makes,
-//!   §7.8), where each 64×64-bit word product is itself three [`clmul32`]
-//!   products. The `MULGF2`/`MADDGF2` ISA extensions (Table 5.2) run
-//!   product scanning on the same primitive; canonical results make every
-//!   multiplier agree bit for bit.
+//! * [`BinaryField::mul`] — the host reference: one word-level carry-less
+//!   product. Where the host CPU has a carry-less multiplier (x86-64
+//!   `pclmulqdq`, detected at run time) it is product scanning on that
+//!   instruction; elsewhere it is a **Karatsuba** product over 64-bit
+//!   words (the split Pete's hardware multiplier makes, §7.8), where each
+//!   64×64-bit word product is itself three [`clmul32`] products. The
+//!   Karatsuba path is also the tests' oracle for the hardware one. The
+//!   `MULGF2`/`MADDGF2` ISA extensions (Table 5.2) run product scanning on
+//!   [`clmul32`]; canonical results make every multiplier agree bit for
+//!   bit.
 //!
 //! Squaring uses the zero-interleaving expansion (§4.2.3), and reduction is
 //! the word-level fast reduction of Algorithm 7 on 64-bit words,
-//! generalized over the sparse term list of the field polynomial.
+//! generalized over the sparse term list of the field polynomial, with
+//! each term's word offset fixed when the field is built.
 
 use crate::mp::{self, Limb, Mp};
 use crate::nist::NistBinary;
@@ -34,8 +41,9 @@ use std::fmt;
 /// field, GF(2^571).
 pub const MAX_LIMBS: usize = 18;
 
-/// 64-bit words of the widest element.
-const MAX_WORDS: usize = MAX_LIMBS / 2;
+/// 64-bit words of the widest element: the width of the word operands of
+/// [`BinaryField::mul_words`] and [`BinaryField::sqr_words`].
+pub const MAX_WORDS: usize = MAX_LIMBS / 2;
 
 /// Words of a reduction input [`BinaryField::reduce`] folds on the stack:
 /// a double-width product plus one spare limb.
@@ -169,6 +177,81 @@ fn karatsuba(a: &[u64], b: &[u64], out: &mut [u64], tmp: &mut [u64]) {
     }
 }
 
+/// `out[..2n] = a · b` over GF(2)[x] for `n`-word operands, `1 <= n <=`
+/// [`MAX_WORDS`]: the host CPU's carry-less multiplier where it has one,
+/// else [`karatsuba`]. Every word of `out[..2n]` is written.
+///
+/// This is the workspace's one `unsafe` call: a `#[target_feature]`
+/// function may only be called where the feature is known to be present.
+#[allow(unsafe_code)]
+fn clmul_words(a: &[u64], b: &[u64], out: &mut [u64]) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("pclmulqdq") {
+        // SAFETY: `pclmul::product` needs only the `pclmulqdq` CPU
+        // feature (SSE2 is part of the x86-64 baseline), and the check
+        // just above detected it on the running CPU.
+        return unsafe { pclmul::product(a, b, out) };
+    }
+    let mut tmp = [0; karatsuba_scratch(MAX_WORDS)];
+    karatsuba(a, b, out, &mut tmp);
+}
+
+/// The carry-less product on x86-64's `PCLMULQDQ` instruction.
+#[cfg(target_arch = "x86_64")]
+mod pclmul {
+    use super::MAX_WORDS;
+    use std::arch::x86_64::{
+        _mm_clmulepi64_si128, _mm_cvtsi128_si64, _mm_cvtsi64_si128, _mm_setzero_si128,
+        _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// `out[..2n] = a · b` for `n`-word operands: one `match` fixes `n`
+    /// at compile time for [`scan`].
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) fn product(a: &[u64], b: &[u64], out: &mut [u64]) {
+        match a.len() {
+            1 => scan::<1>(a, b, out),
+            2 => scan::<2>(a, b, out),
+            3 => scan::<3>(a, b, out),
+            4 => scan::<4>(a, b, out),
+            5 => scan::<5>(a, b, out),
+            6 => scan::<6>(a, b, out),
+            7 => scan::<7>(a, b, out),
+            8 => scan::<8>(a, b, out),
+            9 => scan::<9>(a, b, out),
+            n => panic!("{n}-word operands: 1 to {MAX_WORDS} supported"),
+        }
+    }
+
+    /// Operand scanning: the 128-bit product `a[i]·b[j]` is XORed into
+    /// column `i + j`, whose low word, with the previous column's high
+    /// word, is output word `i + j`. Both loops run `N` times, so they
+    /// unroll fully. (Product scanning, whose inner trip count changes
+    /// with the column, stayed a loop past four words and ran three to
+    /// four times slower there.)
+    #[target_feature(enable = "pclmulqdq")]
+    #[inline]
+    fn scan<const N: usize>(a: &[u64], b: &[u64], out: &mut [u64]) {
+        let (a, b, out) = (&a[..N], &b[..N], &mut out[..2 * N]);
+        let mut y = [_mm_setzero_si128(); N];
+        for (y, &b) in y.iter_mut().zip(b) {
+            *y = _mm_cvtsi64_si128(b as i64);
+        }
+        let mut col = [_mm_setzero_si128(); 2 * MAX_WORDS];
+        for (i, &a) in a.iter().enumerate() {
+            let x = _mm_cvtsi64_si128(a as i64);
+            for (j, &y) in y.iter().enumerate() {
+                col[i + j] = _mm_xor_si128(col[i + j], _mm_clmulepi64_si128::<0>(x, y));
+            }
+        }
+        let mut carry = 0;
+        for (o, &c) in out.iter_mut().zip(&col) {
+            *o = _mm_cvtsi128_si64(c) as u64 ^ carry;
+            carry = _mm_cvtsi128_si64(_mm_srli_si128::<8>(c)) as u64;
+        }
+    }
+}
+
 /// Zero-interleaving expansion of one limb: bit `i` moves to bit `2i`, so
 /// the result is the limb's square in GF(2)[x] (§4.2.3).
 fn spread32(x: Limb) -> u64 {
@@ -232,10 +315,55 @@ pub struct BinaryField {
     k: usize,
     /// Term exponents below `m`, decreasing, last is 0.
     terms: Vec<usize>,
-    /// Whether the fast word-level fold of Algorithm 7 is applicable
+    /// The fast word-level fold of Algorithm 7, where it applies
     /// (`m - t1 >= 64` and `m % 64 != 0`, true of every NIST field);
     /// otherwise reduction falls back to a bit-serial fold.
-    word_foldable: bool,
+    fold: Option<WordFold>,
+}
+
+/// Where Algorithm 7 XORs each folded word, fixed when the field is built.
+///
+/// Bit `m + j` of a polynomial is congruent to the sum of bits `t + j`
+/// over the terms `t`. Word `i` above the word holding bit `m` therefore
+/// lands, for each term, at bit `64(i − top − 1) + 64 − r + t`, with
+/// `top = m / 64` and `r = m % 64`.
+#[derive(Clone, Debug)]
+struct WordFold {
+    /// Word index of bit `m`.
+    top: usize,
+    /// Bit of bit `m` within word `top`.
+    r: u32,
+    /// Per term: word and shift of `64 − r + t`, the target of word
+    /// `top + 1` (word `i` lands `i − top − 1` words higher).
+    words: Vec<(usize, u32)>,
+    /// Per term: word and shift of `t`, the target of the bits of word
+    /// `top` at and above `r`.
+    bits: Vec<(usize, u32)>,
+}
+
+impl WordFold {
+    /// Folds every coefficient at or above `m` of `c` below it, in place.
+    /// Every term lies at least 64 bits below `m`, so a folded word lands
+    /// wholly in lower words, which the top-down sweep reaches later.
+    fn apply(&self, c: &mut [u64]) {
+        // `t >> 1 >> (63 − s)` is `t >> (64 − s)`, and 0 at s = 0.
+        let xor_at = |c: &mut [u64], (w, s): (usize, u32), t: u64| {
+            c[w] ^= t << s;
+            c[w + 1] ^= t >> 1 >> (63 - s);
+        };
+        for i in (self.top + 1..c.len()).rev() {
+            let t = std::mem::take(&mut c[i]);
+            let base = i - self.top - 1;
+            for &(w, s) in &self.words {
+                xor_at(c, (base + w, s), t);
+            }
+        }
+        let t = c[self.top] >> self.r;
+        c[self.top] ^= t << self.r;
+        for &at in &self.bits {
+            xor_at(c, at, t);
+        }
+    }
 }
 
 impl BinaryField {
@@ -263,12 +391,20 @@ impl BinaryField {
             k <= MAX_LIMBS,
             "{name}: GF(2^{m}) needs {k} limbs, more than MAX_LIMBS = {MAX_LIMBS}"
         );
+        let (top, r) = (m / 64, m % 64);
+        let split = |b: usize| (b / 64, (b % 64) as u32);
+        let fold = (m - terms[0] >= 64 && r != 0).then(|| WordFold {
+            top,
+            r: r as u32,
+            words: terms.iter().map(|&t| split(64 - r + t)).collect(),
+            bits: terms.iter().map(|&t| split(t)).collect(),
+        });
         BinaryField {
             name: name.to_owned(),
             m,
             k,
             terms: terms.to_vec(),
-            word_foldable: m - terms[0] >= 64 && !m.is_multiple_of(64),
+            fold,
         }
     }
 
@@ -344,16 +480,56 @@ impl BinaryField {
         self.element(limbs)
     }
 
-    /// `a * b mod f` via the Karatsuba carry-less product on 64-bit words.
+    /// `a * b mod f` via the word-level carry-less product
+    /// ([`BinaryField::mul_words`]).
     pub fn mul(&self, a: &F2mElement, b: &F2mElement) -> F2mElement {
         self.check(a);
         self.check(b);
+        self.element_of(&self.mul_words(&Self::words_of(a), &Self::words_of(b)))
+    }
+
+    /// `a * b mod f` on 64-bit words: word `i` holds coefficients
+    /// `64i .. 64i + 63`. The double-width product comes from the host's
+    /// carry-less multiplier (or the Karatsuba fallback) and is folded in
+    /// place on the stack; the words of the result past `ceil(k/2)` are
+    /// zero.
+    ///
+    /// Operands must be reduced (no coefficient at or above `m`, words
+    /// past `ceil(k/2)` ignored); this is checked in debug builds only.
+    pub fn mul_words(&self, a: &[u64; MAX_WORDS], b: &[u64; MAX_WORDS]) -> [u64; MAX_WORDS] {
+        debug_assert!(
+            self.words_reduced(a) && self.words_reduced(b),
+            "element not reduced"
+        );
         let n = self.words();
-        let (x, y) = (Self::words_of(a), Self::words_of(b));
         let mut wide = [0; WIDE_WORDS];
-        let mut tmp = [0; karatsuba_scratch(MAX_WORDS)];
-        karatsuba(&x[..n], &y[..n], &mut wide, &mut tmp);
-        self.reduce_words(&mut wide[..2 * n])
+        clmul_words(&a[..n], &b[..n], &mut wide);
+        self.fold(&mut wide[..2 * n]);
+        low_words(&wide, n)
+    }
+
+    /// `a^2 mod f` on 64-bit words, as [`BinaryField::mul_words`] with
+    /// the zero-interleaving expansion (§4.2.3) for the product.
+    pub fn sqr_words(&self, a: &[u64; MAX_WORDS]) -> [u64; MAX_WORDS] {
+        debug_assert!(self.words_reduced(a), "element not reduced");
+        let n = self.words();
+        let mut wide = [0; WIDE_WORDS];
+        for (pair, &w) in wide.chunks_exact_mut(2).zip(&a[..n]) {
+            pair[0] = spread32(w as Limb);
+            pair[1] = spread32((w >> 32) as Limb);
+        }
+        self.fold(&mut wide[..2 * n]);
+        low_words(&wide, n)
+    }
+
+    /// Whether words hold a reduced element: no coefficient at or above
+    /// `m` in any word.
+    pub fn words_reduced(&self, a: &[u64; MAX_WORDS]) -> bool {
+        let (top, r) = (self.m / 64, self.m % 64);
+        a.iter()
+            .enumerate()
+            .skip(top)
+            .all(|(i, &w)| (if i == top { w >> r } else { w }) == 0)
     }
 
     /// Left-to-right comb multiplication with 4-bit windows — Algorithm 6
@@ -400,49 +576,18 @@ impl BinaryField {
         self.reduce(&c[..2 * k])
     }
 
-    /// The unreduced carry-less product of two `k`-limb polynomials,
-    /// written to `wide[..2k]` — [`BinaryField::mul`] before its
-    /// reduction, on caller-owned storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` or `b` is shorter than `k` or `wide` than `2k`.
-    pub fn clmul_wide(&self, a: &[Limb], b: &[Limb], wide: &mut [Limb]) {
-        let (k, n) = (self.k, self.words());
-        let (mut x, mut y) = ([0; MAX_WORDS], [0; MAX_WORDS]);
-        word::pack(&a[..k], &mut x);
-        word::pack(&b[..k], &mut y);
-        let mut p = [0; WIDE_WORDS];
-        let mut tmp = [0; karatsuba_scratch(MAX_WORDS)];
-        karatsuba(&x[..n], &y[..n], &mut p, &mut tmp);
-        word::unpack(&p, &mut wide[..2 * k]);
-    }
-
     /// `a^2 mod f` via zero-interleaving expansion (§4.2.3) — `O(k)`,
     /// dramatically cheaper than multiplication, one of the headline
     /// advantages of binary fields.
     pub fn sqr(&self, a: &F2mElement) -> F2mElement {
         self.check(a);
-        // Word j of the square is limb j spread to 64 bits.
+        // Word j of the square is limb j spread to 64 bits: the same
+        // expansion as `sqr_words`, without packing the limbs first.
         let mut wide = [0; WIDE_WORDS];
         for (w, &l) in wide.iter_mut().zip(a.limbs()) {
             *w = spread32(l);
         }
         self.reduce_words(&mut wide[..2 * self.words()])
-    }
-
-    /// The unreduced square of a `k`-limb polynomial, written to
-    /// `wide[..2k]` — [`BinaryField::sqr`] before its reduction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is shorter than `k` or `wide` than `2k`.
-    pub fn sqr_wide(&self, a: &[Limb], wide: &mut [Limb]) {
-        for (pair, &l) in wide[..2 * self.k].chunks_mut(2).zip(&a[..self.k]) {
-            let s = spread32(l);
-            pair[0] = s as Limb;
-            pair[1] = (s >> 32) as Limb;
-        }
     }
 
     /// Word-level fast reduction (Algorithm 7, generalized): folds a
@@ -465,49 +610,17 @@ impl BinaryField {
     /// Folds words `>= m` of `c` (at least `ceil(k/2)` words) back below
     /// degree `m` and returns the low words as an element.
     fn reduce_words(&self, c: &mut [u64]) -> F2mElement {
-        if self.word_foldable {
-            self.fold_words(c);
-        } else {
-            self.fold_bit_serial(c);
-        }
-        let mut limbs = [0; MAX_LIMBS];
-        word::unpack(c, &mut limbs[..self.k]);
-        debug_assert!(c[self.words()..].iter().all(|&w| w == 0));
-        self.element(limbs)
+        self.fold(c);
+        self.element_of(c)
     }
 
-    /// Algorithm 7 on 64-bit words. Every term lies at least 64 bits
-    /// below `m`, so a folded word lands wholly in lower words, which
-    /// the top-down sweep reaches later.
-    fn fold_words(&self, c: &mut [u64]) {
-        let kw = self.m / 64; // word index containing bit m
-        let r = self.m % 64;
-        let xor_at = |c: &mut [u64], s: usize, t: u64| {
-            let (word, off) = (s / 64, s % 64);
-            c[word] ^= t << off;
-            if off != 0 {
-                c[word + 1] ^= t >> (64 - off);
-            }
-        };
-        for i in (kw + 1..c.len()).rev() {
-            let t = c[i];
-            if t == 0 {
-                continue;
-            }
-            c[i] = 0;
-            let base = 64 * i - self.m;
-            for &term in &self.terms {
-                xor_at(c, base + term, t);
-            }
+    /// Folds every coefficient at or above `m` of `c` below it, in place.
+    fn fold(&self, c: &mut [u64]) {
+        match &self.fold {
+            Some(fold) => fold.apply(c),
+            None => self.fold_bit_serial(c),
         }
-        // Partial top word: coefficients m .. 64*(kw+1)-1.
-        let t = c[kw] >> r;
-        if t != 0 {
-            for &term in &self.terms {
-                xor_at(c, term, t);
-            }
-        }
-        c[kw] &= (1u64 << r) - 1;
+        debug_assert!(c[self.words()..].iter().all(|&w| w == 0));
     }
 
     /// Bit-serial reduction fallback for polynomials too dense (or fields
@@ -603,6 +716,13 @@ impl BinaryField {
         out
     }
 
+    /// Unpacks reduced words (zero past `ceil(k/2)`) into an element.
+    fn element_of(&self, words: &[u64]) -> F2mElement {
+        let mut limbs = [0; MAX_LIMBS];
+        word::unpack(words, &mut limbs[..self.k]);
+        self.element(limbs)
+    }
+
     /// Wraps limbs (zero past `k`, no bit at or above `m`) as an element.
     fn element(&self, limbs: [Limb; MAX_LIMBS]) -> F2mElement {
         F2mElement {
@@ -615,6 +735,13 @@ impl BinaryField {
         debug_assert_eq!(a.k as usize, self.k, "element belongs to another field");
         debug_assert!(mp::bit_len(a.limbs()) <= self.m, "element not reduced");
     }
+}
+
+/// The low `n` words of a reduced product, zero past them.
+fn low_words(wide: &[u64], n: usize) -> [u64; MAX_WORDS] {
+    let mut out = [0; MAX_WORDS];
+    out[..n].copy_from_slice(&wide[..n]);
+    out
 }
 
 /// Degree of a nonzero polynomial whose words at and above `top` are zero.
@@ -750,6 +877,79 @@ mod tests {
                 karatsuba(&a, &b, &mut out, &mut tmp);
                 assert_eq!(out[..2 * n], expect[..], "n = {n}");
             }
+        }
+    }
+
+    /// The path [`clmul_words`] takes on this host.
+    fn kernel_path() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq") {
+            return "pclmulqdq";
+        }
+        "karatsuba"
+    }
+
+    #[test]
+    fn hardware_product_matches_karatsuba_at_every_width() {
+        let path = kernel_path();
+        eprintln!("clmul_words runs the {path} product on this host");
+        if path == "karatsuba" {
+            eprintln!("no pclmulqdq: this compares the Karatsuba fallback with itself");
+        }
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in 1..=MAX_WORDS {
+            let (zero, ones) = (vec![0u64; n], vec![u64::MAX; n]);
+            let mut cases = vec![
+                (zero.clone(), ones.clone()),
+                (ones.clone(), zero.clone()),
+                (ones.clone(), ones.clone()),
+            ];
+            let random: Vec<Vec<u64>> = (0..64).map(|_| (0..n).map(|_| next()).collect()).collect();
+            for pair in random.chunks(2) {
+                cases.push((pair[0].clone(), pair[1].clone()));
+            }
+            for bit in 0..64 * n {
+                let mut one = zero.clone();
+                one[bit / 64] = 1 << (bit % 64);
+                let mut other = zero.clone();
+                other[n - 1 - bit / 64] = 1 << (63 - bit % 64);
+                cases.push((one.clone(), random[bit % 64].clone()));
+                cases.push((ones.clone(), one.clone()));
+                cases.push((one, other));
+            }
+            for (a, b) in &cases {
+                let mut hw = [u64::MAX; WIDE_WORDS];
+                clmul_words(a, b, &mut hw);
+                let mut sw = [0; WIDE_WORDS];
+                let mut tmp = [0; karatsuba_scratch(MAX_WORDS)];
+                karatsuba(a, b, &mut sw, &mut tmp);
+                assert_eq!(hw[..2 * n], sw[..2 * n], "{path}, n = {n}, {a:x?} · {b:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_api_matches_the_element_api() {
+        for f in all_fields() {
+            let (a, b) = (sample(&f, 0x5eed), sample(&f, 0xfade));
+            let (x, y) = (BinaryField::words_of(&a), BinaryField::words_of(&b));
+            assert!(f.words_reduced(&x) && f.words_reduced(&y), "{}", f.name());
+            assert_eq!(
+                f.element_of(&f.mul_words(&x, &y)),
+                f.mul(&a, &b),
+                "{}",
+                f.name()
+            );
+            assert_eq!(f.element_of(&f.sqr_words(&x)), f.sqr(&a), "{}", f.name());
+            let mut over = x;
+            over[f.m() / 64] |= 1 << (f.m() % 64);
+            assert!(!f.words_reduced(&over), "{}", f.name());
         }
     }
 

@@ -13,8 +13,9 @@
 //! * Montgomery multiplication in the **CIOS** form of Algorithm 5
 //!   ([`mont`]),
 //! * binary fields GF(2^m) with the NIST reduction polynomials of
-//!   eq. 4.8–4.12, comb multiplication (Algorithm 6), Karatsuba
-//!   carry-less multiplication, fast squaring, and word-level fast
+//!   eq. 4.8–4.12, comb multiplication (Algorithm 6), a word-level
+//!   carry-less product (the host CPU's carry-less multiplier where it
+//!   has one, else Karatsuba), fast squaring, and word-level fast
 //!   reduction (Algorithm 7) ([`f2m`]),
 //! * the RFC 7748 ladder primes 2^255−19 and 2^448−2^224−1 with their
 //!   one-term special-form reductions ([`xprime`]),
@@ -36,7 +37,9 @@
 //! assert_eq!(field.mul(&a, &b), field.one());
 //! ```
 
-#![forbid(unsafe_code)]
+// One item opts out of the lint: `f2m::clmul_words`, the call into the
+// host's carry-less multiplier.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod f2m;

@@ -5,13 +5,13 @@
 //!
 //! The reference multiplies by shift-and-add over the bits of one operand
 //! and reduces one bit at a time from the top, so it shares no code with
-//! the library's Karatsuba product or word-level fold: a `clmul_wide` bug
-//! that Billie, the suite diff tests and the host would all share shows
-//! up here. The fields are the five NIST binary fields and the paper's
+//! the library's carry-less product (hardware or Karatsuba) or word-level
+//! fold: a `mul_words` bug that Billie, the suite diff tests and the host
+//! would all share shows up here. The fields are the five NIST binary fields and the paper's
 //! GF(2^7) toy (f = x^7 + x + 1), which takes the bit-serial reduction
 //! path. Random cases come from a seeded `ule_testkit::Rng`.
 
-use ule_mpmath::f2m::{BinaryField, F2mElement};
+use ule_mpmath::f2m::{BinaryField, F2mElement, MAX_WORDS};
 use ule_mpmath::mp::Mp;
 use ule_mpmath::nist::NistBinary;
 use ule_testkit::Rng;
@@ -113,27 +113,44 @@ fn mul_sqr_add_match_bit_serial() {
     }
 }
 
+/// Limbs packed two to a word, low limb in the low half.
+fn words(limbs: &[u32]) -> [u64; MAX_WORDS] {
+    let mut w = [0; MAX_WORDS];
+    for (i, &l) in limbs.iter().enumerate() {
+        w[i / 2] |= (l as u64) << (32 * (i % 2));
+    }
+    w
+}
+
+/// The first `k` limbs of words.
+fn limbs(words: &[u64; MAX_WORDS], k: usize) -> Vec<u32> {
+    (0..k)
+        .map(|i| (words[i / 2] >> (32 * (i % 2))) as u32)
+        .collect()
+}
+
 #[test]
-fn unreduced_products_match_bit_serial() {
+fn word_products_match_bit_serial() {
     let mut rng = Rng::new(0xf2e0_0002);
     for f in fields() {
-        let k = f.k();
+        let (name, k) = (f.name(), f.k());
         let ops = operands(&f, &mut rng);
         for a in &ops {
-            let mut wide = vec![u32::MAX; 2 * k];
-            f.sqr_wide(a.limbs(), &mut wide);
-            assert_eq!(
-                wide,
-                ref_product(a.limbs(), a.limbs()),
-                "{} sqr_wide",
-                f.name()
-            );
+            let x = words(a.limbs());
+            assert!(f.words_reduced(&x), "{name} {a:?}");
+            let sq = f.sqr_words(&x);
+            assert_eq!(limbs(&sq, k), ref_mul(&f, a, a), "{name} sqr_words {a:?}");
+            assert_eq!(sq, words(&limbs(&sq, k)), "{name} sqr_words high words");
             for b in &ops {
-                f.clmul_wide(a.limbs(), b.limbs(), &mut wide);
-                let expect = ref_product(a.limbs(), b.limbs());
-                assert_eq!(wide, expect, "{} clmul_wide", f.name());
+                let p = f.mul_words(&x, &words(b.limbs()));
+                assert_eq!(limbs(&p, k), ref_mul(&f, a, b), "{name} mul_words");
+                assert_eq!(p, words(&limbs(&p, k)), "{name} mul_words high words");
             }
         }
+        // One coefficient at x^m is not reduced.
+        let mut over = [0; MAX_WORDS];
+        over[f.m() / 64] = 1 << (f.m() % 64);
+        assert!(!f.words_reduced(&over), "{name}");
     }
 }
 

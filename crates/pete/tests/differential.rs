@@ -4,7 +4,9 @@
 //! dead-simple interpreter written in this test. Any divergence is a
 //! simulator bug. With random labels sprinkled in (some on return
 //! addresses), the profiled fast tier must also bill exactly what the
-//! reference does, across stretch boundaries and returns.
+//! reference does, across stretch boundaries and returns. A second pass
+//! runs the Hi/Lo ops of the ISA extension (Tables 5.1 and 5.2) against
+//! a bit-serial carry-less product and a 96-bit accumulator.
 
 use ule_isa::asm::Asm;
 use ule_isa::instr::Instr;
@@ -283,5 +285,136 @@ fn encoded_programs_decode_back() {
                 "text word {i} ({w:#010x}) failed to decode"
             );
         }
+    }
+}
+
+/// A step of the ISA-extension pass: a Hi/Lo op of Tables 5.1/5.2, a
+/// read-back of the accumulator, or a plain single-word ALU op.
+#[derive(Clone, Debug)]
+enum ExtOp {
+    Mulgf2(usize, usize),
+    Maddgf2(usize, usize),
+    Maddu(usize, usize),
+    M2addu(usize, usize),
+    Addau(usize, usize),
+    Sha,
+    Mflo(usize),
+    Mfhi(usize),
+    Alu(Op),
+}
+
+fn random_ext_op(rng: &mut Rng) -> ExtOp {
+    fn r(rng: &mut Rng) -> usize {
+        rng.below(POOL.len() as u64) as usize
+    }
+    match rng.below(10) {
+        0 => ExtOp::Mulgf2(r(rng), r(rng)),
+        1 => ExtOp::Maddgf2(r(rng), r(rng)),
+        2 => ExtOp::Maddu(r(rng), r(rng)),
+        3 => ExtOp::M2addu(r(rng), r(rng)),
+        4 => ExtOp::Addau(r(rng), r(rng)),
+        5 => ExtOp::Sha,
+        6 => ExtOp::Mflo(r(rng)),
+        7 => ExtOp::Mfhi(r(rng)),
+        _ => ExtOp::Alu(random_single_word_op(rng)),
+    }
+}
+
+fn emit_ext(asm: &mut Asm, op: &ExtOp) {
+    let p = |i: usize| POOL[i];
+    match *op {
+        ExtOp::Mulgf2(a, b) => asm.mulgf2(p(a), p(b)),
+        ExtOp::Maddgf2(a, b) => asm.maddgf2(p(a), p(b)),
+        ExtOp::Maddu(a, b) => asm.maddu(p(a), p(b)),
+        ExtOp::M2addu(a, b) => asm.m2addu(p(a), p(b)),
+        ExtOp::Addau(a, b) => asm.addau(p(a), p(b)),
+        ExtOp::Sha => asm.sha(),
+        ExtOp::Mflo(d) => asm.mflo(p(d)),
+        ExtOp::Mfhi(d) => asm.mfhi(p(d)),
+        ExtOp::Alu(ref op) => emit(asm, op),
+    }
+}
+
+/// GF(2)[x] product of two 32-bit polynomials, one bit of `b` at a time.
+fn clmul_bit_serial(a: u32, b: u32) -> u128 {
+    (0..32)
+        .filter(|i| (b >> i) & 1 == 1)
+        .fold(0, |acc, i| acc ^ (a as u128) << i)
+}
+
+/// The oracle of the ISA-extension pass: the registers and a 96-bit
+/// accumulator (ovflo:hi:lo), zero at reset.
+fn interpret_ext(init: &[u32; 10], ops: &[ExtOp]) -> [u32; 10] {
+    const ACC: u128 = (1 << 96) - 1;
+    let mut r = *init;
+    let mut acc = 0u128;
+    let v = |r: &[u32; 10], i: usize| r[i] as u128;
+    for op in ops {
+        match *op {
+            ExtOp::Mulgf2(a, b) => acc = clmul_bit_serial(r[a], r[b]),
+            ExtOp::Maddgf2(a, b) => acc ^= clmul_bit_serial(r[a], r[b]),
+            ExtOp::Maddu(a, b) => acc = (acc + v(&r, a) * v(&r, b)) & ACC,
+            ExtOp::M2addu(a, b) => acc = (acc + 2 * v(&r, a) * v(&r, b)) & ACC,
+            ExtOp::Addau(a, b) => acc = (acc + (v(&r, a) << 32) + v(&r, b)) & ACC,
+            ExtOp::Sha => acc >>= 32,
+            ExtOp::Mflo(d) => r[d] = acc as u32,
+            ExtOp::Mfhi(d) => r[d] = (acc >> 32) as u32,
+            ExtOp::Alu(ref op) => r = interpret(&r, std::slice::from_ref(op)),
+        }
+    }
+    r
+}
+
+#[test]
+fn isa_ext_hilo_ops_match_the_oracle() {
+    let mut rng = Rng::new(0xe47);
+    for case in 0..256 {
+        let mut init = [0u32; 10];
+        for v in &mut init {
+            // Edge values often: 0, all-ones and the top bit carry the
+            // accumulator across its 32- and 64-bit boundaries.
+            *v = match rng.below(4) {
+                0 => [0, u32::MAX, 1 << 31, 1][rng.below(4) as usize],
+                _ => rng.next_u32(),
+            };
+        }
+        let ops: Vec<ExtOp> = (0..rng.range(1, 80))
+            .map(|_| random_ext_op(&mut rng))
+            .collect();
+        let mut asm = Asm::new();
+        asm.label("main");
+        for op in &ops {
+            emit_ext(&mut asm, op);
+        }
+        // Read the whole accumulator back at the end.
+        let (lo, hi) = (ExtOp::Mflo(8), ExtOp::Mfhi(9));
+        let sha = [ExtOp::Sha, ExtOp::Sha, ExtOp::Mflo(7)];
+        for op in [&lo, &hi].into_iter().chain(&sha) {
+            emit_ext(&mut asm, op);
+        }
+        asm.brk(0);
+        let program = asm.link("main").expect("link");
+        let mut executed = ops.clone();
+        executed.extend([lo, hi]);
+        executed.extend(sha);
+        let expect = interpret_ext(&init, &executed);
+        let per_tier = [EngineTier::Fast, EngineTier::Reference].map(|tier| {
+            let mut m = Machine::new(&program, MachineConfig::isa_ext());
+            for (i, &v) in init.iter().enumerate() {
+                m.set_reg(POOL[i], v);
+            }
+            let exit = m.run_with(ExecOptions::new(1_000_000).with_tier(tier));
+            assert_eq!(exit, RunExit::Halted { code: 0 }, "case {case}");
+            for (i, &e) in expect.iter().enumerate() {
+                assert_eq!(
+                    m.reg(POOL[i]),
+                    e,
+                    "case {case}, {tier:?}: register {} diverged",
+                    POOL[i]
+                );
+            }
+            m.counters()
+        });
+        assert_eq!(per_tier[0], per_tier[1], "case {case}: tiers diverge");
     }
 }
